@@ -1,13 +1,14 @@
 """End-to-end model walk: synthesize, window, split, fit, score, persist.
 
-The optimizer is plain full-batch gradient descent with step halving and
-balanced class weights, so the loss trace is monotone and every number here
-reproduces bit-for-bit on rerun.
+The optimizer is damped Newton (iteratively reweighted least squares) with
+backtracking from the full step and balanced class weights, so the loss trace
+is monotone, the fit stops at the optimum rather than at an iteration cap, and
+every number here reproduces bit-for-bit on rerun.
 """
 import tempfile
 from pathlib import Path
 
-from flowsift import (ClassProfile, HyperParams, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, SplitSpec, SynthConfig,
                       WindowConfig, build_matrix, evaluate, fit, load_model,
                       parse_line, save_model, split, synthesize)
 
@@ -55,7 +56,7 @@ def main():
     print(f"chronological split: {train_m.n_rows} train / {test_m.n_rows} test"
           f" (60s purge between them)")
 
-    model, report = fit(train_m, HyperParams(max_iter=2000))
+    model, report = fit(train_m)
     print()
     print("=== training ===")
     print(f"converged: {report.converged} after {report.iterations_run} steps")

@@ -4,7 +4,7 @@ Wide windows smooth the signal but cost rows; short strides multiply rows
 but correlate them. The grid makes that trade visible, and repeat_runs shows
 how much of a cell's score is split luck.
 """
-from flowsift import (ClassProfile, HyperParams, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, SplitSpec, SynthConfig,
                       histogram, parse_line, repeat_runs, run_grid,
                       sweep_csv, synthesize)
 
@@ -41,13 +41,11 @@ def capture(seed=23):
 def main():
     flows = capture()
     print(f"{len(flows)} flows over 1200s")
-    # short optimizer budget: the grid is about geometry, not convergence
-    hp = HyperParams(max_iter=500)
 
     print()
     print("=== 3x3 grid, chronological split, one CSV row per cell ===")
     result = run_grid(flows, widths=[30, 60, 120], strides=[15, 60, 240],
-                      spec=SplitSpec(), hyperparams=hp)
+                      spec=SplitSpec())
     print(sweep_csv(result), end="")
 
     gap_cells = [c for c in result.cells if c.status == "ok:stride_gap"]
@@ -70,7 +68,7 @@ def main():
     print("=== one cell, four random splits ===")
     runs, dispersion = repeat_runs(
         flows, width_s=60, stride_s=30, runs=4,
-        spec=SplitSpec(mode="stratified_random"), hyperparams=hp)
+        spec=SplitSpec(mode="stratified_random"))
     for r in runs:
         print(f"  seed {r.seed}: test P={r.test.precision:.3f} "
               f"R={r.test.recall:.3f} F1={r.test.f1:.3f}")

@@ -3,7 +3,7 @@
 Windowed aggregates are heavily collinear by construction (sums track means
 times counts), so pruning costs little accuracy and buys interpretability.
 """
-from flowsift import (ClassProfile, HyperParams, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, SplitSpec, SynthConfig,
                       WindowConfig, backward_elimination, build_matrix,
                       correlation_filter, fit, parse_line, pca_fit,
                       pca_transform, pearson_matrix, synthesize)
@@ -68,7 +68,7 @@ def main():
     filtered = matrix.select(retained)
 
     def trainer(m):
-        model, _ = fit(m, HyperParams(max_iter=400))
+        model, _ = fit(m)
         return model
 
     kept, trace = backward_elimination(

@@ -200,16 +200,16 @@ def _cmd_featurize(args) -> int:
 def _cmd_train(args) -> int:
     if args.l2 < 0:
         raise UsageError(f"--l2 must be >= 0, got {args.l2}")
-    if args.lr <= 0:
-        raise UsageError(f"--lr must be > 0, got {args.lr}")
     _require_min(args.max_iter, 1, "--max-iter")
     if args.tol < 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
     matrix = read_matrix_csv(args.features)
-    hp = HyperParams(l2_lambda=args.l2, learning_rate=args.lr,
-                     max_iter=args.max_iter, tol=args.tol,
+    hp = HyperParams(l2_lambda=args.l2, max_iter=args.max_iter, tol=args.tol,
                      class_weight_mode=args.class_weight)
-    model, _ = fit(matrix, hp, seed=args.seed)
+    model, report = fit(matrix, hp, seed=args.seed)
+    if not report.converged:
+        print(f"warning: fit stopped at --max-iter {args.max_iter} without "
+              f"converging", file=sys.stderr)
     save_model(args.output, model)
     return 0
 
@@ -358,10 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", help="feature CSV path")
     p.add_argument("--l2", type=float, default=1e-4,
                    help="L2 regularization strength")
-    p.add_argument("--lr", type=float, default=0.5,
-                   help="initial gradient-descent step size")
-    p.add_argument("--max-iter", type=int, default=2000,
-                   help="iteration cap")
+    p.add_argument("--max-iter", type=int, default=100,
+                   help="Newton iteration cap (a safety stop)")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="convergence tolerance")
     p.add_argument("--class-weight", choices=("balanced", "none"),

@@ -1,10 +1,11 @@
 """Binary logistic regression, written out from first principles.
 
-Deterministic full-batch gradient descent with backtracking step halving:
-no solver library, no stochasticity, so identical inputs give bit-identical
-models and run-to-run variation can only come from data splits. Numerics are
-kept overflow-safe throughout: the sigmoid never exponentiates a positive
-argument and the loss uses the log(1 + e^-|z|) form rather than log(sigmoid).
+Deterministic damped Newton (iteratively reweighted least squares) with
+backtracking on the loss: no solver library beyond a dense linear solve, no
+stochasticity, so identical inputs give bit-identical models and run-to-run
+variation can only come from data splits. Numerics are kept overflow-safe
+throughout: the sigmoid never exponentiates a positive argument and the loss
+uses the log(1 + e^-|z|) form rather than log(sigmoid).
 """
 from __future__ import annotations
 
@@ -21,22 +22,19 @@ from .errors import (CorruptModel, NonFiniteLoss, SchemaMismatch,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput)
 from .features import (FeatureMatrix, StandardizationParams, standardize_fit)
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 
 @dataclass(frozen=True)
 class HyperParams:
     l2_lambda: float = 1e-4
-    learning_rate: float = 0.5
-    max_iter: int = 2000
+    max_iter: int = 100
     tol: float = 1e-8
     class_weight_mode: str = "balanced"
 
     def __post_init__(self):
         if self.l2_lambda < 0:
             raise ValueError("l2_lambda must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol < 0:
@@ -159,7 +157,16 @@ def class_weights_for(y: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown class_weight_mode {mode!r}")
 
 
-_MAX_HALVINGS = 60
+_MAX_BACKTRACKS = 60
+
+
+def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve H d = g; a singular H (l2_lambda=0 with a constant column) falls
+    back to the minimum-norm least-squares solution."""
+    try:
+        return np.linalg.solve(hessian, grad)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(hessian, grad, rcond=None)[0]
 
 
 def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
@@ -167,11 +174,14 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     """Train on a labeled feature matrix.
 
     Features are standardized against this data; weights and bias start at
-    zero; each iteration takes a full-batch gradient step at learning_rate,
-    halving the step while it would increase the loss. Stops at max_iter, when
-    an accepted step improves the loss by less than tol, when the gradient
-    inf-norm falls below tol, or when no halved step can decrease the loss
-    (numerical floor).
+    zero. Each iteration solves for the Newton direction with the Hessian
+    Xaᵀ diag(cᵢpᵢ(1-pᵢ)/Σc) Xa + λI, where Xa is the standardized X with a
+    column of ones for the bias (the bias entry of λI is 0), then backtracks
+    from the full step, halving it while it would increase the loss. Stops
+    when the gradient inf-norm falls below tol, when an accepted step improves
+    the loss by less than tol, or when no halved step can decrease the loss
+    (numerical floor); max_iter is only a safety cap, reported as
+    converged=False.
 
     The seed does not influence the optimization (it is deterministic); it is
     recorded in training_meta so run provenance survives serialization.
@@ -182,6 +192,9 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     class_weights = class_weights_for(y, hp.class_weight_mode)
     params = standardize_fit(matrix)
     Xs = params.transform(matrix.X)
+    Xa = np.column_stack([Xs, np.ones(len(y))])
+    ridge = np.diag(np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0))
+    norm_weights = class_weights / class_weights.sum()
 
     w = np.zeros(matrix.n_features)
     b = 0.0
@@ -197,11 +210,15 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < hp.tol:
             converged = True
             break
-        step = hp.learning_rate
+        p = sigmoid(Xs @ w + b)
+        curvature = norm_weights * p * (1.0 - p)
+        hessian = (Xa.T * curvature) @ Xa + ridge
+        direction = _newton_direction(hessian, np.append(dw, db))
+        step = 1.0
         accepted = False
-        for _ in range(_MAX_HALVINGS):
-            w_new = w - step * dw
-            b_new = b - step * db
+        for _ in range(_MAX_BACKTRACKS):
+            w_new = w - step * direction[:-1]
+            b_new = b - step * float(direction[-1])
             candidate = loss(w_new, b_new, Xs, y, class_weights, hp.l2_lambda)
             if math.isfinite(candidate) and candidate <= current:
                 accepted = True
@@ -220,6 +237,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     meta = {
         "iterations_run": len(trace) - 1,
         "final_loss": current,
+        "converged": converged,
         "seed": seed,
         "positive_classes": matrix.meta.get("positive_classes"),
     }
@@ -277,7 +295,6 @@ def save_model(path: str, model: LogRegModel) -> None:
         "threshold": float(model.threshold),
         "hyperparams": {
             "l2_lambda": model.hyperparams.l2_lambda,
-            "learning_rate": model.hyperparams.learning_rate,
             "max_iter": model.hyperparams.max_iter,
             "tol": model.hyperparams.tol,
             "class_weight_mode": model.hyperparams.class_weight_mode,

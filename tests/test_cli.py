@@ -2,6 +2,10 @@
 flag/default parity with the documented interface."""
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,37 @@ def test_mangled_model_is_data_error(ws, tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def test_train_warns_when_max_iter_stops_the_fit(ws, tmp_path, capsys):
+    rc = main(["train", ws["features"], "--max-iter", "1",
+               "-o", str(tmp_path / "m.txt")])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert err == ("warning: fit stopped at --max-iter 1 without "
+                   "converging\n")
+    meta = json.loads((tmp_path / "m.txt").read_text())["training_meta"]
+    assert meta["converged"] is False and meta["iterations_run"] == 1
+
+
+def test_train_converges_silently_at_defaults(ws, tmp_path, capsys):
+    out = tmp_path / "m.txt"
+    assert main(["train", ws["features"], "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(out.read_text())["training_meta"]["converged"] is True
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "flowsift", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    for sub in ("featurize", "train", "eval", "sweep", "synth"):
+        assert sub in proc.stdout
+
+
 def test_single_class_training_is_degenerate(tmp_path, capsys):
     flows = tmp_path / "flows.csv"
     write_flow_file(flows, [BACKGROUND_ROW.format(i=i) for i in (1, 2, 3)])
@@ -211,7 +246,7 @@ EXPECTED_DEFAULTS = {
                   "--corr-threshold": None, "--backward-elim": False,
                   "--pca-components": None, "--selection-report": None,
                   "--on-error": "skip"},
-    "train": {"--l2": 1e-4, "--lr": 0.5, "--max-iter": 2000, "--tol": 1e-8,
+    "train": {"--l2": 1e-4, "--max-iter": 100, "--tol": 1e-8,
               "--class-weight": "balanced", "--seed": 0},
     "eval": {},
     "sweep": {"--split": "chrono", "--fraction": 0.7, "--purge": None,

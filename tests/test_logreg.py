@@ -183,15 +183,64 @@ def test_fit_deterministic():
         "the seed is provenance only; optimization is deterministic"
 
 
-def test_fit_loss_trace_non_increasing():
+def noisy_matrix():
+    """80 rows, 4 features, labels from a noisy linear rule: not separable."""
     rng = np.random.default_rng(21)
     X = rng.normal(size=(80, 4))
     logits = X @ np.array([2.0, -1.0, 0.5, 0.0])
     y = (logits + rng.normal(0, 0.5, 80) > 0).astype(np.int8)
-    _, report = fit(matrix_of(X, y))
+    return matrix_of(X, y)
+
+
+def test_fit_loss_trace_non_increasing():
+    _, report = fit(noisy_matrix())
     trace = report.loss_trace
     assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
     assert trace[0] == pytest.approx(LN2, abs=1e-15), "w=0 start"
+
+
+def test_fit_converges_to_stationary_point():
+    m = noisy_matrix()
+    hp = HyperParams()
+    model, report = fit(m, hp)
+    assert report.converged
+    assert report.iterations_run <= 30
+    assert model.training_meta["converged"] is True
+    y = m.y.astype(np.float64)
+    dw, db = gradient(model.weights, model.bias,
+                      model.standardization.transform(m.X), y,
+                      class_weights_for(y, hp.class_weight_mode), hp.l2_lambda)
+    assert max(float(np.abs(dw).max()), abs(db)) <= 1e-6
+
+
+# final loss that 2000 steps of the earlier gradient-descent solver (learning
+# rate 0.5, step halving) reached on noisy_matrix() at default hyperparameters
+GD_2000_FINAL_LOSS = 0.2049848193009812
+
+
+def test_fit_reaches_at_least_the_gradient_descent_loss():
+    _, report = fit(noisy_matrix())
+    assert report.loss_trace[-1] <= GD_2000_FINAL_LOSS
+
+
+def test_fit_unregularized_separable_terminates_finite():
+    hp = HyperParams(l2_lambda=0.0)
+    model, report = fit(two_cluster_matrix(), hp)
+    assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
+    assert 1 <= report.iterations_run <= hp.max_iter
+    m = two_cluster_matrix()
+    assert predict_label(model, m).tolist() == m.y.tolist()
+
+
+def test_fit_unregularized_constant_column_singular_hessian():
+    """With l2_lambda=0 a constant feature makes the Hessian singular; the
+    least-squares direction leaves its weight at zero."""
+    m = noisy_matrix()
+    X = np.column_stack([m.X, np.full(m.n_rows, 3.0)])
+    model, report = fit(matrix_of(X, m.y), HyperParams(l2_lambda=0.0))
+    assert report.converged
+    assert model.weights[-1] == 0.0
+    assert np.isfinite(model.weights).all()
 
 
 def test_fit_huge_l2_crushes_weights():
@@ -293,11 +342,13 @@ def test_load_rejects_missing_field(tmp_path):
 
 
 def test_load_rejects_unknown_schema_version(tmp_path):
+    """99 is from the future; 1 is the gradient-descent-era schema."""
     model, _ = fit(two_cluster_matrix())
     path = tmp_path / "model.txt"
     save_model(str(path), model)
     payload = json.loads(path.read_text())
-    payload["schema_version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(SchemaVersionMismatch):
-        load_model(str(path))
+    for version in (1, 99):
+        payload["schema_version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaVersionMismatch):
+            load_model(str(path))
