@@ -32,10 +32,9 @@ from .select import (CorrelationMatrix, PcaModel, backward_elimination,
                      correlation_filter, pca_fit, pca_reconstruct,
                      pca_transform, pearson_matrix, write_selection_report)
 from .split import SplitSpec, split, with_seed
-from .sweep import (RepeatRun, ScenarioCell, SweepCell, SweepResult,
-                    repeat_runs, run_grid, run_single, scenario_compare,
-                    sweep_csv, write_repeat_csv, write_scenarios_csv,
-                    write_sweep_csv)
+from .sweep import (ScenarioCell, SweepCell, SweepResult, repeat_runs,
+                    run_grid, run_single, scenario_compare, sweep_csv,
+                    write_repeat_csv, write_scenarios_csv, write_sweep_csv)
 from .synth import ClassProfile, SynthConfig, preset_scenario9, synthesize, write_synth
 from .windows import (AggregateStats, WindowConfig, aggregate_stats,
                       build_matrix, window_indices)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 from ._util import atomic_write_text, fmt_g9
@@ -226,11 +225,8 @@ def _cmd_sweep(args) -> int:
     widths = _int_list(args.widths, "--widths")
     strides = _int_list(args.strides, "--strides")
     spec = _split_spec(args, "chrono")
-    jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    _require_min(jobs, 1, "--jobs")
     flows = _read_flows(args)
-    result = run_grid(flows, widths, strides, spec=spec, base_seed=args.seed,
-                      jobs=jobs)
+    result = run_grid(flows, widths, strides, spec=spec, base_seed=args.seed)
     write_sweep_csv(args.output, result, timings=args.timings)
     return 0
 
@@ -252,12 +248,8 @@ def _cmd_scenarios(args) -> int:
     _require_min(args.stride, 1, "--stride")
     files = _files_map(args.files)
     spec = _split_spec(args, "chrono")
-
-    def reader(path):
-        return read_flows(path, on_error=args.on_error)[0]
-
-    rows = scenario_compare(files, reader, width_s=args.width,
-                            stride_s=args.stride, spec=spec, seed=args.seed)
+    rows = scenario_compare(files, width_s=args.width, stride_s=args.stride,
+                            spec=spec, seed=args.seed, on_error=args.on_error)
     write_scenarios_csv(args.output, rows, timings=args.timings)
     return 0
 
@@ -383,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strides", required=True,
                    help="comma-separated strides in seconds")
     _add_split_flags(p, "chrono")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker cap (default: all cores)")
     p.add_argument("--timings", action="store_true",
                    help="fill the wall_time_s column (breaks rerun "
                         "byte-identity)")

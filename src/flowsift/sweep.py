@@ -9,13 +9,15 @@ across several capture files.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from ._util import atomic_write_text, fmt_g9
 from .errors import FlowsiftError
-from .ingest import FlowRecord
+from .features import FeatureMatrix
+from .ingest import FlowRecord, read_flows
 from .logreg import HyperParams, fit
 from .metrics import MetricsReport, evaluate
 from .split import SplitSpec, split, with_seed
@@ -80,9 +82,16 @@ def run_single(flows: list[FlowRecord],
                positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
                ) -> tuple[MetricsReport, MetricsReport]:
     """One full pipeline pass; returns (train report, test report)."""
-    spec = with_seed(spec or SplitSpec(), seed)
     cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
     matrix = build_matrix(flows, cfg, positive_classes=positive_classes)
+    return _train_score(matrix, spec, hyperparams, seed)
+
+
+def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
+                 hyperparams: HyperParams | None,
+                 seed: int) -> tuple[MetricsReport, MetricsReport]:
+    """Split, fit and evaluate an already-built matrix under one seed."""
+    spec = with_seed(spec or SplitSpec(), seed)
     train_m, test_m = split(matrix, spec)
     model, _ = fit(train_m, hyperparams, seed=seed)
     extra = {"split": spec.describe(), "seed": seed,
@@ -92,22 +101,26 @@ def run_single(flows: list[FlowRecord],
     return ev_train, ev_test
 
 
+def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
+            ) -> None:
+    cell.train, cell.test = reports
+    cell.rows_train = cell.train.config.get("rows_train")
+    cell.rows_test = cell.test.config.get("rows_test")
+    cell.status = "ok:stride_gap" if cell.stride_s > cell.width_s else "ok"
+
+
 def _run_cell(flows: list[FlowRecord], width_s: int, stride_s: int,
               spec: SplitSpec | None, hyperparams: HyperParams | None,
               seed: int, positive_classes: frozenset) -> SweepCell:
     cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
     t0 = time.perf_counter()
     try:
-        ev_train, ev_test = run_single(
-            flows, width_s, stride_s, spec, hyperparams, seed,
-            positive_classes)
+        reports = run_single(flows, width_s, stride_s, spec, hyperparams,
+                             seed, positive_classes)
     except FlowsiftError as exc:
         cell.status = f"error:{type(exc).__name__}"
     else:
-        cell.train, cell.test = ev_train, ev_test
-        cell.rows_train = ev_train.config.get("rows_train")
-        cell.rows_test = ev_test.config.get("rows_test")
-        cell.status = "ok:stride_gap" if stride_s > width_s else "ok"
+        _record(cell, reports)
     cell.wall_time_s = time.perf_counter() - t0
     return cell
 
@@ -118,34 +131,21 @@ def run_grid(flows: list[FlowRecord],
              spec: SplitSpec | None = None,
              hyperparams: HyperParams | None = None,
              base_seed: int = 0,
-             jobs: int = 1,
              positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
              ) -> SweepResult:
     """Cartesian sweep in request order: widths outer, strides inner.
 
     Every cell uses the same base seed so cells differ only in geometry.
+    Cells run on a thread pool with one worker per core, at most one per cell.
     """
     combos = [(w, s) for w in widths for s in strides]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(
-                lambda ws: _run_cell(flows, ws[0], ws[1], spec, hyperparams,
-                                     base_seed, positive_classes),
-                combos))
-    else:
-        cells = [_run_cell(flows, w, s, spec, hyperparams, base_seed,
-                           positive_classes)
-                 for w, s in combos]
+    workers = max(1, min(len(combos), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        cells = list(pool.map(
+            lambda ws: _run_cell(flows, ws[0], ws[1], spec, hyperparams,
+                                 base_seed, positive_classes),
+            combos))
     return SweepResult(cells=cells)
-
-
-@dataclass
-class RepeatRun:
-    run_index: int
-    seed: int
-    train: MetricsReport
-    test: MetricsReport
-    wall_time_s: float
 
 
 def repeat_runs(flows: list[FlowRecord],
@@ -156,30 +156,30 @@ def repeat_runs(flows: list[FlowRecord],
                 hyperparams: HyperParams | None = None,
                 base_seed: int = 0,
                 positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
-                ) -> tuple[list[RepeatRun], dict]:
+                ) -> tuple[list[SweepCell], dict]:
     """Re-run one cell under seeds base_seed..base_seed+runs-1.
 
-    Returns the runs plus a dispersion table {metric: {min,max,range}}.
-    Dispersion needs at least two runs to mean anything.
+    The matrix does not depend on the seed, so it is built once; each
+    cell's wall_time_s covers its split, fit and evaluation. Returns the
+    cells plus a dispersion table {metric: {min,max,range}}. Dispersion
+    needs at least two runs to mean anything.
     """
     if runs < 2:
         raise ValueError(f"runs must be >= 2, got {runs}")
     if spec is None:
         spec = SplitSpec(mode="stratified_random")
-    out: list[RepeatRun] = []
-    for i in range(runs):
-        seed = base_seed + i
+    cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
+    matrix = build_matrix(flows, cfg, positive_classes=positive_classes)
+    out: list[SweepCell] = []
+    for seed in range(base_seed, base_seed + runs):
+        cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
         t0 = time.perf_counter()
-        ev_train, ev_test = run_single(
-            flows, width_s, stride_s, spec, hyperparams, seed,
-            positive_classes)
-        out.append(RepeatRun(run_index=i, seed=seed, train=ev_train,
-                             test=ev_test,
-                             wall_time_s=time.perf_counter() - t0))
+        _record(cell, _train_score(matrix, spec, hyperparams, seed))
+        cell.wall_time_s = time.perf_counter() - t0
+        out.append(cell)
     dispersion = {}
     for key in _METRIC_KEYS:
-        part, name = key.split("_", 1)
-        vals = [getattr(getattr(r, part), name) for r in out]
+        vals = [c.metric(key) for c in out]
         lo, hi = min(vals), max(vals)
         dispersion[key] = {"min": lo, "max": hi, "range": hi - lo}
     return out, dispersion
@@ -192,26 +192,26 @@ class ScenarioCell:
 
 
 def scenario_compare(scenario_files: dict[int, str],
-                     reader,
                      width_s: int = 189,
                      stride_s: int = 129,
                      spec: SplitSpec | None = None,
                      hyperparams: HyperParams | None = None,
                      seed: int = 0,
                      positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
+                     on_error: str = "skip",
                      ) -> list[ScenarioCell]:
     """Run one fixed (width, stride) cell per capture file.
 
-    reader(path) -> list[FlowRecord]. A failure in one capture (missing
-    file, bad rows, degenerate split) is recorded in that row and the
-    remaining captures still run.
+    Each capture is read with read_flows under the on_error row policy. A
+    failure in one capture (missing file, bad rows, degenerate split) is
+    recorded in that row and the remaining captures still run.
     """
     out: list[ScenarioCell] = []
     for scenario_id in sorted(scenario_files):
         path = scenario_files[scenario_id]
         t0 = time.perf_counter()
         try:
-            flows = reader(path)
+            flows, _ = read_flows(path, on_error=on_error)
         except (OSError, FlowsiftError) as exc:
             cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed,
                              status=f"error:{type(exc).__name__}",
@@ -243,17 +243,14 @@ def sweep_csv(result: SweepResult, timings: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def repeat_csv(runs: list[RepeatRun], dispersion: dict,
+def repeat_csv(runs: list[SweepCell], dispersion: dict,
                timings: bool = False) -> str:
     """Per-run rows followed by min/max/range summary rows."""
     lines = [REPEAT_CSV_HEADER]
-    for r in runs:
-        metrics = [fmt_g9(getattr(getattr(r, k.split("_", 1)[0]),
-                                  k.split("_", 1)[1]))
-                   for k in _METRIC_KEYS]
-        wall = f"{r.wall_time_s:.3f}" if timings else ""
-        lines.append(",".join([str(r.run_index), str(r.seed)] + metrics
-                              + [wall]))
+    for i, cell in enumerate(runs):
+        metrics = [fmt_g9(cell.metric(k)) for k in _METRIC_KEYS]
+        wall = f"{cell.wall_time_s:.3f}" if timings else ""
+        lines.append(",".join([str(i), str(cell.seed)] + metrics + [wall]))
     for stat in ("min", "max", "range"):
         metrics = [fmt_g9(dispersion[k][stat]) for k in _METRIC_KEYS]
         lines.append(",".join([stat, ""] + metrics + [""]))

@@ -250,7 +250,7 @@ EXPECTED_DEFAULTS = {
               "--class-weight": "balanced", "--seed": 0},
     "eval": {},
     "sweep": {"--split": "chrono", "--fraction": 0.7, "--purge": None,
-              "--seed": 0, "--jobs": None, "--timings": False,
+              "--seed": 0, "--timings": False,
               "--on-error": "skip"},
     "repeat": {"--split": "random", "--fraction": 0.7, "--purge": None,
                "--seed": 0, "--timings": False, "--on-error": "skip"},

@@ -1,13 +1,13 @@
 """Grid sweeps, repeated runs, per-capture comparison, and their CSV forms."""
 import pytest
 
+import flowsift.sweep
 from flowsift import (
     ClassProfile,
     SplitSpec,
     SweepResult,
     SynthConfig,
     parse_line,
-    read_flows,
     repeat_runs,
     run_grid,
     run_single,
@@ -130,13 +130,14 @@ def test_run_grid_isolates_failed_cells(corpus):
     assert len(result.ok_cells) == 1
 
 
-def test_run_grid_parallel_matches_serial(corpus):
-    serial = run_grid(corpus, widths=[60, 90], strides=[30, 60], jobs=1)
-    parallel = run_grid(corpus, widths=[60, 90], strides=[30, 60], jobs=3)
-    for a, b in zip(serial.cells, parallel.cells):
-        assert (a.width_s, a.stride_s, a.status) == (b.width_s, b.stride_s, b.status)
-        assert a.metric("test_f1") == b.metric("test_f1")
-        assert a.metric("train_precision") == b.metric("train_precision")
+def test_run_grid_pooled_cells_match_run_single(corpus):
+    """Running cells side by side on the pool changes no cell's result."""
+    result = run_grid(corpus, widths=[60, 90], strides=[30, 60])
+    for cell in result.cells:
+        train, test = run_single(corpus, cell.width_s, cell.stride_s)
+        assert cell.status == "ok"
+        assert cell.metric("test_f1") == test.f1
+        assert cell.metric("train_precision") == train.precision
 
 
 def test_repeat_runs_chronological_is_seed_invariant(corpus):
@@ -158,6 +159,33 @@ def test_repeat_runs_dispersion_arithmetic(corpus):
         assert stats["range"] == stats["max"] - stats["min"]
 
 
+def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
+    """Only the split and the fit depend on the seed, so one build serves
+    every run, and each run scores as run_single does at its seed."""
+    spec = SplitSpec(mode="stratified_random")
+    expected = [run_single(corpus, 60, 60, spec=spec, seed=seed)
+                for seed in (4, 5, 6)]
+    calls = []
+    real = flowsift.sweep.build_matrix
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flowsift.sweep, "build_matrix", counting)
+    runs, _ = repeat_runs(corpus, 60, 60, runs=3, spec=spec, base_seed=4)
+    assert len(calls) == 1
+    assert [r.seed for r in runs] == [4, 5, 6]
+    for cell, (train, test) in zip(runs, expected):
+        assert cell.status == "ok"
+        assert cell.rows_train == train.config["rows_train"]
+        assert cell.rows_test == test.config["rows_test"]
+        assert cell.train.confusion == train.confusion
+        assert cell.test.confusion == test.confusion
+        assert cell.metric("test_f1") == test.f1
+        assert cell.metric("train_precision") == train.precision
+
+
 def test_repeat_runs_requires_two(corpus):
     with pytest.raises(ValueError):
         repeat_runs(corpus, 60, 60, runs=1)
@@ -170,11 +198,8 @@ def test_scenario_compare_isolates_missing_capture(tmp_path):
     path = str(tmp_path / "nine.csv")
     write_synth(path, small)
 
-    def reader(p):
-        return read_flows(p)[0]
-
     rows = scenario_compare({9: path, 5: str(tmp_path / "missing.csv")},
-                            reader, width_s=90, stride_s=30)
+                            width_s=90, stride_s=30)
     assert [r.scenario for r in rows] == [5, 9], "rows sort by scenario id"
     assert rows[0].cell.status == "error:FileNotFoundError"
     assert rows[1].cell.status == "ok"
@@ -218,13 +243,12 @@ def test_scenarios_csv_shape(tmp_path):
                         normal=NORMAL, botnet=BOTNET, cnc=CNC, seed=3)
     path = str(tmp_path / "nine.csv")
     write_synth(path, small)
-    rows = scenario_compare({9: path}, lambda p: read_flows(p)[0],
-                            width_s=90, stride_s=30)
+    rows = scenario_compare({9: path}, width_s=90, stride_s=30)
     lines = scenarios_csv(rows).strip().split("\n")
     assert lines[0] == SCENARIO_CSV_HEADER
     assert lines[1].startswith("9,90,30,")
 
 
-def test_empty_grid_yields_header_only():
-    text = sweep_csv(SweepResult(cells=[]))
-    assert text == SWEEP_CSV_HEADER + "\n"
+def test_empty_grid_yields_header_only(corpus):
+    for result in (SweepResult(cells=[]), run_grid(corpus, [], [60])):
+        assert sweep_csv(result) == SWEEP_CSV_HEADER + "\n"
