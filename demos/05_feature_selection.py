@@ -5,7 +5,7 @@ times counts), so pruning costs little accuracy and buys interpretability.
 """
 from flowsift import (ClassProfile, SplitSpec, SynthConfig,
                       WindowConfig, backward_elimination, build_matrix,
-                      correlation_filter, fit, parse_line, pca_fit,
+                      correlation_filter, parse_line, pca_fit,
                       pca_transform, pearson_matrix, synthesize)
 
 
@@ -67,12 +67,8 @@ def main():
     print("=== backward elimination down to 5 ===")
     filtered = matrix.select(retained)
 
-    def trainer(m):
-        model, _ = fit(m)
-        return model
-
     kept, trace = backward_elimination(
-        filtered, trainer, scorer="f1", min_features=5,
+        filtered, min_features=5,
         tol=float("inf"), split_spec=SplitSpec(mode="stratified_random"))
     for step in trace:
         print(f"  removed {step['removed']:16s} "

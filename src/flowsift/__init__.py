@@ -17,8 +17,8 @@ from .features import (FEATURE_NAMES, FeatureMatrix, FeatureRow,
                        StandardizationParams, read_matrix_csv,
                        standardize_apply, standardize_fit, write_matrix_csv)
 from .ingest import (FlowRecord, IngestStats, LabelClass, LabelDistribution,
-                     classify_label, iter_flows, label_distribution,
-                     parse_line, parse_timestamp, read_flows, render_line,
+                     classify_label, label_distribution, parse_line,
+                     parse_timestamp, read_flows, render_line,
                      render_timestamp)
 from .logreg import (HyperParams, LogRegModel, TrainReport, class_weights_for,
                      fit, gradient, load_model, loss, predict_label,

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from ._util import atomic_write_text, fmt_g9
@@ -33,7 +34,7 @@ from .split import SplitSpec
 from .sweep import (repeat_runs, run_grid, scenario_compare, write_repeat_csv,
                     write_scenarios_csv, write_sweep_csv)
 from .synth import preset_scenario9, write_synth
-from .windows import DEFAULT_POSITIVE_CLASSES, WindowConfig, build_matrix
+from .windows import WindowConfig, build_matrix
 
 
 class UsageError(Exception):
@@ -112,8 +113,8 @@ def _files_map(text: str) -> dict[int, str]:
     return out
 
 
-def _split_spec(args, default_mode: str) -> SplitSpec:
-    mode = _SPLIT_MODES[getattr(args, "split", default_mode)]
+def _split_spec(args) -> SplitSpec:
+    mode = _SPLIT_MODES[args.split]
     fraction = _require_fraction(args.fraction, "--fraction")
     purge = args.purge
     if purge is not None:
@@ -180,8 +181,7 @@ def _cmd_featurize(args) -> int:
         retained = kept
         matrix = matrix.select(retained)
     if args.backward_elim:
-        kept, trace = backward_elimination(
-            matrix, lambda m: fit(m)[0], scorer="f1")
+        kept, trace = backward_elimination(matrix)
         dropped += [{"feature": t["removed"], "stage": "backward", "reason":
                      f"score {fmt_g9(t['score'])}"} for t in trace]
         retained = kept
@@ -224,7 +224,7 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     widths = _int_list(args.widths, "--widths")
     strides = _int_list(args.strides, "--strides")
-    spec = _split_spec(args, "chrono")
+    spec = _split_spec(args)
     flows = _read_flows(args)
     result = run_grid(flows, widths, strides, spec=spec, base_seed=args.seed)
     write_sweep_csv(args.output, result, timings=args.timings)
@@ -235,7 +235,7 @@ def _cmd_repeat(args) -> int:
     _require_min(args.width, 1, "--width")
     _require_min(args.stride, 1, "--stride")
     _require_min(args.runs, 2, "--runs")
-    spec = _split_spec(args, "random")
+    spec = _split_spec(args)
     flows = _read_flows(args)
     runs, dispersion = repeat_runs(flows, args.width, args.stride, args.runs,
                                    spec=spec, base_seed=args.seed)
@@ -247,7 +247,7 @@ def _cmd_scenarios(args) -> int:
     _require_min(args.width, 1, "--width")
     _require_min(args.stride, 1, "--stride")
     files = _files_map(args.files)
-    spec = _split_spec(args, "chrono")
+    spec = _split_spec(args)
     rows = scenario_compare(files, width_s=args.width, stride_s=args.stride,
                             spec=spec, seed=args.seed, on_error=args.on_error)
     write_scenarios_csv(args.output, rows, timings=args.timings)
@@ -274,6 +274,8 @@ def _cmd_report(args) -> int:
                       if row.get(column) and row.get("status", "ok").startswith("ok")]
     except ValueError as exc:
         raise SchemaMismatch(f"non-numeric value in {column}: {exc}") from None
+    if any(math.isnan(v) for v in values):
+        raise SchemaMismatch(f"NaN value in {column} of {args.sweep_csv}")
     if not values:
         raise EmptyValues(f"no usable {column} values in {args.sweep_csv}")
     hist = histogram(values, bin_width=args.bin_width)

@@ -15,15 +15,18 @@ ICMP rows, hexadecimal with an 0x prefix.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import MalformedRow
 
 TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
 HEADER_PREFIX = "StartTime"
 N_FIELDS = 15
+# a botnet label containing this substring is C&C traffic
+CNC_TOKEN = "cc"
 
 # All timestamps are naive; they are anchored to a fixed epoch so parsing never
 # depends on the host timezone.
@@ -89,25 +92,22 @@ class FlowRecord:
     label_class: LabelClass
 
 
-def classify_label(label_raw: str, cnc_token: str = "cc") -> LabelClass:
+def classify_label(label_raw: str) -> LabelClass:
     """Map a raw label string onto one of the four classes.
 
     Case-insensitive substring rules, checked in order: a label containing
-    "botnet" and the C&C token is CnC; containing "botnet" is Botnet;
-    "normal" is Normal; "background" is Background. Anything else falls back
-    to Background (callers that care track the fallback via IngestStats).
-
-    cnc_token overrides the substring that distinguishes C&C traffic from
-    plain bot traffic.
+    "botnet" and "cc" is CnC; containing "botnet" is Botnet; "normal" is
+    Normal; "background" is Background. Anything else falls back to
+    Background (callers that care track the fallback via IngestStats).
     """
-    cls, _ = _classify(label_raw, cnc_token)
+    cls, _ = _classify(label_raw)
     return cls
 
 
-def _classify(label_raw: str, cnc_token: str) -> tuple[LabelClass, bool]:
+def _classify(label_raw: str) -> tuple[LabelClass, bool]:
     low = label_raw.lower()
     if "botnet" in low:
-        if cnc_token.lower() in low:
+        if CNC_TOKEN in low:
             return LabelClass.CNC, True
         return LabelClass.BOTNET, True
     if "normal" in low:
@@ -168,7 +168,7 @@ def _parse_counter(token: str, line_no: int, name: str) -> int:
     return value
 
 
-def parse_line(line: str, line_no: int, cnc_token: str = "cc") -> FlowRecord:
+def parse_line(line: str, line_no: int) -> FlowRecord:
     """Parse one data row. Raises MalformedRow with the offending line number."""
     fields = [f.strip() for f in line.rstrip("\r\n").split(",")]
     if len(fields) != N_FIELDS:
@@ -181,8 +181,9 @@ def parse_line(line: str, line_no: int, cnc_token: str = "cc") -> FlowRecord:
         dur = float(fields[1])
     except ValueError:
         raise MalformedRow(line_no, f"unparseable duration {fields[1]!r}") from None
-    if not dur >= 0.0:  # also rejects NaN
-        raise MalformedRow(line_no, f"negative duration {fields[1]!r}")
+    if not 0.0 <= dur < math.inf:  # also rejects NaN
+        raise MalformedRow(line_no, f"negative or non-finite duration "
+                                    f"{fields[1]!r}")
     label_raw = fields[14]
     return FlowRecord(
         start_time_us=start_time_us,
@@ -200,7 +201,7 @@ def parse_line(line: str, line_no: int, cnc_token: str = "cc") -> FlowRecord:
         tot_bytes=_parse_counter(fields[12], line_no, "TotBytes"),
         src_bytes=_parse_counter(fields[13], line_no, "SrcBytes"),
         label_raw=label_raw,
-        label_class=classify_label(label_raw, cnc_token),
+        label_class=classify_label(label_raw),
     )
 
 
@@ -267,19 +268,17 @@ class IngestStats:
         )
 
 
-def iter_flows(path: str, on_error: str = "skip",
-               stats: IngestStats | None = None,
-               cnc_token: str = "cc") -> Iterator[FlowRecord]:
-    """Yield records from a flow file in order.
+def read_flows(path: str, on_error: str = "skip"
+               ) -> tuple[list[FlowRecord], IngestStats]:
+    """Read a whole flow file in order; returns (records, stats).
 
     on_error: "skip" counts malformed rows and moves on; "abort" re-raises the
-    first MalformedRow. Pass an IngestStats to collect tallies; it is filled
-    in as the iterator is consumed.
+    first MalformedRow.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    if stats is None:
-        stats = IngestStats()
+    stats = IngestStats()
+    records: list[FlowRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line_no == 1 and line.startswith(HEADER_PREFIX):
@@ -288,7 +287,7 @@ def iter_flows(path: str, on_error: str = "skip",
                 continue
             stats.total_rows += 1
             try:
-                rec = parse_line(line, line_no, cnc_token)
+                rec = parse_line(line, line_no)
             except MalformedRow:
                 if on_error == "abort":
                     raise
@@ -296,18 +295,11 @@ def iter_flows(path: str, on_error: str = "skip",
                 continue
             stats.parsed += 1
             stats.class_counts[rec.label_class] += 1
-            if not _classify(rec.label_raw, cnc_token)[1]:
+            if not _classify(rec.label_raw)[1]:
                 stats.unrecognized_labels += 1
             if rec.src_bytes > rec.tot_bytes:
                 stats.src_bytes_over_total += 1
-            yield rec
-
-
-def read_flows(path: str, on_error: str = "skip",
-               cnc_token: str = "cc") -> tuple[list[FlowRecord], IngestStats]:
-    """Read a whole flow file; returns (records, stats)."""
-    stats = IngestStats()
-    records = list(iter_flows(path, on_error, stats, cnc_token))
+            records.append(rec)
     return records, stats
 
 

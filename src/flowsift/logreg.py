@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,7 +81,6 @@ class TrainReport:
     loss_trace: list[float]
     converged: bool
     iterations_run: int
-    wall_time_s: float
 
 
 def sigmoid(z):
@@ -170,7 +167,7 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
-        seed: int = 0, threshold: float = 0.5) -> tuple[LogRegModel, TrainReport]:
+        seed: int = 0) -> tuple[LogRegModel, TrainReport]:
     """Train on a labeled feature matrix.
 
     Features are standardized against this data; weights and bias start at
@@ -183,11 +180,11 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     (numerical floor); max_iter is only a safety cap, reported as
     converged=False.
 
-    The seed does not influence the optimization (it is deterministic); it is
-    recorded in training_meta so run provenance survives serialization.
+    The model's decision threshold is 0.5. The seed does not influence the
+    optimization (it is deterministic); it is recorded in training_meta so
+    run provenance survives serialization.
     """
     hp = hyperparams if hyperparams is not None else HyperParams()
-    t0 = time.perf_counter()
     y = np.asarray(matrix.y, dtype=np.float64)
     class_weights = class_weights_for(y, hp.class_weight_mode)
     params = standardize_fit(matrix)
@@ -246,7 +243,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         bias=b,
         feature_names=matrix.feature_names,
         standardization=params,
-        threshold=threshold,
+        threshold=0.5,
         hyperparams=hp,
         training_meta=meta,
     )
@@ -254,7 +251,6 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         loss_trace=trace,
         converged=converged,
         iterations_run=len(trace) - 1,
-        wall_time_s=time.perf_counter() - t0,
     )
     return model, report
 

@@ -10,15 +10,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ._util import atomic_write_text
 from .errors import BadComponentCount, SchemaMismatch, TooFewRows
 from .features import FeatureMatrix
-
-Trainer = Callable[[FeatureMatrix], object]
+from .logreg import fit
+from .metrics import evaluate
+from .split import SplitSpec, split
 
 
 @dataclass(frozen=True)
@@ -80,12 +81,11 @@ def correlation_filter(matrix: FeatureMatrix,
     return [cm.feature_names[i] for i in retained], dropped
 
 
-def backward_elimination(matrix: FeatureMatrix, trainer: Trainer,
-                         scorer: str = "f1", min_features: int = 1,
+def backward_elimination(matrix: FeatureMatrix, min_features: int = 1,
                          tol: float = 0.0,
                          split_spec=None) -> tuple[list[str], list[dict]]:
     """Iteratively drop the feature whose removal best preserves validation
-    score.
+    F1 of a default-hyperparameter fit.
 
     The matrix is split once (chronologically by default, same protocol as
     training) and that row partition is reused for every candidate subset.
@@ -97,11 +97,6 @@ def backward_elimination(matrix: FeatureMatrix, trainer: Trainer,
     With tol=math.inf the scan never stops early and exactly min_features
     survive.
     """
-    from .metrics import evaluate
-    from .split import SplitSpec, split
-
-    if scorer not in ("f1", "precision", "recall"):
-        raise ValueError(f"scorer must be f1|precision|recall, got {scorer!r}")
     names = list(matrix.feature_names)
     if not 1 <= min_features <= len(names):
         raise ValueError(
@@ -113,9 +108,8 @@ def backward_elimination(matrix: FeatureMatrix, trainer: Trainer,
     train, val = split(matrix, spec)
 
     def score(subset: Sequence[str]) -> float:
-        model = trainer(train.select(subset))
-        report = evaluate(model, val.select(subset))
-        return getattr(report, scorer)
+        model, _ = fit(train.select(subset))
+        return evaluate(model, val.select(subset)).f1
 
     current = list(names)
     current_score = score(current)

@@ -18,10 +18,10 @@ from ._util import atomic_write_text, fmt_g9
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowRecord, read_flows
-from .logreg import HyperParams, fit
+from .logreg import fit
 from .metrics import MetricsReport, evaluate
 from .split import SplitSpec, split, with_seed
-from .windows import DEFAULT_POSITIVE_CLASSES, WindowConfig, build_matrix
+from .windows import WindowConfig, build_matrix
 
 SWEEP_CSV_HEADER = ("width_s,stride_s,seed,"
                     "train_precision,train_recall,train_f1,"
@@ -77,23 +77,20 @@ def run_single(flows: list[FlowRecord],
                width_s: int,
                stride_s: int,
                spec: SplitSpec | None = None,
-               hyperparams: HyperParams | None = None,
                seed: int = 0,
-               positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
                ) -> tuple[MetricsReport, MetricsReport]:
     """One full pipeline pass; returns (train report, test report)."""
     cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
-    matrix = build_matrix(flows, cfg, positive_classes=positive_classes)
-    return _train_score(matrix, spec, hyperparams, seed)
+    matrix = build_matrix(flows, cfg)
+    return _train_score(matrix, spec, seed)
 
 
 def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
-                 hyperparams: HyperParams | None,
                  seed: int) -> tuple[MetricsReport, MetricsReport]:
     """Split, fit and evaluate an already-built matrix under one seed."""
     spec = with_seed(spec or SplitSpec(), seed)
     train_m, test_m = split(matrix, spec)
-    model, _ = fit(train_m, hyperparams, seed=seed)
+    model, _ = fit(train_m, seed=seed)
     extra = {"split": spec.describe(), "seed": seed,
              "rows_train": train_m.n_rows, "rows_test": test_m.n_rows}
     ev_train = evaluate(model, train_m, extra | {"partition": "train"})
@@ -110,13 +107,11 @@ def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
 
 
 def _run_cell(flows: list[FlowRecord], width_s: int, stride_s: int,
-              spec: SplitSpec | None, hyperparams: HyperParams | None,
-              seed: int, positive_classes: frozenset) -> SweepCell:
+              spec: SplitSpec | None, seed: int) -> SweepCell:
     cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
     t0 = time.perf_counter()
     try:
-        reports = run_single(flows, width_s, stride_s, spec, hyperparams,
-                             seed, positive_classes)
+        reports = run_single(flows, width_s, stride_s, spec, seed)
     except FlowsiftError as exc:
         cell.status = f"error:{type(exc).__name__}"
     else:
@@ -129,9 +124,7 @@ def run_grid(flows: list[FlowRecord],
              widths: list[int],
              strides: list[int],
              spec: SplitSpec | None = None,
-             hyperparams: HyperParams | None = None,
              base_seed: int = 0,
-             positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
              ) -> SweepResult:
     """Cartesian sweep in request order: widths outer, strides inner.
 
@@ -142,8 +135,7 @@ def run_grid(flows: list[FlowRecord],
     workers = max(1, min(len(combos), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         cells = list(pool.map(
-            lambda ws: _run_cell(flows, ws[0], ws[1], spec, hyperparams,
-                                 base_seed, positive_classes),
+            lambda ws: _run_cell(flows, ws[0], ws[1], spec, base_seed),
             combos))
     return SweepResult(cells=cells)
 
@@ -153,9 +145,7 @@ def repeat_runs(flows: list[FlowRecord],
                 stride_s: int,
                 runs: int,
                 spec: SplitSpec | None = None,
-                hyperparams: HyperParams | None = None,
                 base_seed: int = 0,
-                positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
                 ) -> tuple[list[SweepCell], dict]:
     """Re-run one cell under seeds base_seed..base_seed+runs-1.
 
@@ -169,12 +159,12 @@ def repeat_runs(flows: list[FlowRecord],
     if spec is None:
         spec = SplitSpec(mode="stratified_random")
     cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
-    matrix = build_matrix(flows, cfg, positive_classes=positive_classes)
+    matrix = build_matrix(flows, cfg)
     out: list[SweepCell] = []
     for seed in range(base_seed, base_seed + runs):
         cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
         t0 = time.perf_counter()
-        _record(cell, _train_score(matrix, spec, hyperparams, seed))
+        _record(cell, _train_score(matrix, spec, seed))
         cell.wall_time_s = time.perf_counter() - t0
         out.append(cell)
     dispersion = {}
@@ -195,9 +185,7 @@ def scenario_compare(scenario_files: dict[int, str],
                      width_s: int = 189,
                      stride_s: int = 129,
                      spec: SplitSpec | None = None,
-                     hyperparams: HyperParams | None = None,
                      seed: int = 0,
-                     positive_classes: frozenset = DEFAULT_POSITIVE_CLASSES,
                      on_error: str = "skip",
                      ) -> list[ScenarioCell]:
     """Run one fixed (width, stride) cell per capture file.
@@ -218,8 +206,7 @@ def scenario_compare(scenario_files: dict[int, str],
                              wall_time_s=time.perf_counter() - t0)
             out.append(ScenarioCell(scenario=scenario_id, cell=cell))
             continue
-        cell = _run_cell(flows, width_s, stride_s, spec, hyperparams, seed,
-                         positive_classes)
+        cell = _run_cell(flows, width_s, stride_s, spec, seed)
         out.append(ScenarioCell(scenario=scenario_id, cell=cell))
     return out
 

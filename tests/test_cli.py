@@ -77,6 +77,20 @@ def test_report_histogram_shape(ws):
     assert binned == 4, "four ok sweep rows contribute one value each"
 
 
+def test_report_nan_metric_is_data_error(ws, tmp_path, capsys):
+    lines = open(ws["sweep"]).read().strip().split("\n")
+    header = lines[0].split(",")
+    row = lines[1].split(",")
+    row[header.index("test_f1")] = "nan"
+    sweep = tmp_path / "sweep.csv"
+    sweep.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+    out = tmp_path / "hist.csv"
+    rc = main(["report", str(sweep), "--histogram", "f1", "-o", str(out)])
+    assert rc == 2
+    assert "test_f1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_stats_csv_stdout(tmp_path, capsys):
     flows = tmp_path / "f.csv"
     write_flow_file(flows, [BACKGROUND_ROW.format(i=1),

@@ -72,6 +72,8 @@ def test_parse_line_field_count():
     (lambda f: f.__setitem__(0, "16/08/2011 10:01:46.972101"), "timestamp"),
     (lambda f: f.__setitem__(1, "-1.0"), "negative duration"),
     (lambda f: f.__setitem__(1, "nan"), "NaN duration"),
+    (lambda f: f.__setitem__(1, "inf"), "infinite duration"),
+    (lambda f: f.__setitem__(1, "1e400"), "duration overflowing to inf"),
     (lambda f: f.__setitem__(4, "99999"), "port range"),
     (lambda f: f.__setitem__(7, "0xz"), "bad hex port"),
     (lambda f: f.__setitem__(9, "300"), "tos range"),
@@ -102,10 +104,9 @@ def test_classify_label_order_and_case():
     assert classify_label("flow=Background-cc-thing") is LabelClass.BACKGROUND
 
 
-def test_classify_label_cnc_token_override():
+def test_classify_label_only_cc_marks_cnc():
     label = "flow=From-Botnet-V42-TCP-Custom-C2"
     assert classify_label(label) is LabelClass.BOTNET
-    assert classify_label(label, cnc_token="c2") is LabelClass.CNC
 
 
 def test_classify_is_total_over_arbitrary_strings():

@@ -12,7 +12,6 @@ from flowsift import (
     TooFewRows,
     backward_elimination,
     correlation_filter,
-    fit,
     pca_fit,
     pca_reconstruct,
     pca_transform,
@@ -107,15 +106,10 @@ def separable_matrix_with_noise(n=120, seed=11):
     return FeatureMatrix.from_arrays(("signal", "noise", "weak"), X, y)
 
 
-def trainer(train):
-    model, _ = fit(train)
-    return model
-
-
 def test_backward_elimination_sheds_noise_first():
     m = separable_matrix_with_noise()
     retained, trace = backward_elimination(
-        m, trainer, min_features=1,
+        m, min_features=1,
         split_spec=SplitSpec(mode="stratified_random", purge_gap_s=0.0))
     assert "signal" in retained
     assert trace[0]["removed"] == "noise", \
@@ -126,7 +120,7 @@ def test_backward_elimination_sheds_noise_first():
 
 def test_backward_elimination_min_features_identity():
     m = separable_matrix_with_noise()
-    retained, trace = backward_elimination(m, trainer, min_features=3)
+    retained, trace = backward_elimination(m, min_features=3)
     assert retained == ["signal", "noise", "weak"]
     assert trace == []
 
@@ -134,7 +128,7 @@ def test_backward_elimination_min_features_identity():
 def test_backward_elimination_inf_tol_reaches_floor():
     m = separable_matrix_with_noise()
     retained, trace = backward_elimination(
-        m, trainer, min_features=1, tol=math.inf,
+        m, min_features=1, tol=math.inf,
         split_spec=SplitSpec(mode="stratified_random", purge_gap_s=0.0))
     assert len(retained) == 1
     assert len(trace) == 2
@@ -143,19 +137,17 @@ def test_backward_elimination_inf_tol_reaches_floor():
 def test_backward_elimination_deterministic():
     m = separable_matrix_with_noise()
     spec = SplitSpec(mode="stratified_random", purge_gap_s=0.0, seed=5)
-    first = backward_elimination(m, trainer, split_spec=spec)
-    second = backward_elimination(m, trainer, split_spec=spec)
+    first = backward_elimination(m, split_spec=spec)
+    second = backward_elimination(m, split_spec=spec)
     assert first == second
 
 
 def test_backward_elimination_validation():
     m = separable_matrix_with_noise()
     with pytest.raises(ValueError):
-        backward_elimination(m, trainer, scorer="auc")
+        backward_elimination(m, min_features=0)
     with pytest.raises(ValueError):
-        backward_elimination(m, trainer, min_features=0)
-    with pytest.raises(ValueError):
-        backward_elimination(m, trainer, min_features=4)
+        backward_elimination(m, min_features=4)
 
 
 def test_pca_diagonal_line():
