@@ -63,9 +63,8 @@ def main():
     shown = ["flow_count", "tot_pkts_sum", "tot_bytes_mean", "dur_max"]
     view = matrix.select(shown)
     for i in range(matrix.n_rows):
-        r = matrix.row(i)
         vals = "  ".join(f"{name}={v:g}" for name, v in zip(shown, view.X[i]))
-        print(f"  window {r.window_index:2d}  {r.src_addr:12s} "
+        print(f"  window {matrix.window_index[i]:2d}  {matrix.src_addr[i]:12s} "
               f"y={int(matrix.y[i])}  {vals}")
 
 

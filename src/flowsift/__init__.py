@@ -13,9 +13,9 @@ from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
                      NonFiniteLoss, SchemaMismatch, SchemaVersionMismatch,
                      ShapeMismatch, SingleClassInput, TimeBeforeOrigin,
                      TooFewRows, UnknownScenario)
-from .features import (FEATURE_NAMES, FeatureMatrix, FeatureRow,
-                       StandardizationParams, read_matrix_csv,
-                       standardize_apply, standardize_fit, write_matrix_csv)
+from .features import (FEATURE_NAMES, FeatureMatrix, StandardizationParams,
+                       read_matrix_csv, standardize_apply, standardize_fit,
+                       write_matrix_csv)
 from .ingest import (FlowRecord, IngestStats, LabelClass, LabelDistribution,
                      classify_label, label_distribution, parse_line,
                      parse_timestamp, read_flows, render_line,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 
 from ._util import atomic_write_text, fmt_g9
@@ -25,7 +24,7 @@ from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput,
                      TimeBeforeOrigin, TooFewRows, UnknownScenario)
 from .features import read_matrix_csv, write_matrix_csv
-from .ingest import LabelClass, label_distribution, read_flows
+from .ingest import LabelClass, class_from_token, label_distribution, read_flows
 from .logreg import HyperParams, fit, load_model, save_model
 from .metrics import evaluate, histogram, write_metrics_report
 from .select import (backward_elimination, correlation_filter, pca_fit,
@@ -47,8 +46,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _SPLIT_MODES = {"chrono": "chronological", "random": "stratified_random"}
-
-_CLASS_TOKENS = {c.token: c for c in LabelClass}
 
 _DATA_ERRORS = (OSError, MalformedRow, CorruptModel, SchemaVersionMismatch,
                 SchemaMismatch, ShapeMismatch, UnknownScenario,
@@ -86,14 +83,12 @@ def _int_list(text: str, flag: str) -> list[int]:
 def _positive_classes(text: str) -> frozenset:
     classes = set()
     for tok in text.split(","):
-        tok = tok.strip().lower()
-        if not tok:
+        if not tok.strip():
             continue
-        if tok not in _CLASS_TOKENS:
-            raise UsageError(
-                f"--positive-classes: unknown class {tok!r} "
-                f"(expected {','.join(sorted(_CLASS_TOKENS))})")
-        classes.add(_CLASS_TOKENS[tok])
+        try:
+            classes.add(class_from_token(tok))
+        except ValueError as exc:
+            raise UsageError(f"--positive-classes: {exc}") from None
     if not classes:
         raise UsageError("--positive-classes expects at least one class")
     return frozenset(classes)
@@ -274,8 +269,9 @@ def _cmd_report(args) -> int:
                       if row.get(column) and row.get("status", "ok").startswith("ok")]
     except ValueError as exc:
         raise SchemaMismatch(f"non-numeric value in {column}: {exc}") from None
-    if any(math.isnan(v) for v in values):
-        raise SchemaMismatch(f"NaN value in {column} of {args.sweep_csv}")
+    if not all(0.0 <= v <= 1.0 for v in values):
+        raise SchemaMismatch(
+            f"{column} value outside [0, 1] in {args.sweep_csv}")
     if not values:
         raise EmptyValues(f"no usable {column} values in {args.sweep_csv}")
     hist = histogram(values, bin_width=args.bin_width)
@@ -417,8 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("synth", formatter_class=fmt,
                         help="generate a labeled synthetic capture")
-    p.add_argument("--preset", choices=("scenario9",), default="scenario9",
-                   help="traffic mix preset")
     p.add_argument("--hard", action="store_true",
                    help="make positive classes statistically indistinct")
     p.add_argument("--seed", type=int, default=0, help="random seed")

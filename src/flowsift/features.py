@@ -8,6 +8,7 @@ frozen; serialized artifacts depend on it.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -15,7 +16,6 @@ import numpy as np
 
 from ._util import atomic_write_text, fmt_g9
 from .errors import EmptyInput, SchemaMismatch
-from .ingest import LabelClass
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
 STAT_NAMES = ("sum", "mean", "std", "max", "median")
@@ -25,32 +25,14 @@ FEATURE_NAMES: tuple[str, ...] = ("flow_count",) + tuple(
 _META_COLUMNS = ("window_index", "window_start_us", "src_addr")
 
 
-@dataclass(frozen=True)
-class FeatureRow:
-    """One (window, source) group projected to a feature dict."""
-
-    window_index: int
-    window_start_us: int
-    src_addr: str
-    values: dict[str, float]
-    target: int
-    class_counts: dict[LabelClass, int] | None = None
-
-    @property
-    def flow_count(self) -> int:
-        return int(self.values["flow_count"])
-
-
 @dataclass
 class FeatureMatrix:
     """Dense per-(window, source) feature rows with binary targets.
 
     X is (n_rows, n_features) float64 aligned to feature_names; y is the
     binary target vector. window_index/window_start_us/src_addr identify each
-    row; class_counts is (n_rows, 4) per-LabelClass flow tallies, or None for
-    matrices read back from CSV (the format does not carry them). meta echoes
-    how the matrix was built (width_s, stride_s, origin_us, positive_classes,
-    group_by) when known.
+    row. meta echoes how the matrix was built (width_s, stride_s, origin_us,
+    positive_classes, group_by) when known.
     """
 
     feature_names: tuple[str, ...]
@@ -59,7 +41,6 @@ class FeatureMatrix:
     window_index: np.ndarray
     window_start_us: np.ndarray
     src_addr: np.ndarray
-    class_counts: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -79,20 +60,6 @@ class FeatureMatrix:
     def n_features(self) -> int:
         return len(self.feature_names)
 
-    def row(self, i: int) -> FeatureRow:
-        counts = None
-        if self.class_counts is not None:
-            counts = {c: int(self.class_counts[i, c]) for c in LabelClass}
-        return FeatureRow(
-            window_index=int(self.window_index[i]),
-            window_start_us=int(self.window_start_us[i]),
-            src_addr=str(self.src_addr[i]),
-            values={name: float(self.X[i, j])
-                    for j, name in enumerate(self.feature_names)},
-            target=int(self.y[i]),
-            class_counts=counts,
-        )
-
     def subset(self, indices) -> "FeatureMatrix":
         """Row subset (indices array or boolean mask), metadata preserved."""
         idx = np.asarray(indices)
@@ -103,7 +70,6 @@ class FeatureMatrix:
             window_index=self.window_index[idx],
             window_start_us=self.window_start_us[idx],
             src_addr=self.src_addr[idx],
-            class_counts=None if self.class_counts is None else self.class_counts[idx],
             meta=dict(self.meta),
         )
 
@@ -120,7 +86,7 @@ class FeatureMatrix:
     @classmethod
     def from_arrays(cls, feature_names: Sequence[str], X, y,
                     window_index=None, window_start_us=None, src_addr=None,
-                    class_counts=None, meta: dict | None = None) -> "FeatureMatrix":
+                    meta: dict | None = None) -> "FeatureMatrix":
         """Build a matrix from plain arrays; row identities default to a
         synthetic one-window-per-row layout (useful in tests)."""
         X = np.asarray(X, dtype=np.float64)
@@ -141,7 +107,6 @@ class FeatureMatrix:
             window_index=np.asarray(window_index, dtype=np.int64),
             window_start_us=np.asarray(window_start_us, dtype=np.int64),
             src_addr=np.asarray(src_addr),
-            class_counts=None if class_counts is None else np.asarray(class_counts),
             meta=dict(meta or {}),
         )
 
@@ -219,7 +184,8 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
     The header must carry the three meta columns and a trailing target column;
     whatever lies between is taken as the feature schema (the canonical 21
     names for pipeline output, pc_N names after a PCA stage, subsets after
-    selection).
+    selection). Every feature must be a finite number and every target 0 or
+    1; any other cell raises SchemaMismatch naming path:line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -228,6 +194,9 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
             raise SchemaMismatch(f"unexpected feature-CSV header in {path}")
         names = tuple(cols[3:-1])
         win, start, src, feats, targets = [], [], [], [], []
+        # a typed array: a list of int objects among the parsed floats grows
+        # peak RSS by ~13 MB on a 38k-row file
+        line_nos = array("q")
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -237,14 +206,27 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
                 raise SchemaMismatch(
                     f"{path}:{line_no}: expected {len(cols)} columns, "
                     f"got {len(cells)}")
-            win.append(int(cells[0]))
-            start.append(int(cells[1]))
+            try:
+                win.append(int(cells[0]))
+                start.append(int(cells[1]))
+                feats.append([float(v) for v in cells[3:-1]])
+                target = int(cells[-1])
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
+            if target not in (0, 1):
+                raise SchemaMismatch(
+                    f"{path}:{line_no}: target must be 0 or 1, got {target}")
             src.append(cells[2])
-            feats.append([float(v) for v in cells[3:-1]])
-            targets.append(int(cells[-1]))
+            targets.append(target)
+            line_nos.append(line_no)
+    X = np.array(feats, dtype=np.float64).reshape(len(feats), len(names))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise SchemaMismatch(
+            f"{path}:{line_nos[bad[0]]}: feature value is not finite")
     return FeatureMatrix(
         feature_names=names,
-        X=np.array(feats, dtype=np.float64).reshape(len(feats), len(names)),
+        X=X,
         y=np.array(targets, dtype=np.int8),
         window_index=np.array(win, dtype=np.int64),
         window_start_us=np.array(start, dtype=np.int64),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable
 
@@ -252,8 +252,6 @@ class IngestStats:
     skipped: int = 0
     unrecognized_labels: int = 0
     src_bytes_over_total: int = 0
-    class_counts: dict[LabelClass, int] = field(
-        default_factory=lambda: {c: 0 for c in LabelClass})
 
     def merge(self, other: "IngestStats") -> "IngestStats":
         """Associative combination of two partial tallies."""
@@ -263,8 +261,6 @@ class IngestStats:
             skipped=self.skipped + other.skipped,
             unrecognized_labels=self.unrecognized_labels + other.unrecognized_labels,
             src_bytes_over_total=self.src_bytes_over_total + other.src_bytes_over_total,
-            class_counts={c: self.class_counts[c] + other.class_counts[c]
-                          for c in LabelClass},
         )
 
 
@@ -294,7 +290,6 @@ def read_flows(path: str, on_error: str = "skip"
                 stats.skipped += 1
                 continue
             stats.parsed += 1
-            stats.class_counts[rec.label_class] += 1
             if not _classify(rec.label_raw)[1]:
                 stats.unrecognized_labels += 1
             if rec.src_bytes > rec.tot_bytes:

@@ -185,7 +185,6 @@ def pca_transform(matrix: FeatureMatrix, model: PcaModel) -> FeatureMatrix:
         window_index=matrix.window_index,
         window_start_us=matrix.window_start_us,
         src_addr=matrix.src_addr,
-        class_counts=matrix.class_counts,
         meta=dict(matrix.meta),
     )
     return out

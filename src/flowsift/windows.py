@@ -164,7 +164,6 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
             window_index=empty.astype(np.int64),
             window_start_us=empty.astype(np.int64),
             src_addr=np.empty(0, dtype=key_arr.dtype),
-            class_counts=np.empty((0, len(LabelClass)), dtype=np.int64),
             meta=meta,
         )
 
@@ -207,13 +206,9 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
             (sums, means, np.sqrt(var), maxs, meds))
         col += 5
 
-    cls_s = labels[flow_idx][order]
-    class_counts = np.column_stack(
-        [np.add.reduceat((cls_s == int(c)).astype(np.int64), g_start)
-         for c in LabelClass])
     pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
-    pos_s = np.isin(cls_s, pos_codes)
-    y = (np.add.reduceat(pos_s.astype(np.int64), g_start) > 0).astype(np.int8)
+    pos_s = np.isin(labels, pos_codes)[flow_idx][order]
+    y = np.logical_or.reduceat(pos_s, g_start).astype(np.int8)
 
     return FeatureMatrix(
         feature_names=FEATURE_NAMES,
@@ -222,7 +217,6 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
         window_index=k_s[g_start].astype(np.int64),
         window_start_us=origin + k_s[g_start] * s,
         src_addr=uniq_keys[c_s[g_start]],
-        class_counts=class_counts,
         meta=meta,
     )
 

@@ -77,11 +77,12 @@ def test_report_histogram_shape(ws):
     assert binned == 4, "four ok sweep rows contribute one value each"
 
 
-def test_report_nan_metric_is_data_error(ws, tmp_path, capsys):
+@pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.1"])
+def test_report_out_of_range_metric_is_data_error(ws, tmp_path, capsys, value):
     lines = open(ws["sweep"]).read().strip().split("\n")
     header = lines[0].split(",")
     row = lines[1].split(",")
-    row[header.index("test_f1")] = "nan"
+    row[header.index("test_f1")] = value
     sweep = tmp_path / "sweep.csv"
     sweep.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
     out = tmp_path / "hist.csv"
@@ -149,6 +150,27 @@ def test_missing_input_is_data_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err
     assert not (tmp_path / "m.txt").exists()
+
+
+def test_bad_feature_csv_cell_is_data_error(ws, tmp_path, capsys):
+    lines = open(ws["features"]).read().strip().split("\n")
+    row = lines[1].split(",")
+    row[3] = "abc"
+    bad = tmp_path / "features.csv"
+    bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+    rc = main(["train", str(bad), "-o", str(tmp_path / "m.txt")])
+    assert rc == 2
+    assert f"{bad}:2" in capsys.readouterr().err
+    assert not (tmp_path / "m.txt").exists()
+
+
+def test_unknown_positive_class_is_usage_error(ws, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    rc = main(["featurize", ws["flows"], "--width", "60", "--stride", "60",
+               "--positive-classes", "bogus", "-o", str(out)])
+    assert rc == 1
+    assert "--positive-classes" in capsys.readouterr().err
+    assert not out.exists(), "exit 1 writes nothing"
 
 
 def test_mangled_model_is_data_error(ws, tmp_path, capsys):
@@ -271,7 +293,7 @@ EXPECTED_DEFAULTS = {
     "scenarios": {"--width": 189, "--stride": 129, "--split": "chrono",
                   "--fraction": 0.7, "--purge": None, "--seed": 0,
                   "--timings": False, "--on-error": "skip"},
-    "synth": {"--preset": "scenario9", "--hard": False, "--seed": 0},
+    "synth": {"--hard": False, "--seed": 0},
     "report": {"--bin-width": 0.05, "--from": "test"},
 }
 

@@ -152,6 +152,22 @@ def test_csv_rejects_ragged_row(tmp_path):
     assert ":3" in str(exc.value), "error names the offending line"
 
 
+@pytest.mark.parametrize("rows,line", [
+    ("1,1000000,h,abc,1", 3), ("1,1000000,h,,1", 3), ("x,1000000,h,2.0,1", 3),
+    ("1,1000000,h,nan,1", 3), ("1,1000000,h,inf,1", 3),
+    ("1,1000000,h,-inf,1", 3), ("\n1,1000000,h,nan,1", 4),
+    ("1,1000000,h,2.0,2", 3), ("1,1000000,h,2.0,-1", 3),
+    ("1,1000000,h,2.0,x", 3)])
+def test_csv_rejects_non_finite_cell_or_non_binary_target(tmp_path, rows, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(
+        "window_index,window_start_us,src_addr,a,target\n"
+        f"0,0,h,1.0,0\n{rows}\n")
+    with pytest.raises(SchemaMismatch) as exc:
+        read_matrix_csv(str(path))
+    assert f"{path}:{line}:" in str(exc.value), "error names path:line"
+
+
 def test_csv_accepts_arbitrary_feature_schema(tmp_path):
     path = tmp_path / "pca.csv"
     path.write_text(
@@ -160,4 +176,3 @@ def test_csv_accepts_arbitrary_feature_schema(tmp_path):
     m = read_matrix_csv(str(path))
     assert m.feature_names == ("pc_1", "pc_2")
     assert m.X.tolist() == [[0.25, -1.5]]
-    assert m.class_counts is None

@@ -234,17 +234,11 @@ def test_label_distribution_empty_stream():
 
 def test_ingest_stats_merge_is_associative():
     a = IngestStats(total_rows=3, parsed=2, skipped=1, unrecognized_labels=1,
-                    src_bytes_over_total=0,
-                    class_counts={LabelClass.BACKGROUND: 1, LabelClass.NORMAL: 0,
-                                  LabelClass.BOTNET: 1, LabelClass.CNC: 0})
+                    src_bytes_over_total=0)
     b = IngestStats(total_rows=5, parsed=5, skipped=0, unrecognized_labels=0,
-                    src_bytes_over_total=2,
-                    class_counts={LabelClass.BACKGROUND: 4, LabelClass.NORMAL: 1,
-                                  LabelClass.BOTNET: 0, LabelClass.CNC: 0})
+                    src_bytes_over_total=2)
     c = IngestStats(total_rows=1, parsed=1, skipped=0, unrecognized_labels=0,
-                    src_bytes_over_total=0,
-                    class_counts={LabelClass.BACKGROUND: 0, LabelClass.NORMAL: 0,
-                                  LabelClass.BOTNET: 0, LabelClass.CNC: 1})
+                    src_bytes_over_total=0)
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
     assert left == right

@@ -142,13 +142,13 @@ def test_build_matrix_hand_aggregates():
     flows = [flow(t_s=1.0, tot_bytes=100), flow(t_s=2.0, tot_bytes=300)]
     m = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
     assert m.n_rows == 1
-    row = m.row(0)
-    assert row.values["flow_count"] == 2
-    assert row.values["tot_bytes_sum"] == 400
-    assert row.values["tot_bytes_mean"] == 200
-    assert row.values["tot_bytes_max"] == 300
-    assert row.values["tot_bytes_median"] == 200
-    assert row.values["tot_bytes_std"] == pytest.approx(100.0)
+    values = dict(zip(m.feature_names, m.X[0]))
+    assert values["flow_count"] == 2
+    assert values["tot_bytes_sum"] == 400
+    assert values["tot_bytes_mean"] == 200
+    assert values["tot_bytes_max"] == 300
+    assert values["tot_bytes_median"] == 200
+    assert values["tot_bytes_std"] == pytest.approx(100.0)
 
 
 def test_build_matrix_target_rule():
@@ -188,22 +188,29 @@ def test_build_matrix_row_invariants_random():
             cls=rng.choice(list(LabelClass))))
     m = build_matrix(flows, WindowConfig(width_s=90, stride_s=30))
     assert m.feature_names == FEATURE_NAMES
-    assert m.class_counts is not None
+    # brute-force the groups from the flows themselves
+    cfg = WindowConfig(width_s=90, stride_s=30,
+                       origin_us=min(f.start_time_us for f in flows))
+    groups = {}
+    for f in flows:
+        for k in window_indices(f.start_time_us, cfg):
+            groups.setdefault((k, f.src_addr), []).append(f.label_class)
+    assert m.n_rows == len(groups)
     for i in range(m.n_rows):
-        row = m.row(i)
-        n = row.values["flow_count"]
+        values = dict(zip(m.feature_names, m.X[i]))
+        n = values["flow_count"]
         assert n >= 1, "empty groups must never materialize"
-        assert int(m.class_counts[i].sum()) == n
+        classes = groups[(int(m.window_index[i]), str(m.src_addr[i]))]
+        assert n == len(classes)
         assert int(m.y[i]) == int(
-            m.class_counts[i][int(LabelClass.BOTNET)]
-            + m.class_counts[i][int(LabelClass.CNC)] > 0)
+            LabelClass.BOTNET in classes or LabelClass.CNC in classes)
         for attr in ("dur", "tot_pkts", "tot_bytes", "src_bytes"):
-            mx = row.values[f"{attr}_max"]
-            assert mx >= row.values[f"{attr}_median"]
-            assert row.values[f"{attr}_mean"] <= mx
-            assert row.values[f"{attr}_std"] >= 0
-            assert math.isclose(row.values[f"{attr}_sum"],
-                                row.values[f"{attr}_mean"] * n, rel_tol=1e-9)
+            mx = values[f"{attr}_max"]
+            assert mx >= values[f"{attr}_median"]
+            assert values[f"{attr}_mean"] <= mx
+            assert values[f"{attr}_std"] >= 0
+            assert math.isclose(values[f"{attr}_sum"],
+                                values[f"{attr}_mean"] * n, rel_tol=1e-9)
 
 
 def test_build_matrix_tiling_partition():
