@@ -12,10 +12,9 @@ from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
                      FlowsiftError, LengthMismatch, MalformedRow,
                      NonFiniteLoss, SchemaMismatch, SchemaVersionMismatch,
                      ShapeMismatch, SingleClassInput, TimeBeforeOrigin,
-                     TooFewRows, UnknownScenario)
+                     TooFewRows)
 from .features import (FEATURE_NAMES, FeatureMatrix, StandardizationParams,
-                       read_matrix_csv, standardize_apply, standardize_fit,
-                       write_matrix_csv)
+                       read_matrix_csv, standardize_fit, write_matrix_csv)
 from .ingest import (FlowRecord, IngestStats, LabelClass, LabelDistribution,
                      classify_label, label_distribution, parse_line,
                      parse_timestamp, read_flows, render_line,
@@ -27,11 +26,10 @@ from .metrics import (ConfusionMatrix, F1Consistency, Histogram,
                       MetricsReport, confusion, evaluate,
                       f1_consistency_check, histogram,
                       metrics_from_confusion, write_metrics_report)
-from .scenarios import SCENARIOS, ScenarioMeta, scenario_info
 from .select import (CorrelationMatrix, PcaModel, backward_elimination,
                      correlation_filter, pca_fit, pca_reconstruct,
                      pca_transform, pearson_matrix, write_selection_report)
-from .split import SplitSpec, split, with_seed
+from .split import SplitSpec, split
 from .sweep import (ScenarioCell, SweepCell, SweepResult, repeat_runs,
                     run_grid, run_single, scenario_compare, sweep_csv,
                     write_repeat_csv, write_scenarios_csv, write_sweep_csv)

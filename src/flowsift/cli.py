@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from ._util import atomic_write_text, fmt_g9
 from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
                      DegenerateRow, DegenerateSplit, EmptyInput, EmptyValues,
-                     MalformedRow, NonFiniteLoss, SchemaMismatch,
-                     SchemaVersionMismatch, ShapeMismatch, SingleClassInput,
-                     TimeBeforeOrigin, TooFewRows, UnknownScenario)
+                     LengthMismatch, MalformedRow, NonFiniteLoss,
+                     SchemaMismatch, SchemaVersionMismatch, ShapeMismatch,
+                     SingleClassInput, TimeBeforeOrigin, TooFewRows)
 from .features import read_matrix_csv, write_matrix_csv
 from .ingest import LabelClass, class_from_token, label_distribution, read_flows
 from .logreg import HyperParams, fit, load_model, save_model
@@ -48,7 +49,7 @@ class _Parser(argparse.ArgumentParser):
 _SPLIT_MODES = {"chrono": "chronological", "random": "stratified_random"}
 
 _DATA_ERRORS = (OSError, MalformedRow, CorruptModel, SchemaVersionMismatch,
-                SchemaMismatch, ShapeMismatch, UnknownScenario,
+                SchemaMismatch, ShapeMismatch, LengthMismatch,
                 TimeBeforeOrigin, BadComponentCount, BadBins)
 
 _DEGENERATE_ERRORS = (DegenerateSplit, SingleClassInput, EmptyInput,
@@ -114,6 +115,7 @@ def _split_spec(args) -> SplitSpec:
     purge = args.purge
     if purge is not None:
         _require_min(purge, 0, "--purge")
+    _require_min(args.seed, 0, "--seed")
     return SplitSpec(mode=mode, train_fraction=fraction, purge_gap_s=purge,
                      seed=args.seed)
 
@@ -192,10 +194,10 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.l2 < 0:
-        raise UsageError(f"--l2 must be >= 0, got {args.l2}")
+    if not 0 <= args.l2 < math.inf:
+        raise UsageError(f"--l2 must be finite and >= 0, got {args.l2}")
     _require_min(args.max_iter, 1, "--max-iter")
-    if args.tol < 0:
+    if not args.tol >= 0:
         raise UsageError(f"--tol must be >= 0, got {args.tol}")
     matrix = read_matrix_csv(args.features)
     hp = HyperParams(l2_lambda=args.l2, max_iter=args.max_iter, tol=args.tol,
@@ -250,14 +252,16 @@ def _cmd_scenarios(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _require_min(args.seed, 0, "--seed")
     cfg = preset_scenario9(seed=args.seed, hard=args.hard)
     write_synth(args.output, cfg)
     return 0
 
 
 def _cmd_report(args) -> int:
-    if args.bin_width <= 0:
-        raise UsageError(f"--bin-width must be > 0, got {args.bin_width}")
+    if not 0 < args.bin_width < math.inf:
+        raise UsageError(
+            f"--bin-width must be finite and > 0, got {args.bin_width}")
     column = f"{args.partition}_{args.histogram}"
     try:
         with open(args.sweep_csv, newline="") as fh:

@@ -21,10 +21,6 @@ class MalformedRow(FlowsiftError):
         self.reason = reason
 
 
-class UnknownScenario(FlowsiftError):
-    """Scenario id outside 1..13."""
-
-
 # --- windowing / features -----------------------------------------------------
 
 class EmptyInput(FlowsiftError):

@@ -148,18 +148,6 @@ def standardize_fit(matrix: FeatureMatrix) -> StandardizationParams:
     )
 
 
-def standardize_apply(matrix: FeatureMatrix,
-                      params: StandardizationParams) -> FeatureMatrix:
-    """Apply x' = (x - mean) / scale column-wise; schema must match exactly."""
-    if tuple(params.feature_names) != matrix.feature_names:
-        raise SchemaMismatch(
-            f"params fitted on {list(params.feature_names)}, "
-            f"matrix has {list(matrix.feature_names)}")
-    out = replace(matrix, X=params.transform(matrix.X))
-    out.meta = dict(matrix.meta)
-    return out
-
-
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     """Write the interchange CSV: fixed meta columns, features, target.
 

@@ -31,11 +31,11 @@ class HyperParams:
     class_weight_mode: str = "balanced"
 
     def __post_init__(self):
-        if self.l2_lambda < 0:
-            raise ValueError("l2_lambda must be >= 0")
+        if not 0 <= self.l2_lambda < math.inf:
+            raise ValueError("l2_lambda must be finite and >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
+        if not self.tol >= 0:
             raise ValueError("tol must be >= 0")
         if self.class_weight_mode not in ("none", "balanced"):
             raise ValueError("class_weight_mode must be 'none' or 'balanced'")

@@ -116,29 +116,26 @@ class Histogram:
     overflow: int
 
 
-def histogram(values: Iterable[float], bin_width: float = 0.05,
-              lo: float = 0.0, hi: float = 1.0) -> Histogram:
-    """Fixed-width half-open bins [edge, edge + width) over [lo, hi).
+def histogram(values: Iterable[float], bin_width: float = 0.05) -> Histogram:
+    """Fixed-width half-open bins [edge, edge + width) over [0, 1).
 
-    Values below lo / at-or-above hi land in underflow / overflow. The last
-    bin may extend past hi when (hi - lo) is not a multiple of bin_width;
-    overflow still starts exactly at hi.
+    Values below 0 / at-or-above 1 land in underflow / overflow. The last bin
+    may extend past 1 when 1 is not a multiple of bin_width; overflow still
+    starts exactly at 1.
     """
-    if bin_width <= 0:
-        raise BadBins(f"bin_width must be > 0, got {bin_width}")
-    if not lo < hi:
-        raise BadBins(f"need lo < hi, got [{lo}, {hi})")
-    n_bins = math.ceil((hi - lo) / bin_width)
-    edges = lo + bin_width * np.arange(n_bins + 1)
+    if not 0 < bin_width < math.inf:
+        raise BadBins(f"bin_width must be finite and > 0, got {bin_width}")
+    n_bins = math.ceil(1.0 / bin_width)
+    edges = bin_width * np.arange(n_bins + 1)
     counts = np.zeros(n_bins, dtype=np.int64)
     underflow = overflow = 0
     for v in values:
-        if v < lo:
+        if v < 0.0:
             underflow += 1
-        elif v >= hi:
+        elif v >= 1.0:
             overflow += 1
         else:
-            idx = min(int((v - lo) // bin_width), n_bins - 1)
+            idx = min(int(v // bin_width), n_bins - 1)
             counts[idx] += 1
     return Histogram(edges, counts, underflow, overflow)
 

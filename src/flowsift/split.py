@@ -8,7 +8,7 @@ exists to surface run-to-run variance under repeated seeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,7 +115,3 @@ def _stratified_random(matrix: FeatureMatrix,
     train_idx = np.sort(np.concatenate(train_parts))
     test_idx = np.sort(np.concatenate(test_parts))
     return train_idx, test_idx
-
-
-def with_seed(spec: SplitSpec, seed: int) -> SplitSpec:
-    return replace(spec, seed=seed)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._util import atomic_write_text, fmt_g9
 from .errors import FlowsiftError
@@ -20,7 +20,7 @@ from .features import FeatureMatrix
 from .ingest import FlowRecord, read_flows
 from .logreg import fit
 from .metrics import MetricsReport, evaluate
-from .split import SplitSpec, split, with_seed
+from .split import SplitSpec, split
 from .windows import WindowConfig, build_matrix
 
 SWEEP_CSV_HEADER = ("width_s,stride_s,seed,"
@@ -88,7 +88,7 @@ def run_single(flows: list[FlowRecord],
 def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
                  seed: int) -> tuple[MetricsReport, MetricsReport]:
     """Split, fit and evaluate an already-built matrix under one seed."""
-    spec = with_seed(spec or SplitSpec(), seed)
+    spec = replace(spec or SplitSpec(), seed=seed)
     train_m, test_m = split(matrix, spec)
     model, _ = fit(train_m, seed=seed)
     extra = {"split": spec.describe(), "seed": seed,

@@ -27,7 +27,7 @@ class WindowConfig:
 
     origin_us anchors window 0; None means "earliest flow start in the input",
     resolved when a matrix is built. stride > width is legal but leaves gaps
-    between windows uncovered; see warnings().
+    between windows uncovered (coverage_gap); flows in a gap join no window.
     """
 
     width_s: int
@@ -43,12 +43,6 @@ class WindowConfig:
     @property
     def coverage_gap(self) -> bool:
         return self.stride_s > self.width_s
-
-    def warnings(self) -> list[str]:
-        if self.coverage_gap:
-            return [f"stride_s={self.stride_s} > width_s={self.width_s}: "
-                    "time gaps between windows are uncovered"]
-        return []
 
 
 def window_indices(t_us: int, cfg: WindowConfig) -> list[int]:

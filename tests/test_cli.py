@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from flowsift import cli, errors
 from flowsift.cli import build_parser, main
 from flowsift.ingest import HEADER_LINE
 from flowsift.sweep import SWEEP_CSV_HEADER
@@ -116,14 +117,39 @@ def test_stats_json_payload(tmp_path, capsys):
     assert payload["unrecognized_labels"] == 0
 
 
-def test_zero_width_is_usage_error(ws, tmp_path, capsys):
-    out = str(tmp_path / "f.csv")
-    rc = main(["featurize", ws["flows"], "--width", "0", "--stride", "15",
-               "-o", out])
+@pytest.mark.parametrize("argv,flag", [
+    (["featurize", "{flows}", "--width", "0", "--stride", "15"], "--width"),
+    (["synth", "--seed", "-1"], "--seed"),
+    (["repeat", "{flows}", "--width", "90", "--stride", "15", "--runs", "2",
+      "--seed", "-1"], "--seed"),
+    (["sweep", "{flows}", "--widths", "90", "--strides", "15",
+      "--split", "random", "--seed", "-1"], "--seed"),
+    (["report", "{sweep}", "--histogram", "f1", "--bin-width", "nan"],
+     "--bin-width"),
+    (["report", "{sweep}", "--histogram", "f1", "--bin-width", "inf"],
+     "--bin-width"),
+    (["train", "{features}", "--l2", "nan"], "--l2"),
+    (["train", "{features}", "--l2", "inf"], "--l2"),
+    (["train", "{features}", "--tol", "nan"], "--tol"),
+], ids=["featurize-width-0", "synth-seed", "repeat-seed", "sweep-random-seed",
+        "report-bin-width-nan", "report-bin-width-inf", "train-l2-nan",
+        "train-l2-inf", "train-tol-nan"])
+def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    rc = main([a.format(**ws) for a in argv] + ["-o", str(out)])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "--width" in err, "the message names the offending flag"
-    assert not (tmp_path / "f.csv").exists(), "exit 1 writes nothing"
+    assert flag in err, "the message names the offending flag"
+    assert not out.exists(), "exit 1 writes nothing"
+
+
+def test_every_error_class_maps_to_one_exit_code():
+    families = (cli._DATA_ERRORS, cli._DEGENERATE_ERRORS, errors.BadConfig)
+    for cls in vars(errors).values():
+        if (isinstance(cls, type) and issubclass(cls, errors.FlowsiftError)
+                and cls is not errors.FlowsiftError):
+            hits = [f for f in families if issubclass(cls, f)]
+            assert len(hits) == 1, f"{cls.__name__} is in {len(hits)} families"
 
 
 def test_unknown_flag_is_usage_error(ws, capsys):

@@ -7,7 +7,6 @@ from flowsift import (
     FeatureMatrix,
     SchemaMismatch,
     read_matrix_csv,
-    standardize_apply,
     standardize_fit,
     write_matrix_csv,
 )
@@ -43,38 +42,31 @@ def test_standardize_fit_constant_column_flagged():
     assert params.constant_flags.tolist() == [True, False]
     assert params.scales[0] == 1.0
     assert params.means[0] == 7.0
-    out = standardize_apply(m, params)
-    assert out.X[:, 0].tolist() == [0.0, 0.0]
+    out = params.transform(m.X)
+    assert out[:, 0].tolist() == [0.0, 0.0]
 
 
 def test_standardize_single_row_all_flagged():
     m = small_matrix([[4.0, 9.0]])
     params = standardize_fit(m)
     assert params.constant_flags.all()
-    assert standardize_apply(m, params).X.tolist() == [[0.0, 0.0]]
+    assert params.transform(m.X).tolist() == [[0.0, 0.0]]
 
 
 def test_standardize_fit_then_transform_moments():
     rng = np.random.default_rng(3)
     m = small_matrix(rng.normal(5.0, 3.0, size=(40, 2)))
-    out = standardize_apply(m, standardize_fit(m))
-    assert np.allclose(out.X.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(out.X.std(axis=0), 1.0, atol=1e-12)
+    out = standardize_fit(m).transform(m.X)
+    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(out.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_standardize_apply_identity_and_centering():
     m = small_matrix([[1.0], [3.0]], names=("v",))
     params = standardize_fit(small_matrix([[0.0], [1.0]], names=("v",)))
     assert params.means[0] == 0.5 and params.scales[0] == 0.5
-    shifted = standardize_apply(m, params)
-    assert shifted.X[:, 0].tolist() == [1.0, 5.0]
-
-
-def test_standardize_apply_schema_must_match():
-    m = small_matrix([[1.0, 2.0], [3.0, 4.0]])
-    params = standardize_fit(small_matrix([[1.0], [2.0]], names=("a",)))
-    with pytest.raises(SchemaMismatch):
-        standardize_apply(m, params)
+    shifted = params.transform(m.X)
+    assert shifted[:, 0].tolist() == [1.0, 5.0]
 
 
 def test_standardize_empty_matrix():

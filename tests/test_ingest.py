@@ -8,7 +8,6 @@ from flowsift import (
     IngestStats,
     LabelClass,
     MalformedRow,
-    UnknownScenario,
     classify_label,
     label_distribution,
     parse_line,
@@ -17,7 +16,6 @@ from flowsift import (
     render_line,
     render_timestamp,
 )
-from flowsift.scenarios import SCENARIOS, TRAIT_NAMES, scenario_info
 
 BOT_ROW = ("2011/08/16 10:01:46.972101,3550.182373,udp,147.32.84.165,1025,"
            "  <->,147.32.80.9,53,CON,0,0,12,875,413,flow=From-Botnet-V42-UDP-DNS")
@@ -244,49 +242,3 @@ def test_ingest_stats_merge_is_associative():
     assert left == right
     assert left.total_rows == 9 and left.parsed == 8 and left.skipped == 1
 
-
-# Retyped from the published per-capture tables: total flows, percent botnet,
-# percent normal, percent C&C, percent background, traits.
-_EXPECTED_SCENARIOS = {
-    1: (2824636, 1.41, 1.07, 0.03, 97.47, {"IRC", "SPAM", "CF"}),
-    2: (1808122, 1.04, 0.5, 0.11, 98.33, {"IRC", "SPAM", "CF"}),
-    3: (4710638, 0.56, 2.48, 0.001, 96.94, {"IRC", "PS", "US"}),
-    4: (1121076, 0.15, 2.25, 0.004, 97.58, {"IRC", "DDoS", "US"}),
-    5: (129832, 0.53, 3.6, 1.15, 95.7, {"SPAM", "PS", "HTTP"}),
-    6: (558919, 0.79, 1.34, 0.03, 97.83, {"PS"}),
-    7: (114077, 0.03, 1.47, 0.02, 98.47, {"HTTP"}),
-    8: (2954230, 0.17, 2.46, 2.4, 97.32, {"PS"}),
-    9: (2753884, 6.5, 1.57, 0.18, 91.7, {"IRC", "SPAM", "CF", "PS"}),
-    10: (1309791, 8.11, 1.2, 0.002, 90.67, {"IRC", "DDoS", "US"}),
-    11: (107251, 7.6, 2.53, 0.002, 89.85, {"IRC", "DDoS", "US"}),
-    12: (325471, 0.65, 2.34, 0.007, 96.99, {"DDoS"}),
-    13: (1925149, 2.01, 1.65, 0.06, 96.26, {"SPAM", "PS", "HTTP"}),
-}
-
-
-def test_scenario_fixture_all_rows():
-    assert set(SCENARIOS) == set(range(1, 14))
-    for sid, (total, bot, normal, cnc, background, traits) in \
-            _EXPECTED_SCENARIOS.items():
-        meta = scenario_info(sid)
-        assert meta.scenario_id == sid
-        assert meta.total_flows == total, f"scenario {sid} total"
-        assert meta.pct_botnet == bot, f"scenario {sid} botnet pct"
-        assert meta.pct_normal == normal, f"scenario {sid} normal pct"
-        assert meta.pct_cnc == cnc, f"scenario {sid} cnc pct"
-        assert meta.pct_background == background, f"scenario {sid} background pct"
-        assert set(meta.traits) == traits, f"scenario {sid} traits"
-        assert set(meta.traits) <= set(TRAIT_NAMES)
-
-
-def test_scenario_info_examples():
-    nine = scenario_info(9)
-    assert nine.total_flows == 2753884
-    assert nine.pct_botnet == 6.5
-    ten = scenario_info(10)
-    assert ten.total_flows == 1309791
-    assert ten.pct_botnet == 8.11
-    with pytest.raises(UnknownScenario):
-        scenario_info(14)
-    with pytest.raises(UnknownScenario):
-        scenario_info(0)

@@ -248,6 +248,15 @@ def test_fit_huge_l2_crushes_weights():
     assert float(np.linalg.norm(model.weights)) < 1e-3
 
 
+@pytest.mark.parametrize("kwargs", [{"l2_lambda": math.nan},
+                                    {"l2_lambda": math.inf},
+                                    {"tol": math.nan}],
+                         ids=["l2-nan", "l2-inf", "tol-nan"])
+def test_hyperparams_reject_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        HyperParams(**kwargs)
+
+
 def test_fit_labels_invariant_to_feature_scale():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(100, 2))

@@ -1,5 +1,6 @@
 """Confusion counts, precision/recall/F1, consistency checks, histograms,
 and end-to-end evaluation."""
+import math
 import random
 
 import numpy as np
@@ -146,8 +147,9 @@ def test_histogram_ragged_last_bin():
 def test_histogram_validation():
     with pytest.raises(BadBins):
         histogram([0.5], bin_width=0.0)
-    with pytest.raises(BadBins):
-        histogram([0.5], bin_width=0.1, lo=1.0, hi=0.0)
+    for width in (math.nan, math.inf):
+        with pytest.raises(BadBins):
+            histogram([0.5], bin_width=width)
 
 
 def separable_matrix(n=80, seed=2):

@@ -1,8 +1,11 @@
 """Chronological and stratified train/test partitioning."""
+from dataclasses import replace
+
+
 import numpy as np
 import pytest
 
-from flowsift import DegenerateSplit, FeatureMatrix, SplitSpec, split, with_seed
+from flowsift import DegenerateSplit, FeatureMatrix, SplitSpec, split
 
 US = 1_000_000
 
@@ -93,7 +96,7 @@ def test_stratified_deterministic_per_seed():
     t2, v2 = split(m, spec)
     assert t1.window_index.tolist() == t2.window_index.tolist()
     assert v1.window_index.tolist() == v2.window_index.tolist()
-    t3, _ = split(m, with_seed(spec, 12))
+    t3, _ = split(m, replace(spec, seed=12))
     assert t3.window_index.tolist() != t1.window_index.tolist()
 
 
