@@ -8,11 +8,11 @@ varies window geometry; a synthetic generator provides fast, labeled
 captures for end-to-end checks.
 """
 from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
-                     DegenerateRow, DegenerateSplit, EmptyInput, EmptyValues,
-                     FlowsiftError, LengthMismatch, MalformedRow,
-                     NonFiniteLoss, SchemaMismatch, SchemaVersionMismatch,
-                     ShapeMismatch, SingleClassInput, TimeBeforeOrigin,
-                     TooFewRows)
+                     DegenerateComputation, DegenerateRow, DegenerateSplit,
+                     EmptyInput, EmptyValues, FlowsiftError, LengthMismatch,
+                     MalformedRow, NonFiniteLoss, SchemaMismatch,
+                     SchemaVersionMismatch, ShapeMismatch, SingleClassInput,
+                     TimeBeforeOrigin, TooFewRows)
 from .features import (FEATURE_NAMES, FeatureMatrix, StandardizationParams,
                        read_matrix_csv, standardize_fit, write_matrix_csv)
 from .ingest import (FlowRecord, IngestStats, LabelClass, LabelDistribution,

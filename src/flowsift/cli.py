@@ -1,14 +1,17 @@
 """Command-line entry point.
 
 One binary, subcommand style: stats, featurize, train, eval, sweep, repeat,
-scenarios, synth, report. The CLI is a thin sequencer over the library; all
-flag validation happens before any file is touched, every output is written
-atomically, and exit codes are:
+scenarios, synth, report. The CLI is a thin sequencer over the library. Each
+flag's range is checked by its argparse type, so every flag is validated
+before any file is touched; every output is written atomically, and exit
+codes are:
 
     0  success
     1  usage error (bad or missing flags; message on stderr, nothing written)
     2  data error (unreadable, malformed or mis-schema'd input)
     3  degenerate computation (single-class split, empty matrix, ...)
+
+A library error's code is its class's ``exit_code``.
 """
 from __future__ import annotations
 
@@ -19,15 +22,12 @@ import math
 import sys
 
 from ._util import atomic_write_text, fmt_g9
-from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
-                     DegenerateRow, DegenerateSplit, EmptyInput, EmptyValues,
-                     LengthMismatch, MalformedRow, NonFiniteLoss,
-                     SchemaMismatch, SchemaVersionMismatch, ShapeMismatch,
-                     SingleClassInput, TimeBeforeOrigin, TooFewRows)
+from .errors import EmptyValues, FlowsiftError, SchemaMismatch
 from .features import read_matrix_csv, write_matrix_csv
 from .ingest import LabelClass, class_from_token, label_distribution, read_flows
 from .logreg import HyperParams, fit, load_model, save_model
-from .metrics import evaluate, histogram, write_metrics_report
+from .metrics import (MAX_BINS, evaluate, histogram,
+                      write_metrics_report)
 from .select import (backward_elimination, correlation_filter, pca_fit,
                      pca_transform, write_selection_report)
 from .split import SplitSpec
@@ -48,36 +48,40 @@ class _Parser(argparse.ArgumentParser):
 
 _SPLIT_MODES = {"chrono": "chronological", "random": "stratified_random"}
 
-_DATA_ERRORS = (OSError, MalformedRow, CorruptModel, SchemaVersionMismatch,
-                SchemaMismatch, ShapeMismatch, LengthMismatch,
-                TimeBeforeOrigin, BadComponentCount, BadBins)
-
-_DEGENERATE_ERRORS = (DegenerateSplit, SingleClassInput, EmptyInput,
-                      EmptyValues, TooFewRows, NonFiniteLoss, DegenerateRow)
+_PREFIXES = {1: "error", 2: "data error", 3: "degenerate computation"}
 
 
-def _require_min(value: int, minimum: int, flag: str) -> int:
-    if value < minimum:
-        raise UsageError(f"{flag} must be >= {minimum}, got {value}")
-    return value
+def _checked(convert, ok, rule: str):
+    """An argparse type: convert the text, then require ok(value)."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+    # argparse names the type in "invalid int value: 'x'"
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _require_fraction(value: float, flag: str) -> float:
-    if not 0.0 < value < 1.0:
-        raise UsageError(f"{flag} must be in (0, 1), got {value}")
-    return value
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, ">= 1")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, ">= 0")
+_RUNS = _checked(int, lambda v: v >= 2, ">= 2")
+_FRACTION = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_CORR_THRESHOLD = _checked(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+_FINITE_NON_NEGATIVE = _checked(float, lambda v: 0 <= v < math.inf,
+                                "finite and >= 0")
+_BIN_WIDTH = _checked(float, lambda v: 0 < v < math.inf and 1 / v <= MAX_BINS,
+                      f"finite, > 0 and give at most {MAX_BINS} bins")
 
 
-def _int_list(text: str, flag: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
     try:
-        values = [int(tok) for tok in text.split(",") if tok]
+        values = [_POSITIVE_INT(tok) for tok in text.split(",") if tok]
     except ValueError:
-        raise UsageError(
-            f"{flag} expects comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expects comma-separated integers, got {text!r}") from None
     if not values:
-        raise UsageError(f"{flag} expects at least one value")
-    for v in values:
-        _require_min(v, 1, flag)
+        raise argparse.ArgumentTypeError("expects at least one value")
     return values
 
 
@@ -89,9 +93,9 @@ def _positive_classes(text: str) -> frozenset:
         try:
             classes.add(class_from_token(tok))
         except ValueError as exc:
-            raise UsageError(f"--positive-classes: {exc}") from None
+            raise argparse.ArgumentTypeError(str(exc)) from None
     if not classes:
-        raise UsageError("--positive-classes expects at least one class")
+        raise argparse.ArgumentTypeError("expects at least one class")
     return frozenset(classes)
 
 
@@ -102,21 +106,17 @@ def _files_map(text: str) -> dict[int, str]:
             continue
         key, sep, path = pair.partition("=")
         if not sep or not path or not key.strip().lstrip("-").isdigit():
-            raise UsageError(f"--files expects id=path pairs, got {pair!r}")
+            raise argparse.ArgumentTypeError(
+                f"expects id=path pairs, got {pair!r}")
         out[int(key)] = path
     if not out:
-        raise UsageError("--files expects at least one id=path pair")
+        raise argparse.ArgumentTypeError("expects at least one id=path pair")
     return out
 
 
 def _split_spec(args) -> SplitSpec:
-    mode = _SPLIT_MODES[args.split]
-    fraction = _require_fraction(args.fraction, "--fraction")
-    purge = args.purge
-    if purge is not None:
-        _require_min(purge, 0, "--purge")
-    _require_min(args.seed, 0, "--seed")
-    return SplitSpec(mode=mode, train_fraction=fraction, purge_gap_s=purge,
+    return SplitSpec(mode=_SPLIT_MODES[args.split],
+                     train_fraction=args.fraction, purge_gap_s=args.purge,
                      seed=args.seed)
 
 
@@ -155,17 +155,9 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_featurize(args) -> int:
-    _require_min(args.width, 1, "--width")
-    _require_min(args.stride, 1, "--stride")
-    positives = _positive_classes(args.positive_classes)
-    if args.corr_threshold is not None and not 0.0 < args.corr_threshold <= 1.0:
-        raise UsageError(f"--corr-threshold must be in (0, 1], "
-                         f"got {args.corr_threshold}")
-    if args.pca_components is not None:
-        _require_min(args.pca_components, 1, "--pca-components")
     flows = _read_flows(args)
     cfg = WindowConfig(width_s=args.width, stride_s=args.stride)
-    matrix = build_matrix(flows, cfg, positive_classes=positives,
+    matrix = build_matrix(flows, cfg, positive_classes=args.positive_classes,
                           group_by=args.group_by)
 
     retained = list(matrix.feature_names)
@@ -194,11 +186,6 @@ def _cmd_featurize(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if not 0 <= args.l2 < math.inf:
-        raise UsageError(f"--l2 must be finite and >= 0, got {args.l2}")
-    _require_min(args.max_iter, 1, "--max-iter")
-    if not args.tol >= 0:
-        raise UsageError(f"--tol must be >= 0, got {args.tol}")
     matrix = read_matrix_csv(args.features)
     hp = HyperParams(l2_lambda=args.l2, max_iter=args.max_iter, tol=args.tol,
                      class_weight_mode=args.class_weight)
@@ -219,49 +206,36 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    widths = _int_list(args.widths, "--widths")
-    strides = _int_list(args.strides, "--strides")
-    spec = _split_spec(args)
     flows = _read_flows(args)
-    result = run_grid(flows, widths, strides, spec=spec, base_seed=args.seed)
+    result = run_grid(flows, args.widths, args.strides, spec=_split_spec(args),
+                      base_seed=args.seed)
     write_sweep_csv(args.output, result, timings=args.timings)
     return 0
 
 
 def _cmd_repeat(args) -> int:
-    _require_min(args.width, 1, "--width")
-    _require_min(args.stride, 1, "--stride")
-    _require_min(args.runs, 2, "--runs")
-    spec = _split_spec(args)
     flows = _read_flows(args)
     runs, dispersion = repeat_runs(flows, args.width, args.stride, args.runs,
-                                   spec=spec, base_seed=args.seed)
+                                   spec=_split_spec(args), base_seed=args.seed)
     write_repeat_csv(args.output, runs, dispersion, timings=args.timings)
     return 0
 
 
 def _cmd_scenarios(args) -> int:
-    _require_min(args.width, 1, "--width")
-    _require_min(args.stride, 1, "--stride")
-    files = _files_map(args.files)
-    spec = _split_spec(args)
-    rows = scenario_compare(files, width_s=args.width, stride_s=args.stride,
-                            spec=spec, seed=args.seed, on_error=args.on_error)
+    rows = scenario_compare(args.files, width_s=args.width,
+                            stride_s=args.stride, spec=_split_spec(args),
+                            seed=args.seed, on_error=args.on_error)
     write_scenarios_csv(args.output, rows, timings=args.timings)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    _require_min(args.seed, 0, "--seed")
     cfg = preset_scenario9(seed=args.seed, hard=args.hard)
     write_synth(args.output, cfg)
     return 0
 
 
 def _cmd_report(args) -> int:
-    if not 0 < args.bin_width < math.inf:
-        raise UsageError(
-            f"--bin-width must be finite and > 0, got {args.bin_width}")
     column = f"{args.partition}_{args.histogram}"
     try:
         with open(args.sweep_csv, newline="") as fh:
@@ -299,11 +273,12 @@ def _add_on_error(sub) -> None:
 def _add_split_flags(sub, default_mode: str) -> None:
     sub.add_argument("--split", choices=("chrono", "random"),
                      default=default_mode, help="train/test split mode")
-    sub.add_argument("--fraction", type=float, default=0.7,
+    sub.add_argument("--fraction", type=_FRACTION, default=0.7,
                      help="train fraction")
-    sub.add_argument("--purge", type=int, default=None,
+    sub.add_argument("--purge", type=_NON_NEGATIVE_INT, default=None,
                      help="purge gap seconds (default: window width)")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
+                     help="random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,19 +302,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("featurize", formatter_class=fmt,
                         help="window flows into a feature matrix CSV")
     p.add_argument("flows", help="flow CSV path")
-    p.add_argument("--width", type=int, required=True,
+    p.add_argument("--width", type=_POSITIVE_INT, required=True,
                    help="window width in seconds")
-    p.add_argument("--stride", type=int, required=True,
+    p.add_argument("--stride", type=_POSITIVE_INT, required=True,
                    help="window stride in seconds")
-    p.add_argument("--positive-classes", default="botnet,cnc",
+    p.add_argument("--positive-classes", type=_positive_classes,
+                   default="botnet,cnc",
                    help="comma-separated classes labeled 1")
     p.add_argument("--group-by", choices=("src", "src_dst"), default="src",
                    help="aggregation key within each window")
-    p.add_argument("--corr-threshold", type=float, default=None,
+    p.add_argument("--corr-threshold", type=_CORR_THRESHOLD, default=None,
                    help="drop features with |r| above this (off by default)")
     p.add_argument("--backward-elim", action="store_true",
                    help="greedy backward feature elimination")
-    p.add_argument("--pca-components", type=int, default=None,
+    p.add_argument("--pca-components", type=_POSITIVE_INT, default=None,
                    help="project onto this many principal components")
     p.add_argument("--selection-report", default=None,
                    help="optional JSON report of selection decisions")
@@ -350,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("train", formatter_class=fmt,
                         help="fit a logistic model on a feature CSV")
     p.add_argument("features", help="feature CSV path")
-    p.add_argument("--l2", type=float, default=1e-4,
+    p.add_argument("--l2", type=_FINITE_NON_NEGATIVE, default=1e-4,
                    help="L2 regularization strength")
-    p.add_argument("--max-iter", type=int, default=100,
+    p.add_argument("--max-iter", type=_POSITIVE_INT, default=100,
                    help="Newton iteration cap (a safety stop)")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=_FINITE_NON_NEGATIVE, default=1e-8,
                    help="convergence tolerance")
     p.add_argument("--class-weight", choices=("balanced", "none"),
                    default="balanced", help="class weighting mode")
@@ -372,9 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("sweep", formatter_class=fmt,
                         help="grid over window widths and strides")
     p.add_argument("flows", help="flow CSV path")
-    p.add_argument("--widths", required=True,
+    p.add_argument("--widths", type=_int_list, required=True,
                    help="comma-separated widths in seconds")
-    p.add_argument("--strides", required=True,
+    p.add_argument("--strides", type=_int_list, required=True,
                    help="comma-separated strides in seconds")
     _add_split_flags(p, "chrono")
     p.add_argument("--timings", action="store_true",
@@ -387,11 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("repeat", formatter_class=fmt,
                         help="re-run one configuration under several seeds")
     p.add_argument("flows", help="flow CSV path")
-    p.add_argument("--width", type=int, required=True,
+    p.add_argument("--width", type=_POSITIVE_INT, required=True,
                    help="window width in seconds")
-    p.add_argument("--stride", type=int, required=True,
+    p.add_argument("--stride", type=_POSITIVE_INT, required=True,
                    help="window stride in seconds")
-    p.add_argument("--runs", type=int, required=True,
+    p.add_argument("--runs", type=_RUNS, required=True,
                    help="number of seeded runs (>= 2)")
     _add_split_flags(p, "random")
     p.add_argument("--timings", action="store_true",
@@ -402,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("scenarios", formatter_class=fmt,
                         help="fixed configuration across several captures")
-    p.add_argument("--files", required=True,
+    p.add_argument("--files", type=_files_map, required=True,
                    help="comma-separated id=path pairs")
-    p.add_argument("--width", type=int, default=189,
+    p.add_argument("--width", type=_POSITIVE_INT, default=189,
                    help="window width in seconds")
-    p.add_argument("--stride", type=int, default=129,
+    p.add_argument("--stride", type=_POSITIVE_INT, default=129,
                    help="window stride in seconds")
     _add_split_flags(p, "chrono")
     p.add_argument("--timings", action="store_true",
@@ -419,7 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate a labeled synthetic capture")
     p.add_argument("--hard", action="store_true",
                    help="make positive classes statistically indistinct")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
+                   help="random seed")
     p.add_argument("-o", "--output", required=True, help="flow CSV path")
     p.set_defaults(func=_cmd_synth)
 
@@ -429,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--histogram", required=True,
                    choices=("precision", "recall", "f1"),
                    help="metric to bin")
-    p.add_argument("--bin-width", type=float, default=0.05,
+    p.add_argument("--bin-width", type=_BIN_WIDTH, default=0.05,
                    help="histogram bin width")
     p.add_argument("--from", dest="partition", choices=("train", "test"),
                    default="test", help="which partition's metric to bin")
@@ -450,18 +427,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except BadConfig as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"{_PREFIXES[2]}: {exc}", file=sys.stderr)
         return 2
-    except _DEGENERATE_ERRORS as exc:
-        print(f"degenerate computation: {exc}", file=sys.stderr)
-        return 3
+    except FlowsiftError as exc:
+        print(f"{_PREFIXES[exc.exit_code]}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 def run() -> None:

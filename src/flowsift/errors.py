@@ -1,13 +1,22 @@
 """Exception types shared across the pipeline.
 
 Grouped by the stage that raises them; everything derives from FlowsiftError
-so callers can catch the whole family at once. The CLI maps these onto exit
-codes (data errors -> 2, degenerate computations -> 3).
+so callers can catch the whole family at once. Each class carries the CLI
+exit code it maps to: 2 (data error) unless it derives from
+DegenerateComputation (3) or is BadConfig (1).
 """
 
 
 class FlowsiftError(Exception):
-    """Base class for all flowsift errors."""
+    """Base class for all flowsift errors; by default a data error."""
+
+    exit_code = 2
+
+
+class DegenerateComputation(FlowsiftError):
+    """Well-formed input on which the computation has no meaningful result."""
+
+    exit_code = 3
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -23,11 +32,11 @@ class MalformedRow(FlowsiftError):
 
 # --- windowing / features -----------------------------------------------------
 
-class EmptyInput(FlowsiftError):
+class EmptyInput(DegenerateComputation):
     """An operation that needs at least one record/row got none."""
 
 
-class EmptyValues(FlowsiftError):
+class EmptyValues(DegenerateComputation):
     """aggregate_stats over an empty value list."""
 
 
@@ -41,7 +50,7 @@ class SchemaMismatch(FlowsiftError):
 
 # --- selection ----------------------------------------------------------------
 
-class TooFewRows(FlowsiftError):
+class TooFewRows(DegenerateComputation):
     """Statistic needs more rows than the matrix has."""
 
 
@@ -55,11 +64,11 @@ class ShapeMismatch(FlowsiftError):
     """Array shapes disagree in loss/gradient."""
 
 
-class SingleClassInput(FlowsiftError):
+class SingleClassInput(DegenerateComputation):
     """Training data contains only one class."""
 
 
-class NonFiniteLoss(FlowsiftError):
+class NonFiniteLoss(DegenerateComputation):
     """Optimization produced a non-finite loss (bad hyperparameters)."""
 
 
@@ -81,11 +90,11 @@ class BadBins(FlowsiftError):
     """Histogram bin configuration invalid."""
 
 
-class DegenerateRow(FlowsiftError):
+class DegenerateRow(DegenerateComputation):
     """A consistency-check row with P + R == 0."""
 
 
-class DegenerateSplit(FlowsiftError):
+class DegenerateSplit(DegenerateComputation):
     """A train/test partition came out empty or single-class."""
 
 
@@ -93,3 +102,5 @@ class DegenerateSplit(FlowsiftError):
 
 class BadConfig(FlowsiftError):
     """Generator configuration violates its invariants."""
+
+    exit_code = 1

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import atomic_write_text, fmt_g9
-from .errors import EmptyInput, SchemaMismatch
+from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
 STAT_NAMES = ("sum", "mean", "std", "max", "median")
@@ -124,6 +124,12 @@ class StandardizationParams:
     scales: np.ndarray
     constant_flags: np.ndarray
 
+    def __post_init__(self):
+        if not np.isfinite(self.means).all():
+            raise ValueError("standardization means must be finite")
+        if not (np.isfinite(self.scales).all() and (self.scales > 0).all()):
+            raise ValueError("standardization scales must be finite and > 0")
+
     def transform(self, X: np.ndarray) -> np.ndarray:
         return (X - self.means) / self.scales
 
@@ -133,19 +139,24 @@ def standardize_fit(matrix: FeatureMatrix) -> StandardizationParams:
     if matrix.n_rows == 0:
         raise EmptyInput("cannot standardize an empty matrix")
     X = matrix.X
-    means = X.mean(axis=0)
+    # a spread beyond float64 overflows to inf, which the params reject below
+    with np.errstate(over="ignore"):
+        means = X.mean(axis=0)
+        stds = X.std(axis=0)
     # exact constancy test; a tiny nonzero std from rounding must not become
     # the divisor
     constant = X.min(axis=0) == X.max(axis=0)
-    stds = X.std(axis=0)
     scales = np.where(constant, 1.0, stds)
     means = np.where(constant, X[0], means)
-    return StandardizationParams(
-        feature_names=matrix.feature_names,
-        means=means,
-        scales=scales,
-        constant_flags=constant,
-    )
+    try:
+        return StandardizationParams(
+            feature_names=matrix.feature_names,
+            means=means,
+            scales=scales,
+            constant_flags=constant,
+        )
+    except ValueError as exc:
+        raise DegenerateComputation(f"cannot standardize: {exc}") from None
 
 
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:

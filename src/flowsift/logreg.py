@@ -35,8 +35,8 @@ class HyperParams:
             raise ValueError("l2_lambda must be finite and >= 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol >= 0:
-            raise ValueError("tol must be >= 0")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
         if self.class_weight_mode not in ("none", "balanced"):
             raise ValueError("class_weight_mode must be 'none' or 'balanced'")
 

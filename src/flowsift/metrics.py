@@ -108,6 +108,10 @@ def f1_consistency_check(rows: Iterable[tuple[float, float, float]],
                          max(deviations) if deviations else 0.0)
 
 
+# an upper bound on histogram bins, so a tiny bin_width cannot exhaust memory
+MAX_BINS = 10_000
+
+
 @dataclass(frozen=True)
 class Histogram:
     bin_edges: np.ndarray
@@ -121,10 +125,12 @@ def histogram(values: Iterable[float], bin_width: float = 0.05) -> Histogram:
 
     Values below 0 / at-or-above 1 land in underflow / overflow. The last bin
     may extend past 1 when 1 is not a multiple of bin_width; overflow still
-    starts exactly at 1.
+    starts exactly at 1. More than MAX_BINS bins is BadBins.
     """
     if not 0 < bin_width < math.inf:
         raise BadBins(f"bin_width must be finite and > 0, got {bin_width}")
+    if 1.0 / bin_width > MAX_BINS:
+        raise BadBins(f"bin_width {bin_width} gives more than {MAX_BINS} bins")
     n_bins = math.ceil(1.0 / bin_width)
     edges = bin_width * np.arange(n_bins + 1)
     counts = np.zeros(n_bins, dtype=np.int64)

@@ -2,6 +2,7 @@
 flag/default parity with the documented interface."""
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from flowsift import cli, errors
+from flowsift import errors
 from flowsift.cli import build_parser, main
 from flowsift.ingest import HEADER_LINE
 from flowsift.sweep import SWEEP_CSV_HEADER
@@ -131,9 +132,30 @@ def test_stats_json_payload(tmp_path, capsys):
     (["train", "{features}", "--l2", "nan"], "--l2"),
     (["train", "{features}", "--l2", "inf"], "--l2"),
     (["train", "{features}", "--tol", "nan"], "--tol"),
+    (["train", "{features}", "--tol", "inf"], "--tol"),
+    (["report", "{sweep}", "--histogram", "f1", "--bin-width", "1e-300"],
+     "--bin-width"),
+    (["featurize", "{flows}", "--width", "90", "--stride", "0"], "--stride"),
+    (["featurize", "{flows}", "--width", "90", "--stride", "15",
+      "--pca-components", "0"], "--pca-components"),
+    (["featurize", "{flows}", "--width", "90", "--stride", "15",
+      "--corr-threshold", "1.5"], "--corr-threshold"),
+    (["sweep", "{flows}", "--widths", "90", "--strides", "15",
+      "--fraction", "1"], "--fraction"),
+    (["repeat", "{flows}", "--width", "90", "--stride", "15", "--runs", "2",
+      "--purge", "-1"], "--purge"),
+    (["train", "{features}", "--max-iter", "0"], "--max-iter"),
+    (["train", "{features}", "--tol", "-1"], "--tol"),
+    (["scenarios", "--files", "9"], "--files"),
+    (["featurize", "{root}/missing.csv", "--width", "0", "--stride", "15"],
+     "--width"),
 ], ids=["featurize-width-0", "synth-seed", "repeat-seed", "sweep-random-seed",
         "report-bin-width-nan", "report-bin-width-inf", "train-l2-nan",
-        "train-l2-inf", "train-tol-nan"])
+        "train-l2-inf", "train-tol-nan", "train-tol-inf",
+        "report-bin-width-tiny", "featurize-stride-0", "featurize-pca-0",
+        "featurize-corr-1.5", "sweep-fraction-1", "repeat-purge-negative",
+        "train-max-iter-0", "train-tol-negative", "scenarios-files-no-path",
+        "usage-error-before-missing-input"])
 def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     rc = main([a.format(**ws) for a in argv] + ["-o", str(out)])
@@ -144,12 +166,16 @@ def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
 
 
 def test_every_error_class_maps_to_one_exit_code():
-    families = (cli._DATA_ERRORS, cli._DEGENERATE_ERRORS, errors.BadConfig)
+    by_code = {1: set(), 2: set(), 3: set()}
     for cls in vars(errors).values():
-        if (isinstance(cls, type) and issubclass(cls, errors.FlowsiftError)
-                and cls is not errors.FlowsiftError):
-            hits = [f for f in families if issubclass(cls, f)]
-            assert len(hits) == 1, f"{cls.__name__} is in {len(hits)} families"
+        if isinstance(cls, type) and issubclass(cls, errors.FlowsiftError):
+            assert cls.exit_code in by_code, cls.__name__
+            by_code[cls.exit_code].add(cls)
+    assert by_code[1] == {errors.BadConfig}
+    assert by_code[3] == {errors.DegenerateComputation, errors.DegenerateSplit,
+                          errors.SingleClassInput, errors.EmptyInput,
+                          errors.EmptyValues, errors.TooFewRows,
+                          errors.NonFiniteLoss, errors.DegenerateRow}
 
 
 def test_unknown_flag_is_usage_error(ws, capsys):
@@ -200,12 +226,17 @@ def test_unknown_positive_class_is_usage_error(ws, tmp_path, capsys):
 
 
 def test_mangled_model_is_data_error(ws, tmp_path, capsys):
+    payload = json.loads(open(ws["model"]).read())
+    payload["standardization"]["means"][0] = math.nan
     bad = tmp_path / "model.txt"
-    bad.write_text("{ not json")
-    rc = main(["eval", ws["features"], "--model", str(bad),
-               "-o", str(tmp_path / "r.txt")])
-    assert rc == 2
-    assert capsys.readouterr().err
+    for text in ("{ not json", json.dumps(payload)):
+        bad.write_text(text)
+        out = tmp_path / "r.txt"
+        rc = main(["eval", ws["features"], "--model", str(bad),
+                   "-o", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_warns_when_max_iter_stops_the_fit(ws, tmp_path, capsys):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from flowsift import (
+    DegenerateComputation,
     EmptyInput,
     FeatureMatrix,
     SchemaMismatch,
@@ -72,6 +73,14 @@ def test_standardize_apply_identity_and_centering():
 def test_standardize_empty_matrix():
     m = FeatureMatrix.from_arrays(("a",), np.zeros((0, 1)), np.zeros(0))
     with pytest.raises(EmptyInput):
+        standardize_fit(m)
+
+
+@pytest.mark.parametrize("column", [[1e200, -1e200], [1e308, 1.5e308]],
+                         ids=["std-overflows", "mean-overflows"])
+def test_standardize_fit_rejects_overflow(column):
+    m = small_matrix([[v] for v in column], names=("v",))
+    with pytest.raises(DegenerateComputation):
         standardize_fit(m)
 
 

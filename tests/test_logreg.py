@@ -250,8 +250,9 @@ def test_fit_huge_l2_crushes_weights():
 
 @pytest.mark.parametrize("kwargs", [{"l2_lambda": math.nan},
                                     {"l2_lambda": math.inf},
-                                    {"tol": math.nan}],
-                         ids=["l2-nan", "l2-inf", "tol-nan"])
+                                    {"tol": math.nan},
+                                    {"tol": math.inf}],
+                         ids=["l2-nan", "l2-inf", "tol-nan", "tol-inf"])
 def test_hyperparams_reject_non_finite(kwargs):
     with pytest.raises(ValueError):
         HyperParams(**kwargs)
@@ -345,6 +346,23 @@ def test_load_rejects_missing_field(tmp_path):
     save_model(str(path), model)
     payload = json.loads(path.read_text())
     del payload["weights"]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptModel):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("field,value", [("scales", 0.0), ("scales", -1.0),
+                                         ("scales", math.inf),
+                                         ("means", math.nan)],
+                         ids=["scale-zero", "scale-negative", "scale-inf",
+                              "mean-nan"])
+def test_load_rejects_broken_standardization(tmp_path, field, value):
+    model, _ = fit(two_cluster_matrix())
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    payload = json.loads(path.read_text())
+    std = payload["standardization"]
+    std[field] = [value] * len(std[field])
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptModel):
         load_model(str(path))

@@ -147,7 +147,7 @@ def test_histogram_ragged_last_bin():
 def test_histogram_validation():
     with pytest.raises(BadBins):
         histogram([0.5], bin_width=0.0)
-    for width in (math.nan, math.inf):
+    for width in (math.nan, math.inf, 1e-300):
         with pytest.raises(BadBins):
             histogram([0.5], bin_width=width)
 
