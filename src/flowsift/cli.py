@@ -235,6 +235,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _is_data_row(row: dict) -> bool:
+    """Sweep and scenarios rows carry a status; a repeat CSV has none, and
+    its min/max/range summary rows carry no integer run number."""
+    if "status" in row:
+        return row["status"].startswith("ok")
+    return "run" not in row or row["run"].isdigit()
+
+
 def _cmd_report(args) -> int:
     column = f"{args.partition}_{args.histogram}"
     try:
@@ -244,7 +252,7 @@ def _cmd_report(args) -> int:
                 raise SchemaMismatch(
                     f"{args.sweep_csv} has no column {column!r}")
             values = [float(row[column]) for row in reader
-                      if row.get(column) and row.get("status", "ok").startswith("ok")]
+                      if row.get(column) and _is_data_row(row)]
     except ValueError as exc:
         raise SchemaMismatch(f"non-numeric value in {column}: {exc}") from None
     if not all(0.0 <= v <= 1.0 for v in values):

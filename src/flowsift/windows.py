@@ -119,10 +119,6 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
         raise EmptyInput("build_matrix needs at least one flow")
 
     t = np.asarray(ts, dtype=np.int64)
-    vals = np.asarray(cols, dtype=np.float64)
-    labels = np.asarray(cls, dtype=np.int8)
-    key_arr = np.asarray(keys)
-
     origin = int(t.min()) if cfg.origin_us is None else cfg.origin_us
     if int(t.min()) < origin:
         raise TimeBeforeOrigin(
@@ -130,62 +126,64 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
     w = cfg.width_s * _US_PER_S
     s = cfg.stride_s * _US_PER_S
 
-    d = t - origin
-    k_max = d // s
-    k_min = np.maximum(0, (d - w) // s + 1)
-    counts = k_max - k_min + 1
-    in_gap = counts <= 0
-    if in_gap.any():
-        keep = ~in_gap
-        d, k_min, counts = d[keep], k_min[keep], counts[keep]
-        vals, labels, key_arr = vals[keep], labels[keep], key_arr[keep]
+    # window k holds the flows with k*s <= d < k*s + w: after one sort by
+    # start time, a contiguous slice of every array below
+    by_time = np.argsort(t)
+    d = t[by_time] - origin
+    vals = np.asarray(cols, dtype=np.float64)[by_time]
+    pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
+    pos = np.isin(np.asarray(cls, dtype=np.int8), pos_codes)[by_time]
+    uniq_keys, key_code = np.unique(np.asarray(keys), return_inverse=True)
+    key_code = key_code[by_time]
 
-    meta = {
-        "width_s": cfg.width_s,
-        "stride_s": cfg.stride_s,
-        "origin_us": origin,
-        "positive_classes": sorted(c.token for c in positive_classes),
-        "group_by": group_by,
-    }
-    n_flows = len(counts)
-    total = int(counts.sum()) if n_flows else 0
-    if total == 0:
-        empty = np.empty(0)
-        return FeatureMatrix(
-            feature_names=FEATURE_NAMES,
-            X=np.empty((0, len(FEATURE_NAMES))),
-            y=empty.astype(np.int8),
-            window_index=empty.astype(np.int64),
-            window_start_us=empty.astype(np.int64),
-            src_addr=np.empty(0, dtype=key_arr.dtype),
-            meta=meta,
-        )
+    # an empty first block, so a matrix without rows needs no special case
+    blocks = [(np.empty((0, len(FEATURE_NAMES))), pos[:0], d[:0], key_code[:0])]
+    k = 0
+    while (lo := int(np.searchsorted(d, k * s))) < len(d):
+        hi = int(np.searchsorted(d, k * s + w))
+        if lo == hi:
+            # the next flow starts at or after k*s + w: jump to the first
+            # window that ends after it
+            k = int(d[lo] - w) // s + 1
+            continue
+        blocks.append(_aggregate_window(k, vals[lo:hi], pos[lo:hi],
+                                        key_code[lo:hi]))
+        k += 1
 
-    # expand each flow to one entry per containing window
-    flow_idx = np.repeat(np.arange(n_flows), counts)
-    seg_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    k_e = k_min[flow_idx] + (np.arange(total) - np.repeat(seg_starts, counts))
+    X, y, window_index, codes = map(np.concatenate, zip(*blocks))
+    return FeatureMatrix(
+        feature_names=FEATURE_NAMES,
+        X=X,
+        y=y.astype(np.int8),
+        window_index=window_index,
+        window_start_us=origin + window_index * s,
+        src_addr=uniq_keys[codes],
+        meta={
+            "width_s": cfg.width_s,
+            "stride_s": cfg.stride_s,
+            "origin_us": origin,
+            "positive_classes": sorted(c.token for c in positive_classes),
+            "group_by": group_by,
+        },
+    )
 
-    uniq_keys, key_code = np.unique(key_arr, return_inverse=True)
-    c_e = key_code[flow_idx]
-    order = np.lexsort((c_e, k_e))
-    k_s, c_s = k_e[order], c_e[order]
-    boundary = np.empty(total, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (k_s[1:] != k_s[:-1]) | (c_s[1:] != c_s[:-1])
-    g_start = np.flatnonzero(boundary)
-    g_len = np.diff(np.append(g_start, total))
-    g_end = np.append(g_start[1:], total) - 1
-    n_groups = len(g_start)
 
-    X = np.empty((n_groups, len(FEATURE_NAMES)))
+def _aggregate_window(k, vals, pos, key_code):
+    """Features, targets, window index and key code of window k's groups,
+    one row per key code, ascending."""
+    # sort values within each group so every reduction below is independent
+    # of input flow order, bit for bit
+    orders = [np.lexsort((vals[:, a], key_code)) for a in range(len(BASE_ATTRS))]
+    c_s = key_code[orders[0]]
+    g_start = np.flatnonzero(np.diff(c_s, prepend=-1))    # codes are >= 0
+    g_len = np.diff(np.append(g_start, len(c_s)))
+    g_end = g_start + g_len - 1
+
+    X = np.empty((len(g_start), len(FEATURE_NAMES)))
     X[:, 0] = g_len
     col = 1
-    for a in range(len(BASE_ATTRS)):
-        v_e = vals[flow_idx, a]
-        # sort values within each group so every reduction below is
-        # independent of input flow order, bit for bit
-        v_s = v_e[np.lexsort((v_e, c_e, k_e))]
+    for a, order in enumerate(orders):
+        v_s = vals[order, a]
         sums = np.add.reduceat(v_s, g_start)
         means = sums / g_len
         maxs = v_s[g_end]
@@ -199,20 +197,8 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
         X[:, col:col + 5] = np.column_stack(
             (sums, means, np.sqrt(var), maxs, meds))
         col += 5
-
-    pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
-    pos_s = np.isin(labels, pos_codes)[flow_idx][order]
-    y = np.logical_or.reduceat(pos_s, g_start).astype(np.int8)
-
-    return FeatureMatrix(
-        feature_names=FEATURE_NAMES,
-        X=X,
-        y=y,
-        window_index=k_s[g_start].astype(np.int64),
-        window_start_us=origin + k_s[g_start] * s,
-        src_addr=uniq_keys[c_s[g_start]],
-        meta=meta,
-    )
+    y = np.logical_or.reduceat(pos[orders[0]], g_start)
+    return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
 
 
 def resolve_config(cfg: WindowConfig, flows_min_t_us: int) -> WindowConfig:

@@ -318,6 +318,27 @@ def test_repeat_command_writes_dispersion(ws, tmp_path):
     assert len(lines) == 1 + 2 + 3
 
 
+def test_report_bins_only_the_runs_of_a_repeat_csv(ws, tmp_path):
+    repeat = str(tmp_path / "repeat.csv")
+    assert main(["repeat", ws["flows"], "--width", "60", "--stride", "60",
+                 "--runs", "2", "-o", repeat]) == 0
+    out = tmp_path / "hist.csv"
+    assert main(["report", repeat, "--histogram", "f1", "-o", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")[1:]
+    assert sum(int(l.split(",")[-1]) for l in lines) == 2, \
+        "the min/max/range summary rows are not runs"
+
+
+def test_failed_repeat_writes_no_csv(ws, tmp_path, capsys):
+    """repeat has no status column: a failing run fails the command."""
+    out = tmp_path / "repeat.csv"
+    rc = main(["repeat", ws["flows"], "--width", "600", "--stride", "15",
+               "--runs", "2", "--split", "chrono", "-o", str(out)])
+    assert rc == 3
+    assert "purge gap" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_repeat_requires_two_runs(ws, tmp_path, capsys):
     rc = main(["repeat", ws["flows"], "--width", "60", "--stride", "60",
                "--runs", "1", "-o", str(tmp_path / "r.csv")])

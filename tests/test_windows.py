@@ -1,6 +1,7 @@
 """Window assignment, aggregate statistics, and matrix construction."""
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -291,3 +292,69 @@ def test_build_matrix_explicit_origin_rejects_earlier_flow():
     cfg = WindowConfig(width_s=60, stride_s=60, origin_us=10 * US)
     with pytest.raises(TimeBeforeOrigin):
         build_matrix([flow(t_s=5.0)], cfg)
+
+
+@pytest.mark.parametrize("width,stride,lead_s", [
+    (90, 30, None), (60, 60, None), (10, 30, None), (90, 30, 250)],
+    ids=["overlap", "tiling", "gaps", "empty-leading-windows"])
+@pytest.mark.parametrize("group_by", ["src", "src_dst"])
+def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, group_by):
+    """Every feature of every row equals aggregate_stats over the flows that
+    brute-force window assignment puts in that row's group. lead_s pins the
+    origin that many seconds before the first flow."""
+    rng = random.Random(width * 1000 + stride)
+    flows = []
+    for _ in range(300):
+        tot = rng.choice([60, 100, rng.randint(60, 10000)])
+        flows.append(flow(
+            t_s=1000 + rng.uniform(0, 500), src=f"10.0.0.{rng.randint(1, 6)}",
+            dst=f"10.1.0.{rng.randint(1, 3)}",
+            dur=rng.choice([0.0, 1.5, rng.uniform(0, 100)]),
+            pkts=rng.randint(1, 50), tot_bytes=tot,
+            src_bytes=rng.randint(0, tot), cls=rng.choice(list(LabelClass))))
+    first = min(f.start_time_us for f in flows)
+    origin = first if lead_s is None else first - lead_s * US
+    cfg = WindowConfig(width_s=width, stride_s=stride,
+                       origin_us=None if lead_s is None else origin)
+    m = build_matrix(flows, cfg, group_by=group_by)
+
+    brute = WindowConfig(width_s=width, stride_s=stride, origin_us=origin)
+    groups = {}
+    for f in flows:
+        key = f.src_addr if group_by == "src" else f"{f.src_addr}>{f.dst_addr}"
+        for k in window_indices(f.start_time_us, brute):
+            groups.setdefault((k, key), []).append(f)
+    rows = list(zip(m.window_index.tolist(), m.src_addr.tolist()))
+    assert rows == sorted(groups), "one row per group, in (window, key) order"
+    if lead_s is not None:
+        assert min(m.window_index) > 0, "leading windows hold no flow"
+    for i, (k, key) in enumerate(rows):
+        group = groups[(k, key)]
+        assert m.window_start_us[i] == origin + k * stride * US
+        assert m.X[i, 0] == len(group)
+        assert int(m.y[i]) == int(any(
+            f.label_class in (LabelClass.BOTNET, LabelClass.CNC) for f in group))
+        col = 1
+        for attr in ("dur", "tot_pkts", "tot_bytes", "src_bytes"):
+            want = aggregate_stats([float(getattr(f, attr)) for f in group])
+            for stat, value in zip(want._fields, want):
+                assert math.isclose(m.X[i, col], value, rel_tol=1e-12,
+                                    abs_tol=1e-9), \
+                    f"row {(k, key)} {attr}_{stat}: {m.X[i, col]} vs {value}"
+                col += 1
+
+
+def test_build_matrix_skips_a_century_of_empty_windows():
+    """Two flows 100 years apart at 90/15: window 0, then the six windows of
+    the second flow, without visiting the ~2e8 empty windows between."""
+    late_s = 100 * 365 * 86400
+    flows = [flow(t_s=0.0, src="a"), flow(t_s=late_s, src="b")]
+    t0 = time.perf_counter()
+    m = build_matrix(flows, WindowConfig(width_s=90, stride_s=15))
+    elapsed = time.perf_counter() - t0
+    s = 15 * US
+    last = late_s * US // s
+    assert m.window_index.tolist() == [0] + list(range(last - 5, last + 1))
+    assert m.window_start_us.tolist() == [k * s for k in m.window_index.tolist()]
+    assert m.src_addr.tolist() == ["a"] + ["b"] * 6
+    assert elapsed < 1.0, f"build took {elapsed:.2f}s"
