@@ -4,8 +4,9 @@ A flow belongs to every window [k*stride, k*stride + width) that contains
 its start time, so overlapping geometries multiply rows while stride > width
 leaves gaps. Each (window, source) group becomes one 21-column feature row.
 """
-from flowsift import (FEATURE_NAMES, WindowConfig, aggregate_stats,
-                      build_matrix, parse_line, window_indices)
+from flowsift import (FEATURE_NAMES, FlowTable, WindowConfig,
+                      aggregate_stats, build_matrix, parse_line,
+                      window_indices)
 
 US = 1_000_000
 
@@ -26,12 +27,12 @@ def tiny_capture():
         rows.append(parse_line(base.format(
             sec=sec, dur=dur, src=src, pkts=pkts, byts=pkts * 100,
             sbyts=pkts * 60, label=label), line_no=len(rows) + 1))
-    return rows
+    return FlowTable.from_records(rows)
 
 
 def main():
     flows = tiny_capture()
-    origin = min(f.start_time_us for f in flows)
+    origin = int(flows.start_time_us.min())
 
     print("=== membership: width 20s, stride 10s (overlap 2x) ===")
     cfg = WindowConfig(width_s=20, stride_s=10, origin_us=origin)

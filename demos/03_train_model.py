@@ -8,7 +8,7 @@ every number here reproduces bit-for-bit on rerun.
 import tempfile
 from pathlib import Path
 
-from flowsift import (ClassProfile, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, FlowTable, SplitSpec, SynthConfig,
                       WindowConfig, build_matrix, evaluate, fit, load_model,
                       parse_line, save_model, split, synthesize)
 
@@ -38,8 +38,8 @@ def small_capture(seed=11):
             proto_weights=(1.0,), dports=(443,),
             label="flow=From-Botnet-V42-TCP-CC", src_prefix="147.32.86"),
         seed=seed)
-    return [parse_line(line, line_no=i + 1)
-            for i, line in enumerate(synthesize(cfg))]
+    return FlowTable.from_records(parse_line(line, line_no=i + 1)
+                                  for i, line in enumerate(synthesize(cfg)))
 
 
 def main():

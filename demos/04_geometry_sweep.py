@@ -4,7 +4,7 @@ Wide windows smooth the signal but cost rows; short strides multiply rows
 but correlate them. The grid makes that trade visible, and repeat_runs shows
 how much of a cell's score is split luck.
 """
-from flowsift import (ClassProfile, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, FlowTable, SplitSpec, SynthConfig,
                       histogram, parse_line, repeat_runs, run_grid,
                       sweep_csv, synthesize)
 
@@ -34,8 +34,8 @@ def capture(seed=23):
             proto_weights=(1.0,), dports=(443,),
             label="flow=From-Botnet-V42-TCP-CC", src_prefix="147.32.86"),
         seed=seed)
-    return [parse_line(line, line_no=i + 1)
-            for i, line in enumerate(synthesize(cfg))]
+    return FlowTable.from_records(parse_line(line, line_no=i + 1)
+                                  for i, line in enumerate(synthesize(cfg)))
 
 
 def main():

@@ -3,7 +3,7 @@
 Windowed aggregates are heavily collinear by construction (sums track means
 times counts), so pruning costs little accuracy and buys interpretability.
 """
-from flowsift import (ClassProfile, SplitSpec, SynthConfig,
+from flowsift import (ClassProfile, FlowTable, SplitSpec, SynthConfig,
                       WindowConfig, backward_elimination, build_matrix,
                       correlation_filter, parse_line, pca_fit,
                       pca_transform, pearson_matrix, synthesize)
@@ -34,8 +34,8 @@ def windowed_matrix(seed=31):
             proto_weights=(1.0,), dports=(443,),
             label="flow=From-Botnet-V42-TCP-CC", src_prefix="147.32.86"),
         seed=seed)
-    flows = [parse_line(line, line_no=i + 1)
-             for i, line in enumerate(synthesize(cfg))]
+    flows = FlowTable.from_records(parse_line(line, line_no=i + 1)
+                                   for i, line in enumerate(synthesize(cfg)))
     return build_matrix(flows, WindowConfig(width_s=60, stride_s=30))
 
 

@@ -7,13 +7,14 @@ well on both is fooling itself.
 """
 import time
 
-from flowsift import parse_line, preset_scenario9, run_single, synthesize
+from flowsift import (FlowTable, parse_line, preset_scenario9, run_single,
+                      synthesize)
 
 
 def load(hard):
     cfg = preset_scenario9(seed=42, hard=hard)
-    return [parse_line(line, line_no=i + 1)
-            for i, line in enumerate(synthesize(cfg))]
+    return FlowTable.from_records(parse_line(line, line_no=i + 1)
+                                  for i, line in enumerate(synthesize(cfg)))
 
 
 def main():

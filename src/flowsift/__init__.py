@@ -15,9 +15,9 @@ from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
                      TimeBeforeOrigin, TooFewRows)
 from .features import (FEATURE_NAMES, FeatureMatrix, StandardizationParams,
                        read_matrix_csv, standardize_fit, write_matrix_csv)
-from .ingest import (FlowRecord, IngestStats, LabelClass, LabelDistribution,
-                     classify_label, label_distribution, parse_line,
-                     parse_timestamp, read_flows, render_line,
+from .ingest import (FlowRecord, FlowRow, FlowTable, IngestStats, LabelClass,
+                     LabelDistribution, classify_label, label_distribution,
+                     parse_line, parse_timestamp, read_flows, render_line,
                      render_timestamp)
 from .logreg import (HyperParams, LogRegModel, TrainReport, class_weights_for,
                      fit, gradient, load_model, loss, predict_label,

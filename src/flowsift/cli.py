@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="convergence tolerance")
     p.add_argument("--class-weight", choices=("balanced", "none"),
                    default="balanced", help="class weighting mode")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
+                   help="random seed")
     p.add_argument("-o", "--output", required=True, help="model file path")
     p.set_defaults(func=_cmd_train)
 

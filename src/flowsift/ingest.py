@@ -1,4 +1,4 @@
-"""Parsing of binetflow-style CSV into validated flow records.
+"""Parsing of binetflow-style CSV into validated flow records and columns.
 
 The input format is the CTU-13 text rendering of bidirectional NetFlow: UTF-8
 CSV, an optional header line beginning with "StartTime", then 15 comma-separated
@@ -11,14 +11,23 @@ Fields are never quoted, may be empty (Sport/Dport/sTos/dTos), and may carry
 stray whitespace (the direction column is usually space-padded, e.g. "  <->").
 Timestamps look like "2011/08/16 10:01:46.972101"; ports are decimal or, for
 ICMP rows, hexadecimal with an 0x prefix.
+
+read_flows returns the accepted rows as a FlowTable of numpy columns holding
+only what the pipeline reads. parse_line and FlowRecord are the row-level
+form of the same validation: a row is accepted by one exactly when it is
+accepted by the other.
 """
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import Iterable
+from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import MalformedRow
 
@@ -32,6 +41,12 @@ CNC_TOKEN = "cc"
 # depends on the host timezone.
 _EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
+# TIMESTAMP_FORMAT in its canonical spelling; any other token strptime accepts
+# (one-digit fields, short fractions, non-ASCII digits) takes the slow path
+_CANONICAL_TIMESTAMP = re.compile(
+    r"\d{4}/\d\d/\d\d \d\d:\d\d:\d\d\.\d{6}", re.ASCII)
+# read_flows moves its per-row lists into arrays every this many rows
+_CHUNK_ROWS = 1 << 16
 
 
 class LabelClass(enum.IntEnum):
@@ -118,9 +133,28 @@ def _classify(label_raw: str) -> tuple[LabelClass, bool]:
 
 
 def parse_timestamp(token: str) -> int:
-    """Parse "YYYY/MM/DD HH:MM:SS.ffffff" to microseconds since the epoch."""
+    """Parse "YYYY/MM/DD HH:MM:SS.ffffff" to microseconds since the epoch.
+
+    Accepts and rejects exactly the tokens datetime.strptime does with
+    TIMESTAMP_FORMAT; the canonical spelling skips strptime, and a bad
+    token raises ValueError.
+    """
+    if _CANONICAL_TIMESTAMP.fullmatch(token):
+        try:
+            return _second_us(token[:19]) + int(token[20:])
+        except ValueError:
+            pass        # no such date or time: strptime raises the error
     dt = datetime.strptime(token, TIMESTAMP_FORMAT)
     return (dt - _EPOCH) // _US
+
+
+@functools.lru_cache(maxsize=4096)
+def _second_us(stamp: str) -> int:
+    """Microseconds from the epoch to an ASCII "YYYY/MM/DD HH:MM:SS"; flows
+    come in time order, so consecutive rows mostly share the second."""
+    second = datetime(int(stamp[:4]), int(stamp[5:7]), int(stamp[8:10]),
+                      int(stamp[11:13]), int(stamp[14:16]), int(stamp[17:19]))
+    return (second - _EPOCH) // _US
 
 
 def render_timestamp(start_time_us: int) -> str:
@@ -168,11 +202,16 @@ def _parse_counter(token: str, line_no: int, name: str) -> int:
     return value
 
 
-def parse_line(line: str, line_no: int) -> FlowRecord:
-    """Parse one data row. Raises MalformedRow with the offending line number."""
-    fields = [f.strip() for f in line.rstrip("\r\n").split(",")]
+def _split_fields(line: str, line_no: int) -> list[str]:
+    fields = list(map(str.strip, line.split(",")))
     if len(fields) != N_FIELDS:
         raise MalformedRow(line_no, f"expected {N_FIELDS} fields, got {len(fields)}")
+    return fields
+
+
+def _typed_fields(fields: list[str], line_no: int) -> tuple:
+    """Validate a row's typed fields in column order; returns (start_time_us,
+    dur, sport, dport, s_tos, d_tos, tot_pkts, tot_bytes, src_bytes)."""
     try:
         start_time_us = parse_timestamp(fields[0])
     except ValueError:
@@ -184,22 +223,37 @@ def parse_line(line: str, line_no: int) -> FlowRecord:
     if not 0.0 <= dur < math.inf:  # also rejects NaN
         raise MalformedRow(line_no, f"negative or non-finite duration "
                                     f"{fields[1]!r}")
+    return (start_time_us, dur,
+            _parse_port(fields[4], line_no, "sport"),
+            _parse_port(fields[7], line_no, "dport"),
+            _parse_tos(fields[9], line_no, "sTos"),
+            _parse_tos(fields[10], line_no, "dTos"),
+            _parse_counter(fields[11], line_no, "TotPkts"),
+            _parse_counter(fields[12], line_no, "TotBytes"),
+            _parse_counter(fields[13], line_no, "SrcBytes"))
+
+
+def parse_line(line: str, line_no: int) -> FlowRecord:
+    """Parse one data row. Raises MalformedRow with the offending line number."""
+    fields = _split_fields(line, line_no)
+    (start_time_us, dur, sport, dport, s_tos, d_tos,
+     tot_pkts, tot_bytes, src_bytes) = _typed_fields(fields, line_no)
     label_raw = fields[14]
     return FlowRecord(
         start_time_us=start_time_us,
         dur=dur,
         proto=fields[2].lower(),
         src_addr=fields[3],
-        sport=_parse_port(fields[4], line_no, "sport"),
+        sport=sport,
         dir=fields[5],
         dst_addr=fields[6],
-        dport=_parse_port(fields[7], line_no, "dport"),
+        dport=dport,
         state=fields[8],
-        s_tos=_parse_tos(fields[9], line_no, "sTos"),
-        d_tos=_parse_tos(fields[10], line_no, "dTos"),
-        tot_pkts=_parse_counter(fields[11], line_no, "TotPkts"),
-        tot_bytes=_parse_counter(fields[12], line_no, "TotBytes"),
-        src_bytes=_parse_counter(fields[13], line_no, "SrcBytes"),
+        s_tos=s_tos,
+        d_tos=d_tos,
+        tot_pkts=tot_pkts,
+        tot_bytes=tot_bytes,
+        src_bytes=src_bytes,
         label_raw=label_raw,
         label_class=classify_label(label_raw),
     )
@@ -264,38 +318,162 @@ class IngestStats:
         )
 
 
-def read_flows(path: str, on_error: str = "skip"
-               ) -> tuple[list[FlowRecord], IngestStats]:
-    """Read a whole flow file in order; returns (records, stats).
+class FlowRow(NamedTuple):
+    """One flow of a FlowTable, as iterating the table yields it."""
 
-    on_error: "skip" counts malformed rows and moves on; "abort" re-raises the
-    first MalformedRow.
+    start_time_us: int
+    dur: float
+    tot_pkts: float
+    tot_bytes: float
+    src_bytes: float
+    src_addr: str
+    dst_addr: str
+    label_class: LabelClass
+
+
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flows as numpy columns, one entry per flow in input order; read_flows
+    and from_records return them read-only.
+
+    start_time_us      int64 (n,): microseconds since 1970-01-01 (naive)
+    magnitudes         float64 (n, 4): dur, tot_pkts, tot_bytes, src_bytes,
+                       the features.BASE_ATTRS order
+    src_code, dst_code int32 (n,): each flow's addresses, as indices into
+                       addresses
+    addresses          str (m,): every distinct address, first seen first
+    label_class        int8 (n,): LabelClass values
+    """
+
+    start_time_us: np.ndarray
+    magnitudes: np.ndarray
+    src_code: np.ndarray
+    dst_code: np.ndarray
+    addresses: np.ndarray
+    label_class: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.start_time_us)
+        if (self.magnitudes.shape != (n, 4)
+                or any(len(c) != n for c in (self.src_code, self.dst_code,
+                                              self.label_class))):
+            raise ValueError("FlowTable columns disagree in length")
+
+    @classmethod
+    def from_records(cls, records: Iterable[FlowRecord]) -> "FlowTable":
+        """The table read_flows would return for these records."""
+        return _build_table((r.start_time_us, r.dur, r.tot_pkts, r.tot_bytes,
+                             r.src_bytes, r.src_addr, r.dst_addr,
+                             int(r.label_class)) for r in records)
+
+    def __len__(self) -> int:
+        return len(self.start_time_us)
+
+    def __iter__(self) -> Iterator[FlowRow]:
+        """One Python-valued row per flow; the pipeline reads the columns."""
+        addrs = self.addresses.tolist()
+        classes = list(LabelClass)
+        for t, mags, src, dst, c in zip(
+                self.start_time_us.tolist(), self.magnitudes.tolist(),
+                self.src_code.tolist(), self.dst_code.tolist(),
+                self.label_class.tolist()):
+            yield FlowRow(t, *mags, addrs[src], addrs[dst], classes[c])
+
+
+def _build_table(rows: Iterable[tuple]) -> FlowTable:
+    """Collect (start_time_us, dur, tot_pkts, tot_bytes, src_bytes, src_addr,
+    dst_addr, class code) tuples into a FlowTable.
+
+    The per-row lists move into arrays every _CHUNK_ROWS rows, so a large
+    capture never holds more than one chunk of Python objects.
+    """
+    codes: dict[str, int] = {}
+    chunks: list[tuple[np.ndarray, ...]] = []
+    t: list[int] = []
+    mags: list[tuple] = []
+    src: list[int] = []
+    dst: list[int] = []
+    cls: list[int] = []
+
+    def flush():
+        chunks.append((np.array(t, dtype=np.int64),
+                       np.array(mags, dtype=np.float64).reshape(-1, 4),
+                       np.array(src, dtype=np.int32),
+                       np.array(dst, dtype=np.int32),
+                       np.array(cls, dtype=np.int8)))
+        for col in (t, mags, src, dst, cls):
+            col.clear()
+
+    for start_us, dur, pkts, tot_bytes, src_bytes, s, d, c in rows:
+        t.append(start_us)
+        mags.append((dur, pkts, tot_bytes, src_bytes))
+        src.append(codes.setdefault(s, len(codes)))
+        dst.append(codes.setdefault(d, len(codes)))
+        cls.append(c)
+        if len(t) == _CHUNK_ROWS:
+            flush()
+    flush()
+    columns = [np.concatenate(parts) for parts in zip(*chunks)]
+    columns.append(np.array(list(codes), dtype=str))
+    # one table serves every cell of a sweep: no caller may change it
+    for col in columns:
+        col.flags.writeable = False
+    t_col, mag_col, src_col, dst_col, cls_col, addresses = columns
+    return FlowTable(start_time_us=t_col, magnitudes=mag_col,
+                     src_code=src_col, dst_code=dst_col, addresses=addresses,
+                     label_class=cls_col)
+
+
+def _accepted_rows(lines: Iterable[str], on_error: str, stats: IngestStats
+                   ) -> Iterator[tuple]:
+    """The _build_table tuple of every row parse_line accepts, tallied in
+    stats; on_error="abort" re-raises the first MalformedRow."""
+    # each distinct label is classified once
+    classes: dict[str, tuple[int, bool]] = {}
+    for line_no, line in enumerate(lines, start=1):
+        if line_no == 1 and line.startswith(HEADER_PREFIX):
+            continue
+        if line.strip() == "":
+            continue
+        stats.total_rows += 1
+        try:
+            fields = _split_fields(line, line_no)
+            (start_time_us, dur, _, _, _, _,
+             tot_pkts, tot_bytes, src_bytes) = _typed_fields(fields, line_no)
+        except MalformedRow:
+            if on_error == "abort":
+                raise
+            stats.skipped += 1
+            continue
+        stats.parsed += 1
+        label = fields[14]
+        cls = classes.get(label)
+        if cls is None:
+            code, known = _classify(label)
+            cls = classes[label] = (int(code), known)
+        if not cls[1]:
+            stats.unrecognized_labels += 1
+        # on the parsed ints: the float64 column can round both to one value
+        if src_bytes > tot_bytes:
+            stats.src_bytes_over_total += 1
+        yield (start_time_us, dur, tot_pkts, tot_bytes, src_bytes,
+               fields[3], fields[6], cls[0])
+
+
+def read_flows(path: str, on_error: str = "skip"
+               ) -> tuple[FlowTable, IngestStats]:
+    """Read a whole flow file in order; returns (table, stats).
+
+    The table holds exactly the rows parse_line accepts. on_error: "skip"
+    counts malformed rows and moves on; "abort" re-raises the first
+    MalformedRow.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     stats = IngestStats()
-    records: list[FlowRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line_no == 1 and line.startswith(HEADER_PREFIX):
-                continue
-            if line.strip() == "":
-                continue
-            stats.total_rows += 1
-            try:
-                rec = parse_line(line, line_no)
-            except MalformedRow:
-                if on_error == "abort":
-                    raise
-                stats.skipped += 1
-                continue
-            stats.parsed += 1
-            if not _classify(rec.label_raw)[1]:
-                stats.unrecognized_labels += 1
-            if rec.src_bytes > rec.tot_bytes:
-                stats.src_bytes_over_total += 1
-            records.append(rec)
-    return records, stats
+        table = _build_table(_accepted_rows(fh, on_error, stats))
+    return table, stats
 
 
 @dataclass(frozen=True)
@@ -305,11 +483,10 @@ class LabelDistribution:
     percentages: dict[str, float]
 
 
-def label_distribution(flows: Iterable[FlowRecord]) -> LabelDistribution:
+def label_distribution(flows: FlowTable) -> LabelDistribution:
     """Per-class counts and percentages, keyed by class token."""
-    counts = {c.token: 0 for c in LabelClass}
-    for rec in flows:
-        counts[rec.label_class.token] += 1
+    per_class = np.bincount(flows.label_class, minlength=len(LabelClass))
+    counts = {c.token: int(per_class[c]) for c in LabelClass}
     total = sum(counts.values())
     if total == 0:
         pct = {tok: 0.0 for tok in counts}

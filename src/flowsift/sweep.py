@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from ._util import atomic_write_text, fmt_g9
 from .errors import FlowsiftError
 from .features import FeatureMatrix
-from .ingest import FlowRecord, read_flows
+from .ingest import FlowTable, read_flows
 from .logreg import fit
 from .metrics import MetricsReport, evaluate
 from .split import SplitSpec, split
@@ -73,7 +73,7 @@ class SweepResult:
         return [c for c in self.cells if c.status.startswith("ok")]
 
 
-def run_single(flows: list[FlowRecord],
+def run_single(flows: FlowTable,
                width_s: int,
                stride_s: int,
                spec: SplitSpec | None = None,
@@ -106,7 +106,7 @@ def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
     cell.status = "ok:stride_gap" if cell.stride_s > cell.width_s else "ok"
 
 
-def _run_cell(flows: list[FlowRecord], width_s: int, stride_s: int,
+def _run_cell(flows: FlowTable, width_s: int, stride_s: int,
               spec: SplitSpec | None, seed: int) -> SweepCell:
     cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
     t0 = time.perf_counter()
@@ -120,7 +120,7 @@ def _run_cell(flows: list[FlowRecord], width_s: int, stride_s: int,
     return cell
 
 
-def run_grid(flows: list[FlowRecord],
+def run_grid(flows: FlowTable,
              widths: list[int],
              strides: list[int],
              spec: SplitSpec | None = None,
@@ -140,7 +140,7 @@ def run_grid(flows: list[FlowRecord],
     return SweepResult(cells=cells)
 
 
-def repeat_runs(flows: list[FlowRecord],
+def repeat_runs(flows: FlowTable,
                 width_s: int,
                 stride_s: int,
                 runs: int,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import EmptyInput, EmptyValues, TimeBeforeOrigin
 from .features import BASE_ATTRS, FEATURE_NAMES, FeatureMatrix
-from .ingest import FlowRecord, LabelClass
+from .ingest import FlowTable, LabelClass
 
 DEFAULT_POSITIVE_CLASSES = frozenset({LabelClass.BOTNET, LabelClass.CNC})
 
@@ -92,33 +92,25 @@ def aggregate_stats(values: Iterable[float]) -> AggregateStats:
     )
 
 
-def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
+def build_matrix(flows: FlowTable, cfg: WindowConfig,
                  positive_classes: frozenset[LabelClass] | set[LabelClass] = DEFAULT_POSITIVE_CLASSES,
                  group_by: str = "src") -> FeatureMatrix:
     """Aggregate flows into the labeled per-(window, source) feature matrix.
 
     group_by: "src" groups by source address (default), "src_dst" by the
-    (source, destination) pair. The row target is 1 iff the group contains at
-    least one flow of a positive class. Rows come out sorted by
-    (window_index, group key); the result is bit-identical under any
-    permutation of the input flows.
+    (source, destination) pair, keyed "src>dst". The row target is 1 iff the
+    group contains at least one flow of a positive class. Rows come out
+    sorted by (window_index, group key); the result is bit-identical under
+    any permutation of the input flows.
     """
     if not positive_classes:
         raise ValueError("positive_classes must be non-empty")
     if group_by not in ("src", "src_dst"):
         raise ValueError(f"group_by must be 'src' or 'src_dst', got {group_by!r}")
-
-    ts, keys, cols, cls = [], [], [], []
-    for rec in flows:
-        ts.append(rec.start_time_us)
-        keys.append(rec.src_addr if group_by == "src"
-                    else f"{rec.src_addr}>{rec.dst_addr}")
-        cols.append((rec.dur, rec.tot_pkts, rec.tot_bytes, rec.src_bytes))
-        cls.append(int(rec.label_class))
-    if not ts:
+    if len(flows) == 0:
         raise EmptyInput("build_matrix needs at least one flow")
 
-    t = np.asarray(ts, dtype=np.int64)
+    t = flows.start_time_us
     origin = int(t.min()) if cfg.origin_us is None else cfg.origin_us
     if int(t.min()) < origin:
         raise TimeBeforeOrigin(
@@ -130,10 +122,10 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
     # start time, a contiguous slice of every array below
     by_time = np.argsort(t)
     d = t[by_time] - origin
-    vals = np.asarray(cols, dtype=np.float64)[by_time]
+    vals = flows.magnitudes[by_time]
     pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
-    pos = np.isin(np.asarray(cls, dtype=np.int8), pos_codes)[by_time]
-    uniq_keys, key_code = np.unique(np.asarray(keys), return_inverse=True)
+    pos = np.isin(flows.label_class, pos_codes)[by_time]
+    uniq_keys, key_code = _group_keys(flows, group_by)
     key_code = key_code[by_time]
 
     # an empty first block, so a matrix without rows needs no special case
@@ -166,6 +158,26 @@ def build_matrix(flows: Iterable[FlowRecord], cfg: WindowConfig,
             "group_by": group_by,
         },
     )
+
+
+def _group_keys(flows: FlowTable, group_by: str
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct group key strings, and each flow's index into
+    them."""
+    if group_by == "src":
+        distinct, inverse = np.unique(flows.src_code, return_inverse=True)
+        keys = flows.addresses[distinct].tolist()
+    else:
+        n_addr = len(flows.addresses)
+        distinct, inverse = np.unique(
+            flows.src_code.astype(np.int64) * n_addr + flows.dst_code,
+            return_inverse=True)
+        src, dst = np.divmod(distinct, n_addr)
+        keys = [f"{a}>{b}" for a, b in zip(flows.addresses[src].tolist(),
+                                            flows.addresses[dst].tolist())]
+    # distinct pairs can share a key string ("a>b" + "c", "a" + "b>c")
+    uniq_keys, rank = np.unique(keys, return_inverse=True)
+    return uniq_keys, rank[inverse]
 
 
 def _aggregate_window(k, vals, pos, key_code):

@@ -146,6 +146,7 @@ def test_stats_json_payload(tmp_path, capsys):
       "--purge", "-1"], "--purge"),
     (["train", "{features}", "--max-iter", "0"], "--max-iter"),
     (["train", "{features}", "--tol", "-1"], "--tol"),
+    (["train", "{features}", "--seed", "-1"], "--seed"),
     (["scenarios", "--files", "9"], "--files"),
     (["featurize", "{root}/missing.csv", "--width", "0", "--stride", "15"],
      "--width"),
@@ -154,7 +155,8 @@ def test_stats_json_payload(tmp_path, capsys):
         "train-l2-inf", "train-tol-nan", "train-tol-inf",
         "report-bin-width-tiny", "featurize-stride-0", "featurize-pca-0",
         "featurize-corr-1.5", "sweep-fraction-1", "repeat-purge-negative",
-        "train-max-iter-0", "train-tol-negative", "scenarios-files-no-path",
+        "train-max-iter-0", "train-tol-negative", "train-seed-negative",
+        "scenarios-files-no-path",
         "usage-error-before-missing-input"])
 def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"

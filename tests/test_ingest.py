@@ -1,21 +1,31 @@
 """Flow-file parsing, label classification, and ingest bookkeeping."""
 import math
+import random
+from dataclasses import replace
+from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from flowsift import (
     FlowRecord,
+    FlowTable,
     IngestStats,
     LabelClass,
     MalformedRow,
+    WindowConfig,
+    build_matrix,
     classify_label,
     label_distribution,
     parse_line,
     parse_timestamp,
+    preset_scenario9,
     read_flows,
     render_line,
     render_timestamp,
+    write_synth,
 )
+from flowsift.ingest import TIMESTAMP_FORMAT
 
 BOT_ROW = ("2011/08/16 10:01:46.972101,3550.182373,udp,147.32.84.165,1025,"
            "  <->,147.32.80.9,53,CON,0,0,12,875,413,flow=From-Botnet-V42-UDP-DNS")
@@ -122,8 +132,8 @@ def test_read_flows_skip_policy(tmp_path):
     path = tmp_path / "flows.csv"
     good2 = BOT_ROW.replace("147.32.84.165", "147.32.84.166")
     path.write_text("\n".join([BOT_ROW, "not,a,flow", good2]) + "\n")
-    records, stats = read_flows(path, on_error="skip")
-    assert len(records) == 2
+    table, stats = read_flows(path, on_error="skip")
+    assert len(table) == 2
     assert stats.total_rows == 3
     assert stats.parsed == 2
     assert stats.skipped == 1
@@ -140,8 +150,8 @@ def test_read_flows_abort_policy(tmp_path):
 def test_read_flows_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
-    records, stats = read_flows(path)
-    assert records == []
+    table, stats = read_flows(path)
+    assert len(table) == 0
     assert stats.total_rows == 0 and stats.parsed == 0 and stats.skipped == 0
 
 
@@ -149,8 +159,8 @@ def test_read_flows_header_only(tmp_path):
     path = tmp_path / "hdr.csv"
     path.write_text("StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,"
                     "State,sTos,dTos,TotPkts,TotBytes,SrcBytes,Label\n")
-    records, stats = read_flows(path)
-    assert records == []
+    table, stats = read_flows(path)
+    assert len(table) == 0
     assert stats.total_rows == 0
 
 
@@ -158,8 +168,8 @@ def test_read_flows_header_detection_is_first_line_only(tmp_path):
     """A data row that merely starts late in the file is never header-skipped."""
     path = tmp_path / "flows.csv"
     path.write_text(BOT_ROW + "\n" + BOT_ROW + "\n")
-    records, _ = read_flows(path)
-    assert len(records) == 2
+    table, _ = read_flows(path)
+    assert len(table) == 2
 
 
 def test_read_flows_counts_unrecognized_and_src_bytes(tmp_path):
@@ -171,11 +181,11 @@ def test_read_flows_counts_unrecognized_and_src_bytes(tmp_path):
     oversize = ",".join(fields)
     path = tmp_path / "flows.csv"
     path.write_text("\n".join([BOT_ROW, unrecognized, oversize]) + "\n")
-    records, stats = read_flows(path)
-    assert len(records) == 3, "suspicious rows are kept"
+    table, stats = read_flows(path)
+    assert len(table) == 3, "suspicious rows are kept"
     assert stats.unrecognized_labels == 1
     assert stats.src_bytes_over_total == 1
-    assert records[1].label_class is LabelClass.BACKGROUND
+    assert table.label_class[1] == LabelClass.BACKGROUND
 
 
 def test_round_trip_canonical_rows(tmp_path):
@@ -212,7 +222,7 @@ def test_label_distribution_planted_mixture():
 
     flows = ([mk(LabelClass.BOTNET)] * 65 + [mk(LabelClass.NORMAL)] * 16
              + [mk(LabelClass.CNC)] * 2 + [mk(LabelClass.BACKGROUND)] * 917)
-    dist = label_distribution(flows)
+    dist = label_distribution(FlowTable.from_records(flows))
     assert dist.total == 1000
     assert dist.counts == {"background": 917, "normal": 16,
                            "botnet": 65, "cnc": 2}
@@ -224,7 +234,7 @@ def test_label_distribution_planted_mixture():
 
 
 def test_label_distribution_empty_stream():
-    dist = label_distribution([])
+    dist = label_distribution(FlowTable.from_records([]))
     assert dist.total == 0
     assert all(v == 0 for v in dist.counts.values())
     assert all(v == 0.0 for v in dist.percentages.values())
@@ -242,3 +252,198 @@ def test_ingest_stats_merge_is_associative():
     assert left == right
     assert left.total_rows == 9 and left.parsed == 8 and left.skipped == 1
 
+
+
+# Tokens strptime accepts although they are not the canonical spelling, and
+# tokens it rejects; parse_timestamp must agree with it on every one.
+ODD_TIMESTAMPS = [
+    "2011/8/6 9:05:03.5",                    # one-digit fields, short fraction
+    "\u0662\u0660\u0661\u0661/08/16 10:01:46.972101",   # Arabic-Indic year
+    "2011/08/16 10:01:4\u0666.972101",        # Arabic-Indic second digit
+    "2011/08/16  10:01:46.972101",           # two spaces
+    "2011/08/16 10:01:46.97210",             # five-digit fraction
+    "2012/02/29 00:00:00.000000",            # leap day
+    "1969/12/31 23:59:59.999999",            # before the epoch
+    "0001/01/01 00:00:00.000000",
+    "9999/12/31 23:59:59.999999",
+    "2011/+8/16 10:01:46.972101",
+    "2011/08/16 24:00:00.000000",
+    "2011/08/16 10:60:00.000000",
+    "2011/08/16 10:01:60.000000",
+    "2011/08/16 10:01:61.000000",
+    "2011/02/30 10:01:46.972101",
+    "2011/02/29 10:01:46.972101",
+    "2011/13/01 10:01:46.972101",
+    "2011/00/16 10:01:46.972101",
+    "2011/08/00 10:01:46.972101",
+    "0000/08/16 10:01:46.972101",
+    "2011/08/16 10:01:46",
+    "2011/08/16 10:01:46.9721011",
+    "2011-08-16 10:01:46.972101",
+    "2011/08/16T10:01:46.972101",
+    "",
+]
+
+
+def _strptime_us(token):
+    dt = datetime.strptime(token, TIMESTAMP_FORMAT)
+    return (dt - datetime(1970, 1, 1)) // timedelta(microseconds=1)
+
+
+def _assert_matches_strptime(token):
+    try:
+        want = _strptime_us(token)
+    except ValueError:
+        for _ in range(2):      # the second call may hit a cache
+            with pytest.raises(ValueError):
+                parse_timestamp(token)
+    else:
+        assert [parse_timestamp(token) for _ in range(2)] == [want] * 2, token
+
+
+def test_parse_timestamp_agrees_with_strptime():
+    for token in ODD_TIMESTAMPS:
+        _assert_matches_strptime(token)
+    rng = random.Random(5)
+    noise = "0123456789/:. +-x\u0663"
+    for _ in range(3000):
+        token = render_timestamp(rng.randrange(-10**16, 10**17))
+        if rng.random() < 0.5:
+            i = rng.randrange(len(token))
+            token = token[:i] + rng.choice(noise) + token[i + 1:]
+        _assert_matches_strptime(token)
+
+
+def _mixed_fixture():
+    """Header, canonical and odd-but-valid rows, and rows every validator
+    rejects, with CRLF and LF endings and blank lines between them."""
+    def row(**change):
+        fields = BOT_ROW.split(",")
+        for i, value in change.items():
+            fields[int(i[1:])] = value
+        return ",".join(fields)
+
+    rows = [
+        BOT_ROW,
+        row(f3="147.32.84.166", f6="10.0.0.10", f14="flow=To-Normal-V42-HTTP"),
+        row(f4="0x0303", f7="0X1bB"),                     # hex ports
+        " " + row(f2=" tcp ", f5="   ->  ", f3=" 10.0.0.1 ") + "  ",
+        row(f4="", f7="", f9="", f10=""),                # empty optionals
+        row(f9="0.0", f10="4.0"),                        # ToS as float
+        row(f0="2011/8/6 9:05:03.5"),
+        row(f0="\u0662\u0660\u0661\u0661/08/16 10:01:46.972101"),
+        row(f0="2011/+8/16 10:01:46.972101"),
+        row(f0="2011/08/16 24:00:00.000000"),
+        row(f0="2011/08/16 10:01:60.000000"),
+        row(f0="2011/02/30 10:01:46.972101"),
+        row(f1="nan"),
+        row(f1="inf"),
+        row(f1="-0.5"),
+        row(f4="65536"),
+        row(f7="-1"),
+        row(f9="256"),
+        row(f10="1.5"),
+        row(f11="12.0"),
+        ",".join(BOT_ROW.split(",")[:14]),
+        BOT_ROW + ",extra",
+        row(f13="9999", f14="flow=From-Botnet-V42-TCP-CC"),  # SrcBytes > Tot
+        row(f14="mystery-label"),
+        # SrcBytes > TotBytes, though both round to one float64
+        row(f12="123456789012345678900", f13="123456789012345678901"),
+        row(f0="1969/12/31 23:59:59.000001", f3="b", f6="a"),
+    ]
+    lines = ["StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,"
+             "sTos,dTos,TotPkts,TotBytes,SrcBytes,Label"]
+    for i, r in enumerate(rows):
+        lines.append(r)
+        if i % 7 == 3:
+            lines.append("   ")
+    return "".join(line + ("\r\n" if i % 2 else "\n")
+                   for i, line in enumerate(lines))
+
+
+def _oracle(path):
+    """Per-row parse_line over the file as read_flows sees it: accepted
+    records, stats and the first failing line number."""
+    records, stats, first_bad = [], IngestStats(), None
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if (line_no == 1 and line.startswith("StartTime")) \
+                    or not line.strip():
+                continue
+            stats.total_rows += 1
+            try:
+                rec = parse_line(line, line_no)
+            except MalformedRow:
+                stats.skipped += 1
+                first_bad = first_bad or line_no
+                continue
+            stats.parsed += 1
+            stats.src_bytes_over_total += rec.src_bytes > rec.tot_bytes
+            records.append(rec)
+    return records, stats, first_bad
+
+
+def _assert_same_table(got, want):
+    assert len(got) == len(want)
+    for name in ("start_time_us", "magnitudes", "src_code", "dst_code",
+                 "addresses", "label_class"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def test_read_flows_matches_parse_line_oracle(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(_mixed_fixture().encode("utf-8"))
+    records, want_stats, first_bad = _oracle(path)
+    assert 0 < len(records) < want_stats.total_rows, "fixture mixes both"
+    want_stats.unrecognized_labels = 1          # "mystery-label"
+
+    table, stats = read_flows(path, on_error="skip")
+    assert stats == want_stats
+    _assert_same_table(table, FlowTable.from_records(records))
+    assert [tuple(row) for row in table] == [
+        (r.start_time_us, r.dur, float(r.tot_pkts), float(r.tot_bytes),
+         float(r.src_bytes), r.src_addr, r.dst_addr, r.label_class)
+        for r in records]
+
+    with pytest.raises(MalformedRow) as err:
+        read_flows(path, on_error="abort")
+    assert err.value.line_no == first_bad
+
+
+def test_flow_table_columns_are_read_only():
+    table = FlowTable.from_records([parse_line(BOT_ROW, 1)])
+    with pytest.raises(ValueError):
+        table.magnitudes[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table.label_class[0] = 0
+
+
+def test_read_flows_builds_no_flow_record(tmp_path, monkeypatch):
+    """The reader and build_matrix work on columns: neither constructs a
+    FlowRecord, and the class counts equal a per-row count."""
+    path = tmp_path / "capture.csv"
+    write_synth(str(path), replace(preset_scenario9(seed=3), duration_s=700.0))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("FlowRecord built on the columnar path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(FlowRecord, "__init__", refuse)
+        table, stats = read_flows(path)
+        matrix = build_matrix(table, WindowConfig(width_s=90, stride_s=15))
+    assert matrix.n_rows > 0
+    assert len(table) == stats.parsed > 10_000
+    assert table.start_time_us.dtype == np.int64
+    assert table.magnitudes.dtype == np.float64
+    assert table.magnitudes.shape == (len(table), 4)
+    assert table.src_code.dtype == table.dst_code.dtype == np.int32
+    assert table.addresses.dtype.kind == "U"
+    assert table.label_class.dtype == np.int8
+
+    lines = path.read_text().splitlines()[1:]
+    per_row = {c.token: 0 for c in LabelClass}
+    for i, line in enumerate(lines):
+        per_row[parse_line(line, i + 2).label_class.token] += 1
+    assert label_distribution(table).counts == per_row

@@ -4,6 +4,7 @@ import pytest
 import flowsift.sweep
 from flowsift import (
     ClassProfile,
+    FlowTable,
     SplitSpec,
     SweepResult,
     SynthConfig,
@@ -66,7 +67,8 @@ CORPUS_CONFIG = SynthConfig(
 @pytest.fixture(scope="module")
 def corpus():
     lines = synthesize(CORPUS_CONFIG)
-    return [parse_line(line, i + 1) for i, line in enumerate(lines)]
+    return FlowTable.from_records(parse_line(line, i + 1)
+                                  for i, line in enumerate(lines))
 
 
 def test_run_single_learns_the_easy_corpus(corpus):

@@ -6,6 +6,7 @@ import pytest
 from flowsift import (
     BadConfig,
     ClassProfile,
+    FlowTable,
     LabelClass,
     SynthConfig,
     classify_label,
@@ -69,8 +70,8 @@ def test_different_seed_different_bytes(tmp_path):
 def test_written_file_round_trips_clean(tmp_path):
     path = str(tmp_path / "flows.csv")
     n = write_synth(path, tiny_config())
-    records, stats = read_flows(path)
-    assert len(records) == n
+    table, stats = read_flows(path)
+    assert len(table) == n
     assert stats.skipped == 0
     assert stats.unrecognized_labels == 0
     first_line = open(path).readline().rstrip("\n")
@@ -80,8 +81,8 @@ def test_written_file_round_trips_clean(tmp_path):
 def test_all_classes_emitted(tmp_path):
     path = str(tmp_path / "flows.csv")
     write_synth(path, tiny_config())
-    records, _ = read_flows(path)
-    classes = {r.label_class for r in records}
+    table, _ = read_flows(path)
+    classes = {LabelClass(c) for c in table.label_class.tolist()}
     assert classes == set(LabelClass)
 
 
@@ -96,7 +97,7 @@ def test_preset_mixture_matches_published_distribution(preset_lines):
     """Class shares stay within half a percentage point of the capture the
     preset imitates: 91.7 background / 1.6 normal / 6.5 bot / 0.2 C&C."""
     records = [parse_line(line, i + 1) for i, line in enumerate(preset_lines)]
-    dist = label_distribution(records)
+    dist = label_distribution(FlowTable.from_records(records))
     assert dist.percentages["background"] == pytest.approx(91.7, abs=0.5)
     assert dist.percentages["normal"] == pytest.approx(1.6, abs=0.5)
     assert dist.percentages["botnet"] == pytest.approx(6.5, abs=0.5)
@@ -128,7 +129,7 @@ def test_hard_mode_reshapes_bot_traffic():
 def test_hard_mode_mixture_still_matches():
     lines = synthesize(preset_scenario9(seed=42, hard=True))
     records = [parse_line(line, i + 1) for i, line in enumerate(lines)]
-    dist = label_distribution(records)
+    dist = label_distribution(FlowTable.from_records(records))
     assert dist.percentages["botnet"] == pytest.approx(6.5, abs=0.7)
     assert dist.percentages["background"] == pytest.approx(91.7, abs=0.7)
 

@@ -10,6 +10,7 @@ from flowsift import (
     EmptyInput,
     EmptyValues,
     FlowRecord,
+    FlowTable,
     LabelClass,
     TimeBeforeOrigin,
     WindowConfig,
@@ -133,14 +134,16 @@ def test_aggregate_stats_naive_oracle():
 def test_build_matrix_flow_at_origin_single_window():
     """With width 90 / stride 15, a flow at the origin is only in window 0;
     windows 1..6 all start after it."""
-    m = build_matrix([flow(t_s=0.0)], WindowConfig(width_s=90, stride_s=15))
+    m = build_matrix(FlowTable.from_records([flow(t_s=0.0)]),
+                     WindowConfig(width_s=90, stride_s=15))
     assert m.n_rows == 1
     assert m.window_index.tolist() == [0]
 
 
 def test_build_matrix_hand_aggregates():
     flows = [flow(t_s=1.0, tot_bytes=100), flow(t_s=2.0, tot_bytes=300)]
-    m = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60))
     assert m.n_rows == 1
     values = dict(zip(m.feature_names, m.X[0]))
     assert values["flow_count"] == 2
@@ -156,7 +159,8 @@ def test_build_matrix_target_rule():
              flow(t_s=1, src="b", cls=LabelClass.BOTNET),
              flow(t_s=2, src="c", cls=LabelClass.NORMAL),
              flow(t_s=3, src="c", cls=LabelClass.CNC)]
-    m = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60))
     by_src = {m.src_addr[i]: int(m.y[i]) for i in range(m.n_rows)}
     assert by_src == {"a": 0, "b": 1, "c": 1}
 
@@ -164,7 +168,8 @@ def test_build_matrix_target_rule():
 def test_build_matrix_positive_classes_override():
     flows = [flow(t_s=0, src="a", cls=LabelClass.NORMAL),
              flow(t_s=1, src="b", cls=LabelClass.BOTNET)]
-    m = build_matrix(flows, WindowConfig(width_s=60, stride_s=60),
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60),
                      positive_classes={LabelClass.NORMAL})
     by_src = {m.src_addr[i]: int(m.y[i]) for i in range(m.n_rows)}
     assert by_src == {"a": 1, "b": 0}
@@ -172,7 +177,8 @@ def test_build_matrix_positive_classes_override():
 
 def test_build_matrix_empty_input():
     with pytest.raises(EmptyInput):
-        build_matrix([], WindowConfig(width_s=60, stride_s=60))
+        build_matrix(FlowTable.from_records([]),
+                     WindowConfig(width_s=60, stride_s=60))
 
 
 def test_build_matrix_row_invariants_random():
@@ -186,7 +192,8 @@ def test_build_matrix_row_invariants_random():
             dur=rng.uniform(0, 100), pkts=pkts, tot_bytes=tot,
             src_bytes=rng.randint(0, tot),
             cls=rng.choice(list(LabelClass))))
-    m = build_matrix(flows, WindowConfig(width_s=90, stride_s=30))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=90, stride_s=30))
     assert m.feature_names == FEATURE_NAMES
     # brute-force the groups from the flows themselves
     cfg = WindowConfig(width_s=90, stride_s=30,
@@ -218,7 +225,8 @@ def test_build_matrix_tiling_partition():
     rng = random.Random(7)
     flows = [flow(t_s=rng.uniform(0, 300), src=f"h{rng.randint(1, 5)}")
              for _ in range(150)]
-    m = build_matrix(flows, WindowConfig(width_s=30, stride_s=30))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=30, stride_s=30))
     assert int(m.X[:, 0].sum()) == len(flows)
 
 
@@ -228,7 +236,8 @@ def test_build_matrix_row_count_monotone_in_stride():
              for _ in range(200)]
     counts = []
     for stride in (90, 45, 30, 15, 5):
-        m = build_matrix(flows, WindowConfig(width_s=90, stride_s=stride))
+        m = build_matrix(FlowTable.from_records(flows),
+                         WindowConfig(width_s=90, stride_s=stride))
         counts.append(m.n_rows)
     assert counts == sorted(counts), \
         f"decreasing stride must not decrease rows: {counts}"
@@ -241,11 +250,11 @@ def test_build_matrix_permutation_invariance():
                   cls=rng.choice(list(LabelClass)))
              for _ in range(120)]
     cfg = WindowConfig(width_s=60, stride_s=20)
-    base = build_matrix(flows, cfg)
+    base = build_matrix(FlowTable.from_records(flows), cfg)
     for trial in range(3):
         shuffled = flows[:]
         rng.shuffle(shuffled)
-        again = build_matrix(shuffled, cfg)
+        again = build_matrix(FlowTable.from_records(shuffled), cfg)
         assert np.array_equal(base.X, again.X), "features must be bit-identical"
         assert np.array_equal(base.y, again.y)
         assert np.array_equal(base.window_index, again.window_index)
@@ -255,7 +264,8 @@ def test_build_matrix_permutation_invariance():
 def test_build_matrix_canonical_row_order():
     flows = [flow(t_s=65, src="bbb"), flow(t_s=65, src="aaa"),
              flow(t_s=5, src="bbb")]
-    m = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60))
     got = list(zip(m.window_index.tolist(), m.src_addr.tolist()))
     assert got == [(0, "bbb"), (1, "aaa"), (1, "bbb")]
 
@@ -264,7 +274,8 @@ def test_build_matrix_gap_flows_dropped():
     """stride > width: flows in uncovered gaps contribute no rows."""
     flows = [flow(t_s=0.0, src="a"), flow(t_s=15.0, src="a"),
              flow(t_s=30.0, src="a")]
-    m = build_matrix(flows, WindowConfig(width_s=10, stride_s=30))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=10, stride_s=30))
     assert m.n_rows == 2
     assert m.window_index.tolist() == [0, 1]
     assert m.X[:, 0].tolist() == [1.0, 1.0]
@@ -272,15 +283,32 @@ def test_build_matrix_gap_flows_dropped():
 
 def test_build_matrix_group_by_src_dst():
     flows = [flow(t_s=0, src="a", dst="x"), flow(t_s=1, src="a", dst="y")]
-    by_src = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
-    by_pair = build_matrix(flows, WindowConfig(width_s=60, stride_s=60),
+    by_src = build_matrix(FlowTable.from_records(flows),
+                          WindowConfig(width_s=60, stride_s=60))
+    by_pair = build_matrix(FlowTable.from_records(flows),
+                           WindowConfig(width_s=60, stride_s=60),
                            group_by="src_dst")
     assert by_src.n_rows == 1
     assert by_pair.n_rows == 2
 
 
+def test_build_matrix_src_dst_keys_sort_and_merge_as_strings():
+    """Pair keys are the strings "src>dst": they sort as strings, not as
+    (src, dst) tuples, and two pairs spelling one string share a group."""
+    flows = [flow(t_s=0, src="10.0.0.1", dst="x"),
+             flow(t_s=1, src="10.0.0.10", dst="y"),
+             flow(t_s=2, src="a>b", dst="c"),
+             flow(t_s=3, src="a", dst="b>c")]
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60),
+                     group_by="src_dst")
+    assert m.src_addr.tolist() == ["10.0.0.10>y", "10.0.0.1>x", "a>b>c"]
+    assert m.X[:, 0].tolist() == [1.0, 1.0, 2.0]
+
+
 def test_build_matrix_meta_echo():
-    m = build_matrix([flow(t_s=3.5)], WindowConfig(width_s=90, stride_s=15))
+    m = build_matrix(FlowTable.from_records([flow(t_s=3.5)]),
+                     WindowConfig(width_s=90, stride_s=15))
     assert m.meta["width_s"] == 90
     assert m.meta["stride_s"] == 15
     assert m.meta["origin_us"] == int(3.5 * US), "origin pins to earliest flow"
@@ -291,7 +319,7 @@ def test_build_matrix_meta_echo():
 def test_build_matrix_explicit_origin_rejects_earlier_flow():
     cfg = WindowConfig(width_s=60, stride_s=60, origin_us=10 * US)
     with pytest.raises(TimeBeforeOrigin):
-        build_matrix([flow(t_s=5.0)], cfg)
+        build_matrix(FlowTable.from_records([flow(t_s=5.0)]), cfg)
 
 
 @pytest.mark.parametrize("width,stride,lead_s", [
@@ -316,7 +344,7 @@ def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, group_by):
     origin = first if lead_s is None else first - lead_s * US
     cfg = WindowConfig(width_s=width, stride_s=stride,
                        origin_us=None if lead_s is None else origin)
-    m = build_matrix(flows, cfg, group_by=group_by)
+    m = build_matrix(FlowTable.from_records(flows), cfg, group_by=group_by)
 
     brute = WindowConfig(width_s=width, stride_s=stride, origin_us=origin)
     groups = {}
@@ -350,7 +378,8 @@ def test_build_matrix_skips_a_century_of_empty_windows():
     late_s = 100 * 365 * 86400
     flows = [flow(t_s=0.0, src="a"), flow(t_s=late_s, src="b")]
     t0 = time.perf_counter()
-    m = build_matrix(flows, WindowConfig(width_s=90, stride_s=15))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=90, stride_s=15))
     elapsed = time.perf_counter() - t0
     s = 15 * US
     last = late_s * US // s
