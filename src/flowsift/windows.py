@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import EmptyInput, EmptyValues, TimeBeforeOrigin
-from .features import BASE_ATTRS, FEATURE_NAMES, FeatureMatrix
+from .features import FEATURE_NAMES, FeatureMatrix
 from .ingest import FlowTable, LabelClass
 
 DEFAULT_POSITIVE_CLASSES = frozenset({LabelClass.BOTNET, LabelClass.CNC})
@@ -122,11 +122,17 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     # start time, a contiguous slice of every array below
     by_time = np.argsort(t)
     d = t[by_time] - origin
-    vals = flows.magnitudes[by_time]
+    vals = np.ascontiguousarray(flows.magnitudes[by_time].T)   # (attr, flow)
     pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
     pos = np.isin(flows.label_class, pos_codes)[by_time]
     uniq_keys, key_code = _group_keys(flows, group_by)
     key_code = key_code[by_time]
+    # each flow's rank in the stable (key, value) order of every attribute,
+    # sorted once over all flows: a window's slice is contiguous, so
+    # argsort(rank[lo:hi]) is exactly that slice's own stable lexsort
+    ranks = np.empty(vals.shape, dtype=np.int64)
+    for a, v in enumerate(vals):
+        ranks[a, np.lexsort((v, key_code))] = np.arange(len(d))
 
     # an empty first block, so a matrix without rows needs no special case
     blocks = [(np.empty((0, len(FEATURE_NAMES))), pos[:0], d[:0], key_code[:0])]
@@ -138,8 +144,8 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
             # window that ends after it
             k = int(d[lo] - w) // s + 1
             continue
-        blocks.append(_aggregate_window(k, vals[lo:hi], pos[lo:hi],
-                                        key_code[lo:hi]))
+        blocks.append(_aggregate_window(k, vals[:, lo:hi], pos[lo:hi],
+                                        key_code[lo:hi], ranks[:, lo:hi]))
         k += 1
 
     X, y, window_index, codes = map(np.concatenate, zip(*blocks))
@@ -180,35 +186,41 @@ def _group_keys(flows: FlowTable, group_by: str
     return uniq_keys, rank[inverse]
 
 
-def _aggregate_window(k, vals, pos, key_code):
+def _aggregate_window(k, vals, pos, key_code, ranks):
     """Features, targets, window index and key code of window k's groups,
-    one row per key code, ascending."""
+    one row per key code, ascending.
+
+    vals and ranks are (attribute, flow); ranks[a] holds distinct ints that
+    order the window's flows by (key code, attribute a).
+    """
     # sort values within each group so every reduction below is independent
     # of input flow order, bit for bit
-    orders = [np.lexsort((vals[:, a], key_code)) for a in range(len(BASE_ATTRS))]
+    orders = np.argsort(ranks, axis=1)
+    v_s = np.take_along_axis(vals, orders, axis=1)
     c_s = key_code[orders[0]]
     g_start = np.flatnonzero(np.diff(c_s, prepend=-1))    # codes are >= 0
     g_len = np.diff(np.append(g_start, len(c_s)))
     g_end = g_start + g_len - 1
 
-    X = np.empty((len(g_start), len(FEATURE_NAMES)))
-    X[:, 0] = g_len
-    col = 1
-    for a, order in enumerate(orders):
-        v_s = vals[order, a]
-        sums = np.add.reduceat(v_s, g_start)
-        means = sums / g_len
-        maxs = v_s[g_end]
-        var = np.add.reduceat((v_s - np.repeat(means, g_len)) ** 2, g_start) / g_len
-        mid = g_start + g_len // 2
-        odd = (g_len % 2) == 1
-        # mid-1 can point into the previous segment for odd groups; np.where
-        # discards those lanes, and the index stays in bounds (wraps to -1 at
-        # most)
-        meds = np.where(odd, v_s[mid], 0.5 * (v_s[mid - 1] + v_s[mid]))
-        X[:, col:col + 5] = np.column_stack(
-            (sums, means, np.sqrt(var), maxs, meds))
-        col += 5
+    sums = np.add.reduceat(v_s, g_start, axis=1)
+    means = sums / g_len
+    maxs = v_s[:, g_end]
+    var = np.add.reduceat((v_s - np.repeat(means, g_len, axis=1)) ** 2,
+                          g_start, axis=1) / g_len
+    # sums / n of a constant group can miss its value by an ulp: report the
+    # exact zero spread aggregate_stats does
+    var[v_s[:, g_start] == maxs] = 0.0
+    mid = g_start + g_len // 2
+    odd = (g_len % 2) == 1
+    # mid-1 can point into the previous segment for odd groups; np.where
+    # discards those lanes, and the index stays in bounds (wraps to -1 at
+    # most)
+    meds = np.where(odd, v_s[:, mid], 0.5 * (v_s[:, mid - 1] + v_s[:, mid]))
+    # stats is (attr, group, stat); a row takes each attribute's five
+    # statistics in turn
+    stats = np.stack((sums, means, np.sqrt(var), maxs, meds), axis=-1)
+    X = np.column_stack(
+        (g_len, stats.swapaxes(0, 1).reshape(len(g_start), -1)))
     y = np.logical_or.reduceat(pos[orders[0]], g_start)
     return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
 

@@ -243,13 +243,7 @@ def test_build_matrix_row_count_monotone_in_stride():
         f"decreasing stride must not decrease rows: {counts}"
 
 
-def test_build_matrix_permutation_invariance():
-    rng = random.Random(41)
-    flows = [flow(t_s=rng.uniform(0, 200), src=f"h{rng.randint(1, 4)}",
-                  dur=rng.uniform(0, 10), tot_bytes=rng.randint(60, 5000),
-                  cls=rng.choice(list(LabelClass)))
-             for _ in range(120)]
-    cfg = WindowConfig(width_s=60, stride_s=20)
+def assert_permutation_invariant(flows, cfg, rng):
     base = build_matrix(FlowTable.from_records(flows), cfg)
     for trial in range(3):
         shuffled = flows[:]
@@ -259,6 +253,31 @@ def test_build_matrix_permutation_invariance():
         assert np.array_equal(base.y, again.y)
         assert np.array_equal(base.window_index, again.window_index)
         assert list(base.src_addr) == list(again.src_addr)
+
+
+def test_build_matrix_permutation_invariance():
+    rng = random.Random(41)
+    flows = [flow(t_s=rng.uniform(0, 200), src=f"h{rng.randint(1, 4)}",
+                  dur=rng.uniform(0, 10), tot_bytes=rng.randint(60, 5000),
+                  cls=rng.choice(list(LabelClass)))
+             for _ in range(120)]
+    assert_permutation_invariant(flows, WindowConfig(width_s=60, stride_s=20),
+                                 rng)
+
+
+def test_build_matrix_permutation_invariance_deep_overlap():
+    """600/15 puts each flow in 40 windows; equal start times and tied
+    values must not let input order reach the features either."""
+    rng = random.Random(43)
+    flows = [flow(t_s=rng.choice([rng.uniform(0, 1800), 900.0]),
+                  src=f"h{rng.randint(1, 4)}",
+                  dur=rng.choice([0.1, 0.7, rng.uniform(0, 10)]),
+                  pkts=rng.randint(1, 3), tot_bytes=rng.choice([60, 1500]),
+                  src_bytes=rng.randint(0, 60),
+                  cls=rng.choice(list(LabelClass)))
+             for _ in range(400)]
+    assert_permutation_invariant(flows, WindowConfig(width_s=600, stride_s=15),
+                                 rng)
 
 
 def test_build_matrix_canonical_row_order():
@@ -322,24 +341,35 @@ def test_build_matrix_explicit_origin_rejects_earlier_flow():
         build_matrix(FlowTable.from_records([flow(t_s=5.0)]), cfg)
 
 
-@pytest.mark.parametrize("width,stride,lead_s", [
-    (90, 30, None), (60, 60, None), (10, 30, None), (90, 30, 250)],
-    ids=["overlap", "tiling", "gaps", "empty-leading-windows"])
+@pytest.mark.parametrize("width,stride,lead_s,ties", [
+    (90, 30, None, False), (60, 60, None, False), (10, 30, None, False),
+    (90, 30, 250, False), (200, 5, None, False), (90, 30, None, True)],
+    ids=["overlap", "tiling", "gaps", "empty-leading-windows", "deep-overlap",
+         "ties"])
 @pytest.mark.parametrize("group_by", ["src", "src_dst"])
-def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, group_by):
+def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, ties,
+                                              group_by):
     """Every feature of every row equals aggregate_stats over the flows that
     brute-force window assignment puts in that row's group. lead_s pins the
-    origin that many seconds before the first flow."""
+    origin that many seconds before the first flow; ties draws every
+    attribute from a few values, so groups hold duplicates and constants."""
     rng = random.Random(width * 1000 + stride)
     flows = []
     for _ in range(300):
-        tot = rng.choice([60, 100, rng.randint(60, 10000)])
+        if ties:
+            tot = rng.choice([60, 100])
+            mags = dict(dur=rng.choice([0.1, 0.7, 2.9]),
+                        pkts=rng.choice([1, 2]), tot_bytes=tot,
+                        src_bytes=rng.choice([0, 40]))
+        else:
+            tot = rng.choice([60, 100, rng.randint(60, 10000)])
+            mags = dict(dur=rng.choice([0.0, 1.5, rng.uniform(0, 100)]),
+                        pkts=rng.randint(1, 50), tot_bytes=tot,
+                        src_bytes=rng.randint(0, tot))
         flows.append(flow(
             t_s=1000 + rng.uniform(0, 500), src=f"10.0.0.{rng.randint(1, 6)}",
-            dst=f"10.1.0.{rng.randint(1, 3)}",
-            dur=rng.choice([0.0, 1.5, rng.uniform(0, 100)]),
-            pkts=rng.randint(1, 50), tot_bytes=tot,
-            src_bytes=rng.randint(0, tot), cls=rng.choice(list(LabelClass))))
+            dst=f"10.1.0.{rng.randint(1, 3)}", **mags,
+            cls=rng.choice(list(LabelClass))))
     first = min(f.start_time_us for f in flows)
     origin = first if lead_s is None else first - lead_s * US
     cfg = WindowConfig(width_s=width, stride_s=stride,
@@ -347,6 +377,8 @@ def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, group_by):
     m = build_matrix(FlowTable.from_records(flows), cfg, group_by=group_by)
 
     brute = WindowConfig(width_s=width, stride_s=stride, origin_us=origin)
+    depth = max(len(window_indices(f.start_time_us, brute)) for f in flows)
+    assert depth == max(1, width // stride), "the geometry reaches full depth"
     groups = {}
     for f in flows:
         key = f.src_addr if group_by == "src" else f"{f.src_addr}>{f.dst_addr}"
@@ -387,3 +419,107 @@ def test_build_matrix_skips_a_century_of_empty_windows():
     assert m.window_start_us.tolist() == [k * s for k in m.window_index.tolist()]
     assert m.src_addr.tolist() == ["a"] + ["b"] * 6
     assert elapsed < 1.0, f"build took {elapsed:.2f}s"
+
+
+def test_build_matrix_constant_group_std_is_exactly_zero():
+    """A group whose values are all equal has std 0.0 exactly, in every
+    attribute, as aggregate_stats documents. sum / n of a non-dyadic value
+    can miss it by an ulp and leave a 1e-17..1e-16 spread. All four columns
+    are aggregated as float64 alike, so the counters take the same
+    fractional values here."""
+    flows = [flow(t_s=i, src=src, dur=v, pkts=v, tot_bytes=v, src_bytes=v)
+             for src, v, n in (("a", 0.1, 3), ("b", 0.7, 3), ("c", 2.9, 7))
+             for i in range(n)]
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=60, stride_s=60))
+    assert m.src_addr.tolist() == ["a", "b", "c"]
+    for attr in ("dur", "tot_pkts", "tot_bytes", "src_bytes"):
+        std = m.X[:, FEATURE_NAMES.index(f"{attr}_std")]
+        assert std.tolist() == [0.0, 0.0, 0.0], f"{attr}_std: {std}"
+    for v, n in ((0.1, 3), (0.7, 3), (2.9, 7)):
+        assert aggregate_stats([v] * n).std == 0.0
+
+
+def lexsort_reference(flows, cfg, group_by):
+    """X, y, window index and group key of build_matrix's rows, computed
+    window by window with the window's own np.lexsort by (key, value) for
+    each attribute, and the same reductions in the same order."""
+    t = flows.start_time_us
+    by_time = np.argsort(t, kind="stable")
+    d = t[by_time] - t.min()
+    vals = flows.magnitudes[by_time]
+    pos = np.isin(flows.label_class,
+                  [LabelClass.BOTNET, LabelClass.CNC])[by_time]
+    keys = flows.addresses[flows.src_code[by_time]]
+    if group_by == "src_dst":
+        keys = np.char.add(np.char.add(keys, ">"),
+                           flows.addresses[flows.dst_code[by_time]])
+    uniq, code = np.unique(keys, return_inverse=True)
+    w, s = cfg.width_s * US, cfg.stride_s * US
+    X, y, win, key = [], [], [], []
+    for k in range(int(d[-1]) // s + 1):
+        lo, hi = np.searchsorted(d, [k * s, k * s + w])
+        if lo == hi:
+            continue
+        v, p, c = vals[lo:hi], pos[lo:hi], code[lo:hi]
+        orders = [np.lexsort((v[:, a], c)) for a in range(v.shape[1])]
+        c_s = c[orders[0]]
+        g_start = np.flatnonzero(np.diff(c_s, prepend=-1))
+        g_len = np.diff(np.append(g_start, len(c_s)))
+        cols = [g_len]
+        for a, order in enumerate(orders):
+            v_s = v[order, a]
+            sums = np.add.reduceat(v_s, g_start)
+            means = sums / g_len
+            maxs = v_s[g_start + g_len - 1]
+            var = np.add.reduceat((v_s - np.repeat(means, g_len)) ** 2,
+                                  g_start) / g_len
+            var[v_s[g_start] == maxs] = 0.0
+            mid = g_start + g_len // 2
+            meds = np.where(g_len % 2 == 1, v_s[mid],
+                            0.5 * (v_s[mid - 1] + v_s[mid]))
+            cols += [sums, means, np.sqrt(var), maxs, meds]
+        X.append(np.column_stack(cols))
+        y.append(np.logical_or.reduceat(p[orders[0]], g_start))
+        win.append(np.full(len(g_start), k))
+        key.append(uniq[c_s[g_start]])
+    return tuple(map(np.concatenate, (X, y, win, key)))
+
+
+@pytest.mark.parametrize("width,stride,span_s", [
+    (600, 15, 1800), (90, 15, 600), (10, 30, 600), (1, 1, 120)],
+    ids=["600-15", "90-15", "10-30-gaps", "1-1"])
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "spread"])
+@pytest.mark.parametrize("group_by", ["src", "src_dst"])
+def test_build_matrix_bit_identical_to_per_window_lexsort(
+        width, stride, span_s, ties, group_by):
+    """Ranks sorted once over all flows order each window exactly as the
+    window's own lexsort would: every output bit matches. 600/15 puts each
+    flow in 40 windows and groups of over 128 flows (numpy's pairwise-sum
+    block); ties leaves a few distinct values among many flows per key."""
+    rng = random.Random(width * 1000 + stride)
+    flows = []
+    for _ in range(1500):
+        if ties:
+            mags = dict(dur=rng.choice([0.1, 0.7, 2.9]),
+                        pkts=rng.choice([1, 2, 3]),
+                        tot_bytes=rng.choice([60, 1500]),
+                        src_bytes=rng.choice([0, 40]))
+        else:
+            tot = rng.randint(60, 100000)
+            mags = dict(dur=rng.uniform(0, 100), pkts=rng.randint(1, 500),
+                        tot_bytes=tot, src_bytes=rng.randint(0, tot))
+        flows.append(flow(
+            t_s=rng.uniform(0, span_s), src=f"10.0.0.{rng.randint(1, 3)}",
+            dst=f"10.1.0.{rng.randint(1, 2)}", **mags,
+            cls=rng.choice(list(LabelClass))))
+    m = build_matrix(FlowTable.from_records(flows),
+                     WindowConfig(width_s=width, stride_s=stride),
+                     group_by=group_by)
+    X, y, win, key = lexsort_reference(FlowTable.from_records(flows),
+                                       WindowConfig(width_s=width,
+                                                    stride_s=stride), group_by)
+    assert np.array_equal(m.X, X), "features must match bit for bit"
+    assert np.array_equal(m.y, y)
+    assert np.array_equal(m.window_index, win)
+    assert m.src_addr.tolist() == key.tolist()
