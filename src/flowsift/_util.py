@@ -3,16 +3,20 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager
+from typing import Iterator, TextIO
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a temp file + rename so readers never see a
+@contextmanager
+def atomic_open(path: str) -> Iterator[TextIO]:
+    """Yield a text handle on a temp file beside path, renamed over path when
+    the block succeeds and unlinked when it raises, so readers never see a
     partial file and a failed run never clobbers a previous output."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -20,6 +24,12 @@ def atomic_write_text(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to path atomically (see atomic_open)."""
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 def fmt_g9(value: float) -> str:

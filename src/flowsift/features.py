@@ -8,13 +8,14 @@ frozen; serialized artifacts depend on it.
 """
 from __future__ import annotations
 
+import itertools
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_write_text, fmt_g9
+from ._util import atomic_open
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -159,22 +160,40 @@ def standardize_fit(matrix: FeatureMatrix) -> StandardizationParams:
         raise DegenerateComputation(f"cannot standardize: {exc}") from None
 
 
+# rows formatted per write: bounds the text held at once to under a megabyte
+_WRITE_CHUNK_ROWS = 4096
+
+
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     """Write the interchange CSV: fixed meta columns, features, target.
 
-    Reals carry 9 significant digits. Row order is whatever the matrix holds
-    (build_matrix emits the canonical window-then-source order).
+    Reals carry 9 significant digits ("%.9g", the same text as fmt_g9). Row
+    order is whatever the matrix holds (build_matrix emits the canonical
+    window-then-source order). Rows are formatted a chunk at a time and
+    streamed to the atomic temp file, so the text is never held whole.
     """
-    lines = [",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
-             + ",target"]
-    for i in range(matrix.n_rows):
-        cells = [str(int(matrix.window_index[i])),
-                 str(int(matrix.window_start_us[i])),
-                 str(matrix.src_addr[i])]
-        cells.extend(fmt_g9(v) for v in matrix.X[i])
-        cells.append(str(int(matrix.y[i])))
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    row_format = ",".join(["%d", "%d", "%s"] + ["%.9g"] * matrix.n_features
+                          + ["%d"]) + "\n"
+    with atomic_open(path) as fh:
+        fh.write(",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
+                 + ",target\n")
+        for lo in range(0, matrix.n_rows, _WRITE_CHUNK_ROWS):
+            rows = slice(lo, lo + _WRITE_CHUNK_ROWS)
+            columns = [matrix.window_index[rows].tolist(),
+                       matrix.window_start_us[rows].tolist(),
+                       matrix.src_addr[rows].tolist(),
+                       *matrix.X[rows].T.tolist(),
+                       matrix.y[rows].tolist()]
+            fh.write("".join([row_format % row for row in zip(*columns)]))
+
+
+def _read_header(fh, path: str) -> list[str]:
+    """The header's column names; SchemaMismatch unless it carries the three
+    meta columns, at least one feature and a trailing target column."""
+    cols = fh.readline().rstrip("\n").split(",")
+    if tuple(cols[:3]) != _META_COLUMNS or cols[-1] != "target" or len(cols) < 5:
+        raise SchemaMismatch(f"unexpected feature-CSV header in {path}")
+    return cols
 
 
 def read_matrix_csv(path: str) -> FeatureMatrix:
@@ -185,12 +204,67 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
     names for pipeline output, pc_N names after a PCA stage, subsets after
     selection). Every feature must be a finite number and every target 0 or
     1; any other cell raises SchemaMismatch naming path:line.
+
+    The numbers are parsed in bulk; a file the bulk parse does not vouch for
+    is read again line by line, which either raises the path:line error or
+    accepts what the bulk parse is stricter about ("1_0", non-ASCII digits).
     """
+    matrix = _read_matrix_csv_bulk(path)
+    return matrix if matrix is not None else _read_matrix_csv_lines(path)
+
+
+def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
+    """np.loadtxt over the numeric columns and one split per line for
+    src_addr; None when the file has no rows, a cell loadtxt rejects, a row
+    of the wrong width, a non-finite feature or a target other than 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        cols = header.split(",")
-        if tuple(cols[:3]) != _META_COLUMNS or cols[-1] != "target" or len(cols) < 5:
-            raise SchemaMismatch(f"unexpected feature-CSV header in {path}")
+        cols = _read_header(fh, path)
+        src: list[str] = []
+
+        def rows():
+            # the lines the per-line parser reads, checked for width here
+            # because loadtxt with usecols accepts a row with extra cells
+            for line in fh:
+                if line == "\n":
+                    continue
+                if line.count(",") != len(cols) - 1:
+                    raise ValueError("row width differs from the header")
+                src.append(line.split(",", 3)[2])
+                yield line
+
+        dtype = np.dtype([("window_index", np.int64),
+                          ("window_start_us", np.int64),
+                          ("X", np.float64, (len(cols) - 4,)),
+                          ("target", np.int64)])
+        lines = rows()
+        try:
+            # loadtxt warns on an empty input; that file needs no bulk parse
+            first = next(lines, None)
+            if first is None:
+                return None
+            table = np.loadtxt(itertools.chain([first], lines), dtype=dtype,
+                               delimiter=",", comments=None,
+                               usecols=[0, 1, *range(3, len(cols))], ndmin=1)
+        except ValueError:
+            return None
+    X = np.ascontiguousarray(table["X"])
+    y = table["target"]
+    if not (np.isfinite(X).all() and ((y == 0) | (y == 1)).all()):
+        return None
+    return FeatureMatrix(
+        feature_names=tuple(cols[3:-1]),
+        X=X,
+        y=y.astype(np.int8),
+        window_index=table["window_index"].copy(),
+        window_start_us=table["window_start_us"].copy(),
+        src_addr=np.array(src),
+    )
+
+
+def _read_matrix_csv_lines(path: str) -> FeatureMatrix:
+    """The per-line parser: the error path of read_matrix_csv."""
+    with open(path, "r", encoding="utf-8") as fh:
+        cols = _read_header(fh, path)
         names = tuple(cols[3:-1])
         win, start, src, feats, targets = [], [], [], [], []
         # a typed array: a list of int objects among the parsed floats grows

@@ -117,7 +117,11 @@ def loss(weights, bias: float, X, y, class_weights, l2_lambda: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     _check_shapes(weights, X, y, class_weights)
-    z = X @ weights + bias
+    return _loss_at(X @ weights + bias, weights, y, class_weights, l2_lambda)
+
+
+def _loss_at(z, weights, y, class_weights, l2_lambda: float) -> float:
+    """loss given the margins z = X @ weights + bias."""
     per_sample = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     nll = float((class_weights * per_sample).sum() / class_weights.sum())
     return nll + 0.5 * l2_lambda * float(weights @ weights)
@@ -131,7 +135,13 @@ def gradient(weights, bias: float, X, y, class_weights,
     y = np.asarray(y, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     _check_shapes(weights, X, y, class_weights)
-    p = sigmoid(X @ weights + bias)
+    return _gradient_at(sigmoid(X @ weights + bias), weights, X, y,
+                        class_weights, l2_lambda)
+
+
+def _gradient_at(p, weights, X, y, class_weights,
+                 l2_lambda: float) -> tuple[np.ndarray, float]:
+    """gradient given the probabilities p = sigmoid(X @ weights + bias)."""
     r = class_weights * (p - y) / class_weights.sum()
     return X.T @ r + l2_lambda * weights, float(r.sum())
 
@@ -178,7 +188,9 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     when the gradient inf-norm falls below tol, when an accepted step improves
     the loss by less than tol, or when no halved step can decrease the loss
     (numerical floor); max_iter is only a safety cap, reported as
-    converged=False.
+    converged=False. The margins Xs @ w + b are computed once per iterate:
+    the accepted candidate's margins serve the next iteration's gradient,
+    curvature and loss.
 
     The model's decision threshold is 0.5. The seed does not influence the
     optimization (it is deterministic); it is recorded in training_meta so
@@ -195,19 +207,20 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
 
     w = np.zeros(matrix.n_features)
     b = 0.0
-    current = loss(w, b, Xs, y, class_weights, hp.l2_lambda)
+    z = Xs @ w + b
+    current = _loss_at(z, w, y, class_weights, hp.l2_lambda)
     if not math.isfinite(current):
         raise NonFiniteLoss(f"initial loss is {current}")
     trace = [current]
     converged = False
     for _ in range(hp.max_iter):
-        dw, db = gradient(w, b, Xs, y, class_weights, hp.l2_lambda)
+        p = sigmoid(z)
+        dw, db = _gradient_at(p, w, Xs, y, class_weights, hp.l2_lambda)
         if not (np.isfinite(dw).all() and math.isfinite(db)):
             raise NonFiniteLoss("gradient is non-finite")
         if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < hp.tol:
             converged = True
             break
-        p = sigmoid(Xs @ w + b)
         curvature = norm_weights * p * (1.0 - p)
         hessian = (Xa.T * curvature) @ Xa + ridge
         direction = _newton_direction(hessian, np.append(dw, db))
@@ -216,7 +229,8 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         for _ in range(_MAX_BACKTRACKS):
             w_new = w - step * direction[:-1]
             b_new = b - step * float(direction[-1])
-            candidate = loss(w_new, b_new, Xs, y, class_weights, hp.l2_lambda)
+            z_new = Xs @ w_new + b_new
+            candidate = _loss_at(z_new, w_new, y, class_weights, hp.l2_lambda)
             if math.isfinite(candidate) and candidate <= current:
                 accepted = True
                 break
@@ -225,7 +239,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
             converged = True
             break
         improvement = current - candidate
-        w, b, current = w_new, b_new, candidate
+        w, b, z, current = w_new, b_new, z_new, candidate
         trace.append(current)
         if improvement < hp.tol:
             converged = True

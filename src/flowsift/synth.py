@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_open
 from .errors import BadConfig
 from .ingest import HEADER_LINE, parse_timestamp, render_timestamp
 
@@ -242,5 +242,10 @@ def synthesize(cfg: SynthConfig) -> list[str]:
 def write_synth(path, cfg: SynthConfig) -> int:
     """Write header plus generated rows; returns the row count."""
     lines = synthesize(cfg)
-    atomic_write_text(path, "\n".join([HEADER_LINE] + lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(HEADER_LINE + "\n")
+        # joined a chunk at a time, so the capture's text is never held whole
+        chunk = 4096
+        for lo in range(0, len(lines), chunk):
+            fh.write("\n".join(lines[lo:lo + chunk]) + "\n")
     return len(lines)

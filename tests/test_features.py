@@ -11,7 +11,9 @@ from flowsift import (
     standardize_fit,
     write_matrix_csv,
 )
-from flowsift.features import FEATURE_NAMES
+from flowsift._util import fmt_g9
+from flowsift.features import (FEATURE_NAMES, _META_COLUMNS,
+                                _read_matrix_csv_bulk)
 
 
 def small_matrix(X, y=None, names=("a", "b")):
@@ -177,3 +179,200 @@ def test_csv_accepts_arbitrary_feature_schema(tmp_path):
     m = read_matrix_csv(str(path))
     assert m.feature_names == ("pc_1", "pc_2")
     assert m.X.tolist() == [[0.25, -1.5]]
+
+
+# --- bulk CSV write and read against the per-cell originals -----------------
+
+def reference_csv_text(matrix):
+    """The per-cell writer write_matrix_csv replaced: one fmt_g9 per real."""
+    lines = [",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
+             + ",target"]
+    for i in range(matrix.n_rows):
+        cells = [str(int(matrix.window_index[i])),
+                 str(int(matrix.window_start_us[i])),
+                 str(matrix.src_addr[i])]
+        cells.extend(fmt_g9(v) for v in matrix.X[i])
+        cells.append(str(int(matrix.y[i])))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def oracle_read(path):
+    """The per-line reader read_matrix_csv parsed with before its bulk path;
+    the bulk reader must match its arrays or its exact error."""
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n")
+        cols = header.split(",")
+        if tuple(cols[:3]) != _META_COLUMNS or cols[-1] != "target" or len(cols) < 5:
+            raise SchemaMismatch(f"unexpected feature-CSV header in {path}")
+        names = tuple(cols[3:-1])
+        win, start, src, feats, targets, line_nos = [], [], [], [], [], []
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            cells = line.split(",")
+            if len(cells) != len(cols):
+                raise SchemaMismatch(
+                    f"{path}:{line_no}: expected {len(cols)} columns, "
+                    f"got {len(cells)}")
+            try:
+                win.append(int(cells[0]))
+                start.append(int(cells[1]))
+                feats.append([float(v) for v in cells[3:-1]])
+                target = int(cells[-1])
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
+            if target not in (0, 1):
+                raise SchemaMismatch(
+                    f"{path}:{line_no}: target must be 0 or 1, got {target}")
+            src.append(cells[2])
+            targets.append(target)
+            line_nos.append(line_no)
+    X = np.array(feats, dtype=np.float64).reshape(len(feats), len(names))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise SchemaMismatch(
+            f"{path}:{line_nos[bad[0]]}: feature value is not finite")
+    return FeatureMatrix(
+        feature_names=names,
+        X=X,
+        y=np.array(targets, dtype=np.int8),
+        window_index=np.array(win, dtype=np.int64),
+        window_start_us=np.array(start, dtype=np.int64),
+        src_addr=np.array(src),
+    )
+
+
+def outcome(read, path):
+    """A reader's matrix, or the type and text of what it raised."""
+    try:
+        return read(path)
+    except Exception as exc:  # any error must match the oracle's exactly
+        return (type(exc), str(exc))
+
+
+def assert_same_matrix(got, want):
+    assert got.feature_names == want.feature_names
+    for attr in ("X", "y", "window_index", "window_start_us", "src_addr"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape, attr
+        assert a.tobytes() == b.tobytes(), attr
+    assert got.X.flags.c_contiguous
+
+
+ADVERSARIAL_REALS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3,
+    1e16, -1e16, 123456789.5, 987654321.25, 1e308, -1e308,
+    1.7976931348623157e308, 3.0, -7.0, 1e9, 2.0 ** 53, 2.0 ** 53 + 2,
+    4503599627370495.5, 999999999.5, 0.5e-9, 12345678.95]
+
+
+def adversarial_matrix(names, n_rows, seed):
+    rng = np.random.default_rng(seed)
+    f = len(names)
+    pool = np.array(ADVERSARIAL_REALS)
+    X = pool[rng.integers(0, len(pool), size=(n_rows, f))]
+    X[:, : f // 2] = rng.normal(0, 1e4, size=(n_rows, f // 2))
+    starts = rng.choice(np.array(
+        [0, 1, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 62, 1313488800013069],
+        dtype=np.int64), size=n_rows)
+    return FeatureMatrix.from_arrays(
+        names, X, rng.integers(0, 2, n_rows),
+        window_index=rng.integers(0, 2 ** 40, n_rows),
+        window_start_us=starts,
+        src_addr=[f"147.32.{i % 7}.{i % 251}" for i in range(n_rows)])
+
+
+@pytest.mark.parametrize("names,n_rows", [
+    (FEATURE_NAMES, 5000),
+    (("flow_count", "dur_mean", "src_bytes_median"), 300),
+    (("pc_1", "pc_2", "pc_3"), 4097),
+    (("tot_bytes_std",), 1),
+    (FEATURE_NAMES, 0),
+], ids=["canonical", "subset", "pca", "one-feature", "no-rows"])
+def test_csv_write_matches_per_cell_writer(tmp_path, names, n_rows):
+    m = adversarial_matrix(names, n_rows, seed=n_rows)
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, m)
+    with open(path, "rb") as fh:
+        assert fh.read() == reference_csv_text(m).encode("utf-8")
+    if n_rows:
+        # the bulk reader vouches for the writer's own output
+        assert_same_matrix(_read_matrix_csv_bulk(path), oracle_read(path))
+
+
+def test_csv_write_matches_per_cell_writer_without_features(tmp_path):
+    m = FeatureMatrix.from_arrays((), np.zeros((3, 0)), [0, 1, 0])
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, m)
+    with open(path, "rb") as fh:
+        assert fh.read() == reference_csv_text(m).encode("utf-8")
+
+
+_HEADER = "window_index,window_start_us,src_addr,a,target\n"
+_FIRST = "0,0,h,1.0,0\n"
+
+# file bodies after the header; the first ten are the cases of
+# test_csv_rejects_non_finite_cell_or_non_binary_target
+READER_CASES = {
+    "abc": _FIRST + "1,1000000,h,abc,1\n",
+    "empty-cell": _FIRST + "1,1000000,h,,1\n",
+    "x-index": _FIRST + "x,1000000,h,2.0,1\n",
+    "nan": _FIRST + "1,1000000,h,nan,1\n",
+    "inf": _FIRST + "1,1000000,h,inf,1\n",
+    "-inf": _FIRST + "1,1000000,h,-inf,1\n",
+    "blank-then-nan": _FIRST + "\n1,1000000,h,nan,1\n",
+    "target-2": _FIRST + "1,1000000,h,2.0,2\n",
+    "target--1": _FIRST + "1,1000000,h,2.0,-1\n",
+    "target-x": _FIRST + "1,1000000,h,2.0,x\n",
+    "underscore-int": _FIRST + "1_0,1000000,h,2.0,1\n",
+    "underscore-real": _FIRST + "1,1000000,h,1_0.5,1\n",
+    "space-real": _FIRST + "1,1000000,h, 1.5,1\n",
+    "space-int": _FIRST + " 5,1000000,h,2.0,1\n",
+    "space-target": _FIRST + "1,1000000,h,2.0, 1 \n",
+    "plus-signs": _FIRST + "+1,+1000000,h,+2.0,+1\n",
+    "leading-zero-target": _FIRST + "1,1000000,h,2.0,01\n",
+    "real-index": _FIRST + "5.0,1000000,h,2.0,1\n",
+    "real-target": _FIRST + "1,1000000,h,2.0,1.0\n",
+    "hex-index": _FIRST + "0x10,1000000,h,2.0,1\n",
+    "arabic-digit": _FIRST + "١,1000000,h,2.0,1\n",
+    "Infinity": _FIRST + "1,1000000,h,Infinity,1\n",
+    "overflow-real": _FIRST + "1,1000000,h,1e400,1\n",
+    "int64-overflow": _FIRST + "1,9223372036854775808,h,2.0,1\n",
+    "hash-row": _FIRST + "#1,1000000,h,2.0,1\n",
+    "hash-src": _FIRST + "1,1000000,#h,2.0,1\n",
+    "crlf": (_FIRST + "1,1000000,h,2.5,1\n").replace("\n", "\r\n"),
+    "cr": (_FIRST + "1,1000000,h,2.5,1\n").replace("\n", "\r"),
+    "blank-lines": "\n" + _FIRST + "\n\n1,1000000,h,2.5,1\n\n",
+    "whitespace-line": _FIRST + "   \n1,1000000,h,2.5,1\n",
+    "no-final-newline": _FIRST + "1,1000000,h,2.5,1",
+    "empty-body": "",
+    "only-blank-lines": "\n\n",
+    "extra-column": _FIRST + "1,1000000,h,2.0,1,7\n",
+    "missing-column": _FIRST + "1,1000000,h,2.0\n",
+    "extra-column-first": "0,0,h,1.0,0,9\n1,1000000,h,2.0,1,7\n",
+    "spaced-src": _FIRST + "1,1000000, h h ,2.0,1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_csv_reader_matches_per_line_oracle(tmp_path, name):
+    path = tmp_path / "edited.csv"
+    path.write_bytes((_HEADER + READER_CASES[name]).encode("utf-8"))
+    want = outcome(oracle_read, str(path))
+    got = outcome(read_matrix_csv, str(path))
+    if isinstance(want, tuple):
+        assert got == want
+        # the bulk path must never accept a file the per-line parser rejects
+        assert _read_matrix_csv_bulk(str(path)) is None
+    else:
+        assert_same_matrix(got, want)
+
+
+def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):
+    path = tmp_path / "pca.csv"
+    path.write_text(
+        "window_index,window_start_us,src_addr,pc_1,pc_2,target\n"
+        "0,0,h,0.25,-1.5,1\n3,45000000,g,-0,5e-324,0\n")
+    assert_same_matrix(read_matrix_csv(str(path)), oracle_read(str(path)))

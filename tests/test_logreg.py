@@ -23,6 +23,7 @@ from flowsift import (
     predict_proba,
     save_model,
     sigmoid,
+    standardize_fit,
 )
 
 LN2 = math.log(2.0)
@@ -221,6 +222,73 @@ GD_2000_FINAL_LOSS = 0.2049848193009812
 def test_fit_reaches_at_least_the_gradient_descent_loss():
     _, report = fit(noisy_matrix())
     assert report.loss_trace[-1] <= GD_2000_FINAL_LOSS
+
+
+def reference_newton(matrix, hp):
+    """The Newton loop as first written: every margin X @ w + b recomputed
+    through the public loss and gradient. fit computes each iterate's margins
+    once and must reach the same iterates bit for bit."""
+    y = np.asarray(matrix.y, dtype=np.float64)
+    cw = class_weights_for(y, hp.class_weight_mode)
+    Xs = standardize_fit(matrix).transform(matrix.X)
+    Xa = np.column_stack([Xs, np.ones(len(y))])
+    ridge = np.diag(np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0))
+    norm_weights = cw / cw.sum()
+    w, b = np.zeros(matrix.n_features), 0.0
+    trace = [loss(w, b, Xs, y, cw, hp.l2_lambda)]
+    converged = False
+    for _ in range(hp.max_iter):
+        dw, db = gradient(w, b, Xs, y, cw, hp.l2_lambda)
+        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < hp.tol:
+            converged = True
+            break
+        p = sigmoid(Xs @ w + b)
+        hessian = (Xa.T * (norm_weights * p * (1.0 - p))) @ Xa + ridge
+        g = np.append(dw, db)
+        try:
+            direction = np.linalg.solve(hessian, g)
+        except np.linalg.LinAlgError:
+            direction = np.linalg.lstsq(hessian, g, rcond=None)[0]
+        step, accepted = 1.0, False
+        for _ in range(60):
+            w_new = w - step * direction[:-1]
+            b_new = b - step * float(direction[-1])
+            candidate = loss(w_new, b_new, Xs, y, cw, hp.l2_lambda)
+            if math.isfinite(candidate) and candidate <= trace[-1]:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        improvement = trace[-1] - candidate
+        w, b = w_new, b_new
+        trace.append(candidate)
+        if improvement < hp.tol:
+            converged = True
+            break
+    return w, b, trace, converged
+
+
+def constant_column_matrix():
+    m = noisy_matrix()
+    return matrix_of(np.column_stack([m.X, np.full(m.n_rows, 3.0)]), m.y)
+
+
+@pytest.mark.parametrize("make,hp", [
+    (noisy_matrix, HyperParams()),
+    (noisy_matrix, HyperParams(class_weight_mode="none", max_iter=3)),
+    (two_cluster_matrix, HyperParams(l2_lambda=0.0)),
+    (constant_column_matrix, HyperParams(l2_lambda=0.0)),
+], ids=["default", "capped", "separable", "singular"])
+def test_fit_matches_reference_newton_bit_for_bit(make, hp):
+    m = make()
+    model, report = fit(m, hp)
+    w, b, trace, converged = reference_newton(m, hp)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == b
+    assert report.loss_trace == trace
+    assert report.converged is converged
 
 
 def test_fit_unregularized_separable_terminates_finite():

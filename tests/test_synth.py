@@ -67,6 +67,16 @@ def test_different_seed_different_bytes(tmp_path):
     assert open(p1, "rb").read() != open(p2, "rb").read()
 
 
+def test_streamed_file_is_the_joined_lines(tmp_path, preset_lines):
+    """write_synth streams its lines in chunks; the bytes are the header and
+    every line joined, as when the whole text was written at once."""
+    path = str(tmp_path / "flows.csv")
+    assert write_synth(path, preset_scenario9(seed=42)) == len(preset_lines)
+    with open(path, "rb") as fh:
+        assert fh.read() == ("\n".join([HEADER_LINE] + preset_lines)
+                             + "\n").encode("utf-8")
+
+
 def test_written_file_round_trips_clean(tmp_path):
     path = str(tmp_path / "flows.csv")
     n = write_synth(path, tiny_config())
