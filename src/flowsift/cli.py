@@ -187,12 +187,11 @@ def _cmd_featurize(args) -> int:
 
 def _cmd_train(args) -> int:
     matrix = read_matrix_csv(args.features)
-    hp = HyperParams(l2_lambda=args.l2, max_iter=args.max_iter, tol=args.tol,
-                     class_weight_mode=args.class_weight)
-    model, report = fit(matrix, hp, seed=args.seed)
+    hp = HyperParams(l2_lambda=args.l2, class_weight_mode=args.class_weight)
+    model, report = fit(matrix, hp)
     if not report.converged:
-        print(f"warning: fit stopped at --max-iter {args.max_iter} without "
-              f"converging", file=sys.stderr)
+        print(f"warning: fit stopped at its {report.iterations_run}-iteration "
+              f"cap without converging", file=sys.stderr)
     save_model(args.output, model)
     return 0
 
@@ -336,14 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("features", help="feature CSV path")
     p.add_argument("--l2", type=_FINITE_NON_NEGATIVE, default=1e-4,
                    help="L2 regularization strength")
-    p.add_argument("--max-iter", type=_POSITIVE_INT, default=100,
-                   help="Newton iteration cap (a safety stop)")
-    p.add_argument("--tol", type=_FINITE_NON_NEGATIVE, default=1e-8,
-                   help="convergence tolerance")
     p.add_argument("--class-weight", choices=("balanced", "none"),
                    default="balanced", help="class weighting mode")
-    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0,
-                   help="random seed")
     p.add_argument("-o", "--output", required=True, help="model file path")
     p.set_defaults(func=_cmd_train)
 

@@ -24,6 +24,7 @@ FEATURE_NAMES: tuple[str, ...] = ("flow_count",) + tuple(
     f"{attr}_{stat}" for attr in BASE_ATTRS for stat in STAT_NAMES)
 
 _META_COLUMNS = ("window_index", "window_start_us", "src_addr")
+_INT64 = range(-2 ** 63, 2 ** 63)
 
 
 @dataclass
@@ -280,15 +281,20 @@ def _read_matrix_csv_lines(path: str) -> FeatureMatrix:
                     f"{path}:{line_no}: expected {len(cols)} columns, "
                     f"got {len(cells)}")
             try:
-                win.append(int(cells[0]))
-                start.append(int(cells[1]))
+                index, start_us = int(cells[0]), int(cells[1])
                 feats.append([float(v) for v in cells[3:-1]])
                 target = int(cells[-1])
             except ValueError as exc:
                 raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
+            for name, value in zip(_META_COLUMNS, (index, start_us)):
+                if value not in _INT64:
+                    raise SchemaMismatch(
+                        f"{path}:{line_no}: {name} {value} is outside int64")
             if target not in (0, 1):
                 raise SchemaMismatch(
                     f"{path}:{line_no}: target must be 0 or 1, got {target}")
+            win.append(index)
+            start.append(start_us)
             src.append(cells[2])
             targets.append(target)
             line_nos.append(line_no)

@@ -307,16 +307,6 @@ class IngestStats:
     unrecognized_labels: int = 0
     src_bytes_over_total: int = 0
 
-    def merge(self, other: "IngestStats") -> "IngestStats":
-        """Associative combination of two partial tallies."""
-        return IngestStats(
-            total_rows=self.total_rows + other.total_rows,
-            parsed=self.parsed + other.parsed,
-            skipped=self.skipped + other.skipped,
-            unrecognized_labels=self.unrecognized_labels + other.unrecognized_labels,
-            src_bytes_over_total=self.src_bytes_over_total + other.src_bytes_over_total,
-        )
-
 
 class FlowRow(NamedTuple):
     """One flow of a FlowTable, as iterating the table yields it."""

@@ -20,23 +20,19 @@ from .errors import (CorruptModel, NonFiniteLoss, SchemaMismatch,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput)
 from .features import (FeatureMatrix, StandardizationParams, standardize_fit)
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 
 @dataclass(frozen=True)
 class HyperParams:
+    """The two values that define the objective."""
+
     l2_lambda: float = 1e-4
-    max_iter: int = 100
-    tol: float = 1e-8
     class_weight_mode: str = "balanced"
 
     def __post_init__(self):
         if not 0 <= self.l2_lambda < math.inf:
             raise ValueError("l2_lambda must be finite and >= 0")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0 <= self.tol < math.inf:
-            raise ValueError("tol must be finite and >= 0")
         if self.class_weight_mode not in ("none", "balanced"):
             raise ValueError("class_weight_mode must be 'none' or 'balanced'")
 
@@ -164,6 +160,9 @@ def class_weights_for(y: np.ndarray, mode: str) -> np.ndarray:
     raise ValueError(f"unknown class_weight_mode {mode!r}")
 
 
+# fit's Newton loop: a safety cap on iterations and the stopping tolerance
+_MAX_ITER = 100
+_TOL = 1e-8
 _MAX_BACKTRACKS = 60
 
 
@@ -176,8 +175,8 @@ def _newton_direction(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
         return np.linalg.lstsq(hessian, grad, rcond=None)[0]
 
 
-def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
-        seed: int = 0) -> tuple[LogRegModel, TrainReport]:
+def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
+        ) -> tuple[LogRegModel, TrainReport]:
     """Train on a labeled feature matrix.
 
     Features are standardized against this data; weights and bias start at
@@ -185,16 +184,14 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
     Xaᵀ diag(cᵢpᵢ(1-pᵢ)/Σc) Xa + λI, where Xa is the standardized X with a
     column of ones for the bias (the bias entry of λI is 0), then backtracks
     from the full step, halving it while it would increase the loss. Stops
-    when the gradient inf-norm falls below tol, when an accepted step improves
-    the loss by less than tol, or when no halved step can decrease the loss
-    (numerical floor); max_iter is only a safety cap, reported as
+    when the gradient inf-norm falls below _TOL, when an accepted step
+    improves the loss by less than _TOL, or when no halved step can decrease
+    the loss (numerical floor); _MAX_ITER is only a safety cap, reported as
     converged=False. The margins Xs @ w + b are computed once per iterate:
     the accepted candidate's margins serve the next iteration's gradient,
     curvature and loss.
 
-    The model's decision threshold is 0.5. The seed does not influence the
-    optimization (it is deterministic); it is recorded in training_meta so
-    run provenance survives serialization.
+    The model's decision threshold is 0.5.
     """
     hp = hyperparams if hyperparams is not None else HyperParams()
     y = np.asarray(matrix.y, dtype=np.float64)
@@ -213,12 +210,12 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         raise NonFiniteLoss(f"initial loss is {current}")
     trace = [current]
     converged = False
-    for _ in range(hp.max_iter):
+    for _ in range(_MAX_ITER):
         p = sigmoid(z)
         dw, db = _gradient_at(p, w, Xs, y, class_weights, hp.l2_lambda)
         if not (np.isfinite(dw).all() and math.isfinite(db)):
             raise NonFiniteLoss("gradient is non-finite")
-        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < hp.tol:
+        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < _TOL:
             converged = True
             break
         curvature = norm_weights * p * (1.0 - p)
@@ -241,7 +238,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         improvement = current - candidate
         w, b, z, current = w_new, b_new, z_new, candidate
         trace.append(current)
-        if improvement < hp.tol:
+        if improvement < _TOL:
             converged = True
             break
 
@@ -249,8 +246,6 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None,
         "iterations_run": len(trace) - 1,
         "final_loss": current,
         "converged": converged,
-        "seed": seed,
-        "positive_classes": matrix.meta.get("positive_classes"),
     }
     model = LogRegModel(
         weights=w,
@@ -305,8 +300,6 @@ def save_model(path: str, model: LogRegModel) -> None:
         "threshold": float(model.threshold),
         "hyperparams": {
             "l2_lambda": model.hyperparams.l2_lambda,
-            "max_iter": model.hyperparams.max_iter,
-            "tol": model.hyperparams.tol,
             "class_weight_mode": model.hyperparams.class_weight_mode,
         },
         "training_meta": model.training_meta,

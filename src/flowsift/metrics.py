@@ -146,8 +146,7 @@ def histogram(values: Iterable[float], bin_width: float = 0.05) -> Histogram:
     return Histogram(edges, counts, underflow, overflow)
 
 
-def evaluate(model: LogRegModel, matrix: FeatureMatrix,
-             extra_config: dict | None = None) -> MetricsReport:
+def evaluate(model: LogRegModel, matrix: FeatureMatrix) -> MetricsReport:
     """predict_label -> confusion -> metrics, with provenance echoed.
 
     A matrix carrying a superset of the model's features is projected down to
@@ -163,15 +162,8 @@ def evaluate(model: LogRegModel, matrix: FeatureMatrix,
     config = {k: matrix.meta[k] for k in
               ("width_s", "stride_s", "origin_us", "positive_classes", "group_by")
               if k in matrix.meta}
-    # a matrix read back from CSV has no window metadata; the model still
-    # knows what it was trained toward
-    for key in ("seed", "positive_classes"):
-        if key not in config and model.training_meta.get(key) is not None:
-            config[key] = model.training_meta[key]
     config["features"] = list(model.feature_names)
     config["threshold"] = model.threshold
-    if extra_config:
-        config.update(extra_config)
     report.config = config
     return report
 

@@ -43,14 +43,6 @@ class SplitSpec:
         if self.purge_gap_s is not None and self.purge_gap_s < 0:
             raise ValueError("purge_gap_s must be >= 0")
 
-    def describe(self) -> dict:
-        return {
-            "mode": self.mode,
-            "train_fraction": self.train_fraction,
-            "purge_gap_s": self.purge_gap_s,
-            "seed": self.seed,
-        }
-
 
 def _check_side(name: str, y: np.ndarray) -> None:
     if len(y) == 0:

@@ -90,19 +90,15 @@ def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
     """Split, fit and evaluate an already-built matrix under one seed."""
     spec = replace(spec or SplitSpec(), seed=seed)
     train_m, test_m = split(matrix, spec)
-    model, _ = fit(train_m, seed=seed)
-    extra = {"split": spec.describe(), "seed": seed,
-             "rows_train": train_m.n_rows, "rows_test": test_m.n_rows}
-    ev_train = evaluate(model, train_m, extra | {"partition": "train"})
-    ev_test = evaluate(model, test_m, extra | {"partition": "test"})
-    return ev_train, ev_test
+    model, _ = fit(train_m)
+    return evaluate(model, train_m), evaluate(model, test_m)
 
 
 def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
             ) -> None:
     cell.train, cell.test = reports
-    cell.rows_train = cell.train.config.get("rows_train")
-    cell.rows_test = cell.test.config.get("rows_test")
+    cell.rows_train = cell.train.confusion.total
+    cell.rows_test = cell.test.confusion.total
     cell.status = "ok:stride_gap" if cell.stride_s > cell.width_s else "ok"
 
 

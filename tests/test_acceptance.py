@@ -26,7 +26,7 @@ from flowsift import (
     window_indices,
 )
 from flowsift.cli import main
-from flowsift.reference import WIDTH_STRIDE_RESULTS
+from flowsift.reference import CONFUSION_COUNTS, WIDTH_STRIDE_RESULTS
 
 US = 1_000_000
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -73,13 +73,14 @@ def test_criterion_02_confusion_count_arithmetic():
     """Reference confusion counts reproduce their quoted precision and recall
     within 1e-6; F1 is checked against the exact count identity
     2tp/(2tp+fp+fn) at the same tolerance."""
-    full = metrics_from_confusion(ConfusionMatrix(
-        tp=1617, fp=590, fn=164, tn=1_168_470))
+    counts = CONFUSION_COUNTS[(9, 90, 15)]
+    full = metrics_from_confusion(ConfusionMatrix(*counts))
     full_ok = (abs(full.precision - 0.732669) <= 1e-6
                and abs(full.recall - 0.907917) <= 1e-6
-               and abs(full.f1 - 2 * 1617 / (2 * 1617 + 590 + 164)) <= 1e-6)
-    windowed = metrics_from_confusion(ConfusionMatrix(
-        tp=205, fp=65, fn=26, tn=276_989))
+               and abs(full.f1 - 2 * counts.tp
+                       / (2 * counts.tp + counts.fp + counts.fn)) <= 1e-6)
+    windowed = metrics_from_confusion(
+        ConfusionMatrix(*CONFUSION_COUNTS[(9, 189, 129)]))
     windowed_ok = (abs(windowed.precision - 0.759259) <= 1e-6
                    and abs(windowed.recall - 0.887446) <= 1e-6)
     verdict("criterion 2: confusion-count arithmetic at 1e-6",

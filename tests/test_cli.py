@@ -4,12 +4,14 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import flowsift.logreg
 from flowsift import errors
 from flowsift.cli import build_parser, main
 from flowsift.ingest import HEADER_LINE
@@ -131,8 +133,10 @@ def test_stats_json_payload(tmp_path, capsys):
      "--bin-width"),
     (["train", "{features}", "--l2", "nan"], "--l2"),
     (["train", "{features}", "--l2", "inf"], "--l2"),
-    (["train", "{features}", "--tol", "nan"], "--tol"),
-    (["train", "{features}", "--tol", "inf"], "--tol"),
+    (["train", "{features}", "--tol", "nan"],
+     "unrecognized arguments: --tol nan"),
+    (["train", "{features}", "--tol", "inf"],
+     "unrecognized arguments: --tol inf"),
     (["report", "{sweep}", "--histogram", "f1", "--bin-width", "1e-300"],
      "--bin-width"),
     (["featurize", "{flows}", "--width", "90", "--stride", "0"], "--stride"),
@@ -144,9 +148,18 @@ def test_stats_json_payload(tmp_path, capsys):
       "--fraction", "1"], "--fraction"),
     (["repeat", "{flows}", "--width", "90", "--stride", "15", "--runs", "2",
       "--purge", "-1"], "--purge"),
-    (["train", "{features}", "--max-iter", "0"], "--max-iter"),
-    (["train", "{features}", "--tol", "-1"], "--tol"),
-    (["train", "{features}", "--seed", "-1"], "--seed"),
+    (["train", "{features}", "--max-iter", "0"],
+     "unrecognized arguments: --max-iter 0"),
+    (["train", "{features}", "--tol", "-1"], "unrecognized arguments: --tol -1"),
+    (["train", "{features}", "--seed", "-1"],
+     "unrecognized arguments: --seed -1"),
+    # the solver's cap and tolerance are fixed and the fit takes no seed, so
+    # even values the removed flags once accepted are unknown arguments
+    (["train", "{features}", "--max-iter", "5"],
+     "unrecognized arguments: --max-iter 5"),
+    (["train", "{features}", "--tol", "1e-6"],
+     "unrecognized arguments: --tol 1e-6"),
+    (["train", "{features}", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["scenarios", "--files", "9"], "--files"),
     (["featurize", "{root}/missing.csv", "--width", "0", "--stride", "15"],
      "--width"),
@@ -156,6 +169,7 @@ def test_stats_json_payload(tmp_path, capsys):
         "report-bin-width-tiny", "featurize-stride-0", "featurize-pca-0",
         "featurize-corr-1.5", "sweep-fraction-1", "repeat-purge-negative",
         "train-max-iter-0", "train-tol-negative", "train-seed-negative",
+        "train-max-iter-5", "train-tol-1e-6", "train-seed-3",
         "scenarios-files-no-path",
         "usage-error-before-missing-input"])
 def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
@@ -208,14 +222,16 @@ def test_missing_input_is_data_error(tmp_path, capsys):
 
 def test_bad_feature_csv_cell_is_data_error(ws, tmp_path, capsys):
     lines = open(ws["features"]).read().strip().split("\n")
-    row = lines[1].split(",")
-    row[3] = "abc"
-    bad = tmp_path / "features.csv"
-    bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
-    rc = main(["train", str(bad), "-o", str(tmp_path / "m.txt")])
-    assert rc == 2
-    assert f"{bad}:2" in capsys.readouterr().err
-    assert not (tmp_path / "m.txt").exists()
+    # a non-number, and a window start one past the int64 range
+    for col, cell in ((3, "abc"), (1, "9223372036854775808")):
+        row = lines[1].split(",")
+        row[col] = cell
+        bad = tmp_path / "features.csv"
+        bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        rc = main(["train", str(bad), "-o", str(tmp_path / "m.txt")])
+        assert rc == 2
+        assert f"{bad}:2" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
 
 
 def test_unknown_positive_class_is_usage_error(ws, tmp_path, capsys):
@@ -241,12 +257,13 @@ def test_mangled_model_is_data_error(ws, tmp_path, capsys):
         assert not out.exists()
 
 
-def test_train_warns_when_max_iter_stops_the_fit(ws, tmp_path, capsys):
-    rc = main(["train", ws["features"], "--max-iter", "1",
-               "-o", str(tmp_path / "m.txt")])
+def test_train_warns_when_max_iter_stops_the_fit(ws, tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.setattr(flowsift.logreg, "_MAX_ITER", 1)
+    rc = main(["train", ws["features"], "-o", str(tmp_path / "m.txt")])
     assert rc == 0
     err = capsys.readouterr().err
-    assert err == ("warning: fit stopped at --max-iter 1 without "
+    assert err == ("warning: fit stopped at its 1-iteration cap without "
                    "converging\n")
     meta = json.loads((tmp_path / "m.txt").read_text())["training_meta"]
     assert meta["converged"] is False and meta["iterations_run"] == 1
@@ -362,8 +379,7 @@ EXPECTED_DEFAULTS = {
                   "--corr-threshold": None, "--backward-elim": False,
                   "--pca-components": None, "--selection-report": None,
                   "--on-error": "skip"},
-    "train": {"--l2": 1e-4, "--max-iter": 100, "--tol": 1e-8,
-              "--class-weight": "balanced", "--seed": 0},
+    "train": {"--l2": 1e-4, "--class-weight": "balanced"},
     "eval": {},
     "sweep": {"--split": "chrono", "--fraction": 0.7, "--purge": None,
               "--seed": 0, "--timings": False,
@@ -434,3 +450,25 @@ def test_every_subcommand_flag_is_documented():
         for action in sub._actions:
             for opt in action.option_strings:
                 assert opt in known, f"undocumented flag {opt} on {name}"
+
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+DOC_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+# the pip flag of the install instructions
+NON_CLI_FLAGS = {"--no-build-isolation"}
+
+
+def unknown_flags(text: str) -> set[str]:
+    """The --flags in text that no flowsift parser accepts."""
+    parser = build_parser()
+    known = set(parser._option_string_actions)
+    for sub in subcommand_parsers().values():
+        known |= set(sub._option_string_actions)
+    return set(DOC_FLAG.findall(text)) - known - NON_CLI_FLAGS
+
+
+@pytest.mark.parametrize("doc", ["README.md", "demos/README.md"])
+def test_documented_flags_exist(doc):
+    """The docs name no flag the CLI has lost."""
+    assert unknown_flags("train f.csv --max-iter 5 --l2 0.1") == {"--max-iter"}
+    assert unknown_flags((REPO_ROOT / doc).read_text(encoding="utf-8")) == set()

@@ -217,15 +217,21 @@ def oracle_read(path):
                     f"{path}:{line_no}: expected {len(cols)} columns, "
                     f"got {len(cells)}")
             try:
-                win.append(int(cells[0]))
-                start.append(int(cells[1]))
+                index, start_us = int(cells[0]), int(cells[1])
                 feats.append([float(v) for v in cells[3:-1]])
                 target = int(cells[-1])
             except ValueError as exc:
                 raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
+            for name, value in (("window_index", index),
+                                ("window_start_us", start_us)):
+                if not -2 ** 63 <= value < 2 ** 63:
+                    raise SchemaMismatch(
+                        f"{path}:{line_no}: {name} {value} is outside int64")
             if target not in (0, 1):
                 raise SchemaMismatch(
                     f"{path}:{line_no}: target must be 0 or 1, got {target}")
+            win.append(index)
+            start.append(start_us)
             src.append(cells[2])
             targets.append(target)
             line_nos.append(line_no)
@@ -340,6 +346,7 @@ READER_CASES = {
     "Infinity": _FIRST + "1,1000000,h,Infinity,1\n",
     "overflow-real": _FIRST + "1,1000000,h,1e400,1\n",
     "int64-overflow": _FIRST + "1,9223372036854775808,h,2.0,1\n",
+    "int64-underflow": _FIRST + "-9223372036854775809,0,h,2.0,1\n",
     "hash-row": _FIRST + "#1,1000000,h,2.0,1\n",
     "hash-src": _FIRST + "1,1000000,#h,2.0,1\n",
     "crlf": (_FIRST + "1,1000000,h,2.5,1\n").replace("\n", "\r\n"),
@@ -364,6 +371,8 @@ def test_csv_reader_matches_per_line_oracle(tmp_path, name):
     got = outcome(read_matrix_csv, str(path))
     if isinstance(want, tuple):
         assert got == want
+        # every rejected file is a data error naming its line
+        assert want[0] is SchemaMismatch and f"{path}:" in want[1]
         # the bulk path must never accept a file the per-line parser rejects
         assert _read_matrix_csv_bulk(str(path)) is None
     else:

@@ -240,19 +240,6 @@ def test_label_distribution_empty_stream():
     assert all(v == 0.0 for v in dist.percentages.values())
 
 
-def test_ingest_stats_merge_is_associative():
-    a = IngestStats(total_rows=3, parsed=2, skipped=1, unrecognized_labels=1,
-                    src_bytes_over_total=0)
-    b = IngestStats(total_rows=5, parsed=5, skipped=0, unrecognized_labels=0,
-                    src_bytes_over_total=2)
-    c = IngestStats(total_rows=1, parsed=1, skipped=0, unrecognized_labels=0,
-                    src_bytes_over_total=0)
-    left = a.merge(b).merge(c)
-    right = a.merge(b.merge(c))
-    assert left == right
-    assert left.total_rows == 9 and left.parsed == 8 and left.skipped == 1
-
-
 
 # Tokens strptime accepts although they are not the canonical spelling, and
 # tokens it rejects; parse_timestamp must agree with it on every one.

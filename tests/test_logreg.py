@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import flowsift.logreg
 from flowsift import (
     CorruptModel,
     FeatureMatrix,
@@ -176,12 +177,14 @@ def test_fit_rejects_single_class():
 
 def test_fit_deterministic():
     m = two_cluster_matrix()
-    model_a, report_a = fit(m, seed=1)
-    model_b, report_b = fit(m, seed=99)
+    model_a, report_a = fit(m)
+    model_b, report_b = fit(m)
     assert np.array_equal(model_a.weights, model_b.weights)
     assert model_a.bias == model_b.bias
     assert report_a.loss_trace == report_b.loss_trace, \
-        "the seed is provenance only; optimization is deterministic"
+        "optimization is deterministic"
+    assert set(model_a.training_meta) == {
+        "iterations_run", "final_loss", "converged"}
 
 
 def noisy_matrix():
@@ -227,7 +230,8 @@ def test_fit_reaches_at_least_the_gradient_descent_loss():
 def reference_newton(matrix, hp):
     """The Newton loop as first written: every margin X @ w + b recomputed
     through the public loss and gradient. fit computes each iterate's margins
-    once and must reach the same iterates bit for bit."""
+    once and must reach the same iterates bit for bit. The cap and tolerance
+    are fit's own constants, read at call time."""
     y = np.asarray(matrix.y, dtype=np.float64)
     cw = class_weights_for(y, hp.class_weight_mode)
     Xs = standardize_fit(matrix).transform(matrix.X)
@@ -237,9 +241,10 @@ def reference_newton(matrix, hp):
     w, b = np.zeros(matrix.n_features), 0.0
     trace = [loss(w, b, Xs, y, cw, hp.l2_lambda)]
     converged = False
-    for _ in range(hp.max_iter):
+    tol = flowsift.logreg._TOL
+    for _ in range(flowsift.logreg._MAX_ITER):
         dw, db = gradient(w, b, Xs, y, cw, hp.l2_lambda)
-        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < hp.tol:
+        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < tol:
             converged = True
             break
         p = sigmoid(Xs @ w + b)
@@ -264,7 +269,7 @@ def reference_newton(matrix, hp):
         improvement = trace[-1] - candidate
         w, b = w_new, b_new
         trace.append(candidate)
-        if improvement < hp.tol:
+        if improvement < tol:
             converged = True
             break
     return w, b, trace, converged
@@ -275,13 +280,15 @@ def constant_column_matrix():
     return matrix_of(np.column_stack([m.X, np.full(m.n_rows, 3.0)]), m.y)
 
 
-@pytest.mark.parametrize("make,hp", [
-    (noisy_matrix, HyperParams()),
-    (noisy_matrix, HyperParams(class_weight_mode="none", max_iter=3)),
-    (two_cluster_matrix, HyperParams(l2_lambda=0.0)),
-    (constant_column_matrix, HyperParams(l2_lambda=0.0)),
+@pytest.mark.parametrize("make,hp,max_iter", [
+    (noisy_matrix, HyperParams(), 100),
+    (noisy_matrix, HyperParams(class_weight_mode="none"), 3),
+    (two_cluster_matrix, HyperParams(l2_lambda=0.0), 100),
+    (constant_column_matrix, HyperParams(l2_lambda=0.0), 100),
 ], ids=["default", "capped", "separable", "singular"])
-def test_fit_matches_reference_newton_bit_for_bit(make, hp):
+def test_fit_matches_reference_newton_bit_for_bit(make, hp, max_iter,
+                                                  monkeypatch):
+    monkeypatch.setattr(flowsift.logreg, "_MAX_ITER", max_iter)
     m = make()
     model, report = fit(m, hp)
     w, b, trace, converged = reference_newton(m, hp)
@@ -289,13 +296,15 @@ def test_fit_matches_reference_newton_bit_for_bit(make, hp):
     assert model.bias == b
     assert report.loss_trace == trace
     assert report.converged is converged
+    if max_iter == 3:
+        assert report.iterations_run == 3 and not report.converged
 
 
 def test_fit_unregularized_separable_terminates_finite():
     hp = HyperParams(l2_lambda=0.0)
     model, report = fit(two_cluster_matrix(), hp)
     assert np.isfinite(model.weights).all() and math.isfinite(model.bias)
-    assert 1 <= report.iterations_run <= hp.max_iter
+    assert 1 <= report.iterations_run <= flowsift.logreg._MAX_ITER
     m = two_cluster_matrix()
     assert predict_label(model, m).tolist() == m.y.tolist()
 
@@ -317,10 +326,8 @@ def test_fit_huge_l2_crushes_weights():
 
 
 @pytest.mark.parametrize("kwargs", [{"l2_lambda": math.nan},
-                                    {"l2_lambda": math.inf},
-                                    {"tol": math.nan},
-                                    {"tol": math.inf}],
-                         ids=["l2-nan", "l2-inf", "tol-nan", "tol-inf"])
+                                    {"l2_lambda": math.inf}],
+                         ids=["l2-nan", "l2-inf"])
 def test_hyperparams_reject_non_finite(kwargs):
     with pytest.raises(ValueError):
         HyperParams(**kwargs)
@@ -373,9 +380,13 @@ def test_predict_label_threshold_rules():
 
 
 def test_save_load_round_trip(tmp_path):
-    model, _ = fit(two_cluster_matrix(), seed=3)
+    model, _ = fit(two_cluster_matrix())
     path = str(tmp_path / "model.txt")
     save_model(path, model)
+    payload = json.loads(open(path).read())
+    assert payload["schema_version"] == 3
+    assert payload["hyperparams"] == {"l2_lambda": 1e-4,
+                                      "class_weight_mode": "balanced"}
     back = load_model(path)
     assert np.array_equal(back.weights, model.weights)
     assert back.bias == model.bias
@@ -437,12 +448,13 @@ def test_load_rejects_broken_standardization(tmp_path, field, value):
 
 
 def test_load_rejects_unknown_schema_version(tmp_path):
-    """99 is from the future; 1 is the gradient-descent-era schema."""
+    """99 is from the future; 1 is the gradient-descent-era schema; 2 carried
+    the solver cap, tolerance and seed."""
     model, _ = fit(two_cluster_matrix())
     path = tmp_path / "model.txt"
     save_model(str(path), model)
     payload = json.loads(path.read_text())
-    for version in (1, 99):
+    for version in (1, 2, 99):
         payload["schema_version"] = version
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaVersionMismatch):

@@ -20,7 +20,9 @@ from flowsift import (
     histogram,
     metrics_from_confusion,
 )
-from flowsift.reference import WIDTH_STRIDE_RESULTS
+from flowsift.reference import (BEST_PRECISION_CONFIG, BEST_RECALL_CONFIG,
+                                CONFUSION_COUNTS, REPEATED_RUNS_60_60,
+                                SCENARIO_RESULTS_189_129, WIDTH_STRIDE_RESULTS)
 
 
 def test_confusion_hand_example():
@@ -99,6 +101,39 @@ def test_f1_consistency_over_reference_table():
     result = f1_consistency_check(rows, tol=0.0015)
     assert all(result.passed), \
         f"max deviation {result.max_deviation} exceeds 0.0015"
+
+
+def test_best_configs_are_the_extreme_rows_of_the_reference_table():
+    best_recall = max(WIDTH_STRIDE_RESULTS, key=lambda r: r.recall)
+    best_precision = max(WIDTH_STRIDE_RESULTS, key=lambda r: r.precision)
+    assert (best_recall.width_s, best_recall.stride_s) == BEST_RECALL_CONFIG
+    assert ((best_precision.width_s, best_precision.stride_s)
+            == BEST_PRECISION_CONFIG)
+
+
+def test_scenario_table_matches_the_189_129_row_and_orders_f1():
+    """Scenario 9 is the width/stride table's 189/129 row, and per-capture F1
+    orders 9 > 10 > 5 > 8 (the README runbook's expectation)."""
+    (row,) = [r for r in WIDTH_STRIDE_RESULTS
+              if (r.width_s, r.stride_s) == (189, 129)]
+    nine = SCENARIO_RESULTS_189_129[9]
+    assert (nine.precision, nine.recall, nine.f1) == (
+        row.precision, row.recall, row.f1)
+    by_f1 = sorted(SCENARIO_RESULTS_189_129.values(), key=lambda r: -r.f1)
+    assert [r.scenario_id for r in by_f1] == [9, 10, 5, 8]
+    assert all(k == r.scenario_id for k, r in SCENARIO_RESULTS_189_129.items())
+
+
+def test_f1_consistency_of_repeated_runs():
+    """Both the train and the test (P, R, F1) triple of every repeated run."""
+    rows = ([run[0:3] for run in REPEATED_RUNS_60_60]
+            + [run[4:7] for run in REPEATED_RUNS_60_60])
+    assert len(rows) == 8
+    assert all(f1_consistency_check(rows, tol=0.0015).passed)
+
+
+def test_capture_nine_confusion_counts_cover_every_evaluated_row():
+    assert sum(CONFUSION_COUNTS[(9, 90, 15)]) == 1_170_841
 
 
 def test_histogram_precision_bands_of_reference_table():
@@ -187,8 +222,12 @@ def test_evaluate_empty_matrix():
         evaluate(model, m)
 
 
-def test_evaluate_extra_config_echo():
+def test_evaluate_config_echoes_matrix_meta_not_training_provenance():
+    """The config carries the matrix's window settings, the model's features
+    and threshold, and nothing from the model's training_meta."""
     m = separable_matrix()
     model, _ = fit(m)
-    report = evaluate(model, m, extra_config={"partition": "test"})
-    assert report.config["partition"] == "test"
+    m.meta.update(width_s=90, stride_s=15, origin_us=0)
+    report = evaluate(model, m)
+    assert report.config == {"width_s": 90, "stride_s": 15, "origin_us": 0,
+                             "features": ["sig", "noise"], "threshold": 0.5}

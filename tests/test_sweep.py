@@ -8,11 +8,14 @@ from flowsift import (
     SplitSpec,
     SweepResult,
     SynthConfig,
+    WindowConfig,
+    build_matrix,
     parse_line,
     repeat_runs,
     run_grid,
     run_single,
     scenario_compare,
+    split,
     synthesize,
     write_synth,
 )
@@ -75,10 +78,12 @@ def test_run_single_learns_the_easy_corpus(corpus):
     train, test = run_single(corpus, width_s=90, stride_s=15,
                              spec=SplitSpec(), seed=0)
     assert test.precision >= 0.9 and test.recall >= 0.9
-    assert train.config["partition"] == "train"
-    assert test.config["partition"] == "test"
-    assert test.config["rows_train"] == train.config["rows_train"]
-    assert test.config["split"]["mode"] == "chronological"
+    # each report scores its own side of the default chronological split
+    train_m, test_m = split(
+        build_matrix(corpus, WindowConfig(width_s=90, stride_s=15)),
+        SplitSpec(mode="chronological"))
+    assert train.confusion.total == train_m.n_rows
+    assert test.confusion.total == test_m.n_rows
 
 
 def test_run_single_deterministic(corpus):
@@ -180,8 +185,8 @@ def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
     assert [r.seed for r in runs] == [4, 5, 6]
     for cell, (train, test) in zip(runs, expected):
         assert cell.status == "ok"
-        assert cell.rows_train == train.config["rows_train"]
-        assert cell.rows_test == test.config["rows_test"]
+        assert cell.rows_train == train.confusion.total
+        assert cell.rows_test == test.confusion.total
         assert cell.train.confusion == train.confusion
         assert cell.test.confusion == test.confusion
         assert cell.metric("test_f1") == test.f1
