@@ -429,7 +429,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{_PREFIXES[2]}: {exc}", file=sys.stderr)
         return 2
     except FlowsiftError as exc:

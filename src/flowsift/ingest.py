@@ -23,6 +23,7 @@ import enum
 import functools
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from typing import Iterable, Iterator, NamedTuple
@@ -45,8 +46,6 @@ _US = timedelta(microseconds=1)
 # (one-digit fields, short fractions, non-ASCII digits) takes the slow path
 _CANONICAL_TIMESTAMP = re.compile(
     r"\d{4}/\d\d/\d\d \d\d:\d\d:\d\d\.\d{6}", re.ASCII)
-# read_flows moves its per-row lists into arrays every this many rows
-_CHUNK_ROWS = 1 << 16
 
 
 class LabelClass(enum.IntEnum):
@@ -197,8 +196,10 @@ def _parse_counter(token: str, line_no: int, name: str) -> int:
         value = int(token)
     except ValueError:
         raise MalformedRow(line_no, f"non-numeric counter {name} {token!r}") from None
-    if value < 0:
-        raise MalformedRow(line_no, f"negative counter {name} {value}")
+    # binetflow counters are unsigned 64-bit; the bound also keeps every
+    # counter finite in the float64 magnitudes column
+    if not 0 <= value < 1 << 64:
+        raise MalformedRow(line_no, f"counter {name} {value} outside 0..2**64-1")
     return value
 
 
@@ -374,44 +375,29 @@ def _build_table(rows: Iterable[tuple]) -> FlowTable:
     """Collect (start_time_us, dur, tot_pkts, tot_bytes, src_bytes, src_addr,
     dst_addr, class code) tuples into a FlowTable.
 
-    The per-row lists move into arrays every _CHUNK_ROWS rows, so a large
-    capture never holds more than one chunk of Python objects.
+    Each value goes straight into a typed array.array buffer, and each
+    column is a zero-copy view of its buffer: no per-row Python object is
+    kept, and no column is copied.
     """
     codes: dict[str, int] = {}
-    chunks: list[tuple[np.ndarray, ...]] = []
-    t: list[int] = []
-    mags: list[tuple] = []
-    src: list[int] = []
-    dst: list[int] = []
-    cls: list[int] = []
-
-    def flush():
-        chunks.append((np.array(t, dtype=np.int64),
-                       np.array(mags, dtype=np.float64).reshape(-1, 4),
-                       np.array(src, dtype=np.int32),
-                       np.array(dst, dtype=np.int32),
-                       np.array(cls, dtype=np.int8)))
-        for col in (t, mags, src, dst, cls):
-            col.clear()
-
+    t, mags, src, dst, cls = (array("q"), array("d"), array("i"), array("i"),
+                              array("b"))
     for start_us, dur, pkts, tot_bytes, src_bytes, s, d, c in rows:
         t.append(start_us)
-        mags.append((dur, pkts, tot_bytes, src_bytes))
+        # fromlist converts a list in one call; extend would iterate
+        mags.fromlist([dur, pkts, tot_bytes, src_bytes])
         src.append(codes.setdefault(s, len(codes)))
         dst.append(codes.setdefault(d, len(codes)))
         cls.append(c)
-        if len(t) == _CHUNK_ROWS:
-            flush()
-    flush()
-    columns = [np.concatenate(parts) for parts in zip(*chunks)]
-    columns.append(np.array(list(codes), dtype=str))
+    table = FlowTable(start_time_us=np.asarray(t),
+                      magnitudes=np.asarray(mags).reshape(-1, 4),
+                      src_code=np.asarray(src), dst_code=np.asarray(dst),
+                      addresses=np.array(list(codes), dtype=str),
+                      label_class=np.asarray(cls))
     # one table serves every cell of a sweep: no caller may change it
-    for col in columns:
+    for col in vars(table).values():
         col.flags.writeable = False
-    t_col, mag_col, src_col, dst_col, cls_col, addresses = columns
-    return FlowTable(start_time_us=t_col, magnitudes=mag_col,
-                     src_code=src_col, dst_code=dst_col, addresses=addresses,
-                     label_class=cls_col)
+    return table
 
 
 def _accepted_rows(lines: Iterable[str], on_error: str, stats: IngestStats

@@ -187,8 +187,9 @@ def scenario_compare(scenario_files: dict[int, str],
     """Run one fixed (width, stride) cell per capture file.
 
     Each capture is read with read_flows under the on_error row policy. A
-    failure in one capture (missing file, bad rows, degenerate split) is
-    recorded in that row and the remaining captures still run.
+    failure in one capture (missing file, text that is not UTF-8, bad rows,
+    degenerate split) is recorded in that row and the remaining captures
+    still run.
     """
     out: list[ScenarioCell] = []
     for scenario_id in sorted(scenario_files):
@@ -196,7 +197,7 @@ def scenario_compare(scenario_files: dict[int, str],
         t0 = time.perf_counter()
         try:
             flows, _ = read_flows(path, on_error=on_error)
-        except (OSError, FlowsiftError) as exc:
+        except (OSError, UnicodeDecodeError, FlowsiftError) as exc:
             cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed,
                              status=f"error:{type(exc).__name__}",
                              wall_time_s=time.perf_counter() - t0)

@@ -7,6 +7,7 @@ one group, aggregated into the 21 canonical features.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -101,7 +102,9 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     (source, destination) pair, keyed "src>dst". The row target is 1 iff the
     group contains at least one flow of a positive class. Rows come out
     sorted by (window_index, group key); the result is bit-identical under
-    any permutation of the input flows.
+    any permutation of the input flows. Each window's rows are appended to
+    typed buffers that become the output arrays without a copy, so the
+    matrix is never held twice.
     """
     if not positive_classes:
         raise ValueError("positive_classes must be non-empty")
@@ -134,8 +137,8 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     for a, v in enumerate(vals):
         ranks[a, np.lexsort((v, key_code))] = np.arange(len(d))
 
-    # an empty first block, so a matrix without rows needs no special case
-    blocks = [(np.empty((0, len(FEATURE_NAMES))), pos[:0], d[:0], key_code[:0])]
+    # X, y, window index and key code of every row so far, as typed buffers
+    out = (array("d"), array("b"), array("q"), array("q"))
     k = 0
     while (lo := int(np.searchsorted(d, k * s))) < len(d):
         hi = int(np.searchsorted(d, k * s + w))
@@ -144,15 +147,20 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
             # window that ends after it
             k = int(d[lo] - w) // s + 1
             continue
-        blocks.append(_aggregate_window(k, vals[:, lo:hi], pos[lo:hi],
-                                        key_code[lo:hi], ranks[:, lo:hi]))
+        parts = _aggregate_window(k, vals[:, lo:hi], pos[lo:hi],
+                                  key_code[lo:hi], ranks[:, lo:hi])
+        for buf, part in zip(out, parts):
+            # frombytes copies raw bytes, so a part must already have its
+            # buffer's dtype: "equiv" casting raises TypeError on any other
+            part = part.astype(buf.typecode, casting="equiv", copy=False)
+            buf.frombytes(memoryview(part).cast("B"))
         k += 1
 
-    X, y, window_index, codes = map(np.concatenate, zip(*blocks))
+    X, y, window_index, codes = map(np.asarray, out)
     return FeatureMatrix(
         feature_names=FEATURE_NAMES,
-        X=X,
-        y=y.astype(np.int8),
+        X=X.reshape(-1, len(FEATURE_NAMES)),
+        y=y,
         window_index=window_index,
         window_start_us=origin + window_index * s,
         src_addr=uniq_keys[codes],
@@ -183,12 +191,12 @@ def _group_keys(flows: FlowTable, group_by: str
                                             flows.addresses[dst].tolist())]
     # distinct pairs can share a key string ("a>b" + "c", "a" + "b>c")
     uniq_keys, rank = np.unique(keys, return_inverse=True)
-    return uniq_keys, rank[inverse]
+    return uniq_keys, rank[inverse].astype(np.int64, copy=False)
 
 
 def _aggregate_window(k, vals, pos, key_code, ranks):
-    """Features, targets, window index and key code of window k's groups,
-    one row per key code, ascending.
+    """Features (float64), targets (int8), window index and key code (both
+    int64) of window k's groups, one row per key code, ascending.
 
     vals and ranks are (attribute, flow); ranks[a] holds distinct ints that
     order the window's flows by (key code, attribute a).
@@ -221,7 +229,7 @@ def _aggregate_window(k, vals, pos, key_code, ranks):
     stats = np.stack((sums, means, np.sqrt(var), maxs, meds), axis=-1)
     X = np.column_stack(
         (g_len, stats.swapaxes(0, 1).reshape(len(g_start), -1)))
-    y = np.logical_or.reduceat(pos[orders[0]], g_start)
+    y = np.logical_or.reduceat(pos[orders[0]], g_start).astype(np.int8)
     return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
 
 

@@ -303,14 +303,41 @@ def test_single_class_training_is_degenerate(tmp_path, capsys):
 
 def test_scenarios_isolates_missing_capture(ws, tmp_path):
     out = str(tmp_path / "scenarios.csv")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(_not_utf8(ws["flows"]))
     rc = main(["scenarios", "--files",
-               f"9={ws['flows']},5={tmp_path / 'gone.csv'}",
+               f"9={ws['flows']},5={tmp_path / 'gone.csv'},7={latin1}",
                "--width", "189", "--stride", "129", "-o", out])
     assert rc == 0, "per-capture failures do not fail the command"
     lines = open(out).read().strip().split("\n")
-    assert len(lines) == 3
+    assert len(lines) == 4
     assert lines[1].startswith("5,") and lines[1].endswith("error:FileNotFoundError")
-    assert lines[2].startswith("9,") and lines[2].endswith("ok")
+    assert lines[2].startswith("7,") and lines[2].endswith("error:UnicodeDecodeError")
+    assert lines[3].startswith("9,") and lines[3].endswith("ok")
+
+
+def _not_utf8(path):
+    """The file's bytes with a Latin-1 "\xe9" ending its third line."""
+    lines = open(path, "rb").read().split(b"\n")
+    lines[2] += b"\xe9"
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "{flows}", "-o", "{out}"],
+    ["featurize", "{flows}", "--width", "60", "--stride", "60", "-o", "{out}"],
+    ["train", "{features}", "-o", "{out}"],
+    ["eval", "{features_ok}", "--model", "{model}", "-o", "{out}"],
+], ids=["stats", "featurize", "train", "eval-model"])
+def test_input_not_utf8_is_data_error(ws, tmp_path, capsys, argv):
+    paths = {"out": tmp_path / "out", "features_ok": ws["features"]}
+    for key in ("flows", "features", "model"):
+        paths[key] = tmp_path / key
+        paths[key].write_bytes(_not_utf8(ws[key]))
+    rc = main([arg.format(**paths) for arg in argv])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert not paths["out"].exists()
 
 
 def test_featurize_selection_stages(ws, tmp_path):

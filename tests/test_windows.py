@@ -18,6 +18,7 @@ from flowsift import (
     build_matrix,
     window_indices,
 )
+from flowsift import windows
 from flowsift.features import FEATURE_NAMES
 
 US = 1_000_000
@@ -293,11 +294,35 @@ def test_build_matrix_gap_flows_dropped():
     """stride > width: flows in uncovered gaps contribute no rows."""
     flows = [flow(t_s=0.0, src="a"), flow(t_s=15.0, src="a"),
              flow(t_s=30.0, src="a")]
-    m = build_matrix(FlowTable.from_records(flows),
-                     WindowConfig(width_s=10, stride_s=30))
+    table = FlowTable.from_records(flows)
+    m = build_matrix(table, WindowConfig(width_s=10, stride_s=30))
     assert m.n_rows == 2
     assert m.window_index.tolist() == [0, 1]
     assert m.X[:, 0].tolist() == [1.0, 1.0]
+    # 12 s before the first flow, every flow lies in a gap: no rows at all
+    empty = build_matrix(table, WindowConfig(width_s=10, stride_s=30,
+                                             origin_us=-12 * US))
+    assert empty.X.shape == (0, len(FEATURE_NAMES))
+    assert empty.src_addr.shape == (0,)
+    for got in (m, empty):
+        assert got.X.dtype == np.float64 and got.X.flags.c_contiguous
+        assert got.y.dtype == np.int8
+        assert got.window_index.dtype == got.window_start_us.dtype == np.int64
+
+
+def test_build_matrix_rejects_window_parts_of_another_dtype(monkeypatch):
+    """Window parts are copied into typed buffers as raw bytes: a part of
+    another dtype raises instead of being reinterpreted."""
+    real = windows._aggregate_window
+
+    def bool_targets(*args):
+        X, y, k, codes = real(*args)
+        return X, y.astype(bool), k, codes
+
+    monkeypatch.setattr(windows, "_aggregate_window", bool_targets)
+    with pytest.raises(TypeError):
+        build_matrix(FlowTable.from_records([flow()]),
+                     WindowConfig(width_s=60, stride_s=60))
 
 
 def test_build_matrix_group_by_src_dst():
