@@ -32,6 +32,31 @@ def atomic_write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+@contextmanager
+def naming_undecodable(path: str) -> Iterator[None]:
+    """Re-raise a UnicodeDecodeError from reading path as UTF-8 text with
+    the path and the 1-based line of the file's first byte that is not
+    UTF-8. The text reader reports an offset within its decode chunk; the
+    line is found by reading the file again as bytes, on this error path
+    only. The error keeps its type, so callers that record it by name see no
+    change."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        where = path
+        with open(path, "rb") as fh:
+            # no multi-byte UTF-8 sequence contains b"\n": line by line is
+            # the same decode as the whole file
+            for line_no, raw in enumerate(fh, start=1):
+                try:
+                    raw.decode("utf-8")
+                except UnicodeDecodeError as first:
+                    exc, where = first, f"{path}, line {line_no}"
+                    break
+        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start,
+                                 exc.end, f"{exc.reason} ({where})") from None
+
+
 def fmt_g9(value: float) -> str:
     """Render a real with 9 significant digits ("%.9g")."""
     return f"{float(value):.9g}"

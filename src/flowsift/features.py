@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import atomic_open
+from ._util import atomic_open, naming_undecodable
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -210,8 +210,9 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
     is read again line by line, which either raises the path:line error or
     accepts what the bulk parse is stricter about ("1_0", non-ASCII digits).
     """
-    matrix = _read_matrix_csv_bulk(path)
-    return matrix if matrix is not None else _read_matrix_csv_lines(path)
+    with naming_undecodable(path):
+        matrix = _read_matrix_csv_bulk(path)
+        return matrix if matrix is not None else _read_matrix_csv_lines(path)
 
 
 def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:

@@ -30,6 +30,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._util import naming_undecodable
 from .errors import MalformedRow
 
 TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
@@ -447,7 +448,7 @@ def read_flows(path: str, on_error: str = "skip"
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
     stats = IngestStats()
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
         table = _build_table(_accepted_rows(fh, on_error, stats))
     return table, stats
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, naming_undecodable
 from .errors import (CorruptModel, NonFiniteLoss, SchemaMismatch,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput)
 from .features import (FeatureMatrix, StandardizationParams, standardize_fit)
@@ -309,7 +309,7 @@ def save_model(path: str, model: LogRegModel) -> None:
 
 def load_model(path: str) -> LogRegModel:
     """Read a model file; rejects unknown schema versions and mangled files."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
         payload = json.loads(text)

@@ -2,8 +2,10 @@
 
 A sweep fixes the flow data and varies (width, stride); each cell runs the
 full pipeline — windowing, split, training, evaluation — and lands in one CSV
-row. Cells are independent, so failures are recorded in-place and the rest of
-the grid still runs. Repeat runs re-execute a single cell under consecutive
+row. A cell whose stride is a multiple of a smaller stride of its width takes
+its windows from that stride's build instead of windowing again. Cells are
+independent, so failures are recorded in-place and the rest of the grid
+still runs. Repeat runs re-execute a single cell under consecutive
 seeds to expose sampling variance; scenario comparison runs one fixed cell
 across several capture files.
 """
@@ -21,7 +23,7 @@ from .ingest import FlowTable, read_flows
 from .logreg import fit
 from .metrics import MetricsReport, evaluate
 from .split import SplitSpec, split
-from .windows import WindowConfig, build_matrix
+from .windows import WindowConfig, build_matrix, stride_multiple
 
 SWEEP_CSV_HEADER = ("width_s,stride_s,seed,"
                     "train_precision,train_recall,train_f1,"
@@ -78,11 +80,19 @@ def run_single(flows: FlowTable,
                stride_s: int,
                spec: SplitSpec | None = None,
                seed: int = 0,
+               *,
+               _matrix: FeatureMatrix | None = None,
                ) -> tuple[MetricsReport, MetricsReport]:
-    """One full pipeline pass; returns (train report, test report)."""
-    cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
-    matrix = build_matrix(flows, cfg)
-    return _train_score(matrix, spec, seed)
+    """One full pipeline pass; returns (train report, test report).
+
+    _matrix, when given, is the already-built matrix of this geometry (how
+    run_grid hands a cell the rows it shares with another); it is not built
+    again.
+    """
+    if _matrix is None:
+        cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
+        _matrix = build_matrix(flows, cfg)
+    return _train_score(_matrix, spec, seed)
 
 
 def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
@@ -103,17 +113,72 @@ def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
 
 
 def _run_cell(flows: FlowTable, width_s: int, stride_s: int,
-              spec: SplitSpec | None, seed: int) -> SweepCell:
+              spec: SplitSpec | None, seed: int,
+              matrix: FeatureMatrix | None = None,
+              t0: float | None = None) -> SweepCell:
+    """Run one cell, recording a FlowsiftError as its status. matrix is
+    handed to run_single; t0 backdates the cell's wall time to cover the
+    work that made it."""
     cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
-    t0 = time.perf_counter()
+    if t0 is None:
+        t0 = time.perf_counter()
     try:
-        reports = run_single(flows, width_s, stride_s, spec, seed)
+        reports = run_single(flows, width_s, stride_s, spec, seed,
+                             _matrix=matrix)
     except FlowsiftError as exc:
         cell.status = f"error:{type(exc).__name__}"
     else:
         _record(cell, reports)
     cell.wall_time_s = time.perf_counter() - t0
     return cell
+
+
+def _plan_builds(geometries: list[tuple[int, int]]
+                 ) -> dict[tuple[int, int], list[int]]:
+    """Map each geometry to build onto the strides to run from it: its own
+    first, then the larger strides of its width that it divides.
+
+    Within a width, a stride is built when no smaller stride of that width
+    divides it; otherwise it is derived from its smallest built divisor.
+    """
+    plan: dict[tuple[int, int], list[int]] = {}
+    for width_s in dict.fromkeys(w for w, _ in geometries):
+        built: list[int] = []
+        for stride_s in sorted({s for w, s in geometries if w == width_s}):
+            base = next((b for b in built if stride_s % b == 0), None)
+            if base is None:
+                built.append(stride_s)
+                plan[(width_s, stride_s)] = [stride_s]
+            else:
+                plan[(width_s, base)].append(stride_s)
+    return plan
+
+
+def _run_build(flows: FlowTable, width_s: int, strides: list[int],
+               spec: SplitSpec | None, seed: int) -> list[SweepCell]:
+    """Build (width_s, strides[0]) once, then run its cell and the cell of
+    every later stride, each a multiple of strides[0], on rows of that
+    build. The built cell's wall time includes the build; a derived cell's
+    covers its derivation, split, fit and evaluation."""
+    t0 = time.perf_counter()
+    try:
+        base = build_matrix(flows, WindowConfig(width_s=width_s,
+                                                stride_s=strides[0]))
+    except FlowsiftError as exc:
+        wall = time.perf_counter() - t0
+        return [SweepCell(width_s=width_s, stride_s=s, seed=seed,
+                          wall_time_s=wall,
+                          status=f"error:{type(exc).__name__}")
+                for s in strides]
+    cells = [_run_cell(flows, width_s, strides[0], spec, seed, base, t0)]
+    for stride_s in strides[1:]:
+        t0 = time.perf_counter()
+        matrix = stride_multiple(base, stride_s // strides[0])
+        if stride_s == strides[-1]:
+            base = None     # its last derived matrix exists
+        cells.append(_run_cell(flows, width_s, stride_s, spec, seed,
+                               matrix, t0))
+    return cells
 
 
 def run_grid(flows: FlowTable,
@@ -125,15 +190,21 @@ def run_grid(flows: FlowTable,
     """Cartesian sweep in request order: widths outer, strides inner.
 
     Every cell uses the same base seed so cells differ only in geometry.
-    Cells run on a thread pool with one worker per core, at most one per cell.
+    Each distinct geometry is computed once, and each width is built once
+    per stride that no smaller requested stride divides: a larger stride is
+    derived from the build of its smallest such divisor (stride_multiple),
+    bit for bit. Builds run on a thread pool with one worker per core, at
+    most one per build; each runs its own cell and those derived from it. A
+    repeated (width, stride) pair repeats its cell's row.
     """
     combos = [(w, s) for w in widths for s in strides]
-    workers = max(1, min(len(combos), os.cpu_count() or 1))
+    plan = _plan_builds(combos)
+    workers = max(1, min(len(plan), os.cpu_count() or 1))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        cells = list(pool.map(
-            lambda ws: _run_cell(flows, ws[0], ws[1], spec, base_seed),
-            combos))
-    return SweepResult(cells=cells)
+        built = pool.map(lambda b: _run_build(flows, b[0], plan[b], spec,
+                                              base_seed), plan)
+        done = {(c.width_s, c.stride_s): c for cells in built for c in cells}
+    return SweepResult(cells=[replace(done[ws]) for ws in combos])
 
 
 def repeat_runs(flows: FlowTable,

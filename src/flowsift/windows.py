@@ -174,6 +174,23 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     )
 
 
+def stride_multiple(matrix: FeatureMatrix, multiple: int) -> FeatureMatrix:
+    """The matrix build_matrix gives at multiple times the stride of
+    matrix, a build_matrix result, from its rows and meta alone.
+
+    Both builds anchor window 0 at one origin, so window k at stride m*s is
+    window m*k at stride s: its rows are those with window_index % m == 0,
+    re-indexed to window_index // m, and equal the direct build's bit for
+    bit. window_start_us is unchanged. Holds for gap geometries too.
+    """
+    if not (isinstance(multiple, int) and multiple >= 1):
+        raise ValueError(f"multiple must be a positive integer, got {multiple!r}")
+    out = matrix.subset(matrix.window_index % multiple == 0)
+    out.window_index //= multiple
+    out.meta["stride_s"] = matrix.meta["stride_s"] * multiple
+    return out
+
+
 def _group_keys(flows: FlowTable, group_by: str
                 ) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct group key strings, and each flow's index into

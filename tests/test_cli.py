@@ -323,20 +323,25 @@ def _not_utf8(path):
     return b"\n".join(lines)
 
 
-@pytest.mark.parametrize("argv", [
-    ["stats", "{flows}", "-o", "{out}"],
-    ["featurize", "{flows}", "--width", "60", "--stride", "60", "-o", "{out}"],
-    ["train", "{features}", "-o", "{out}"],
-    ["eval", "{features_ok}", "--model", "{model}", "-o", "{out}"],
+@pytest.mark.parametrize("argv,bad", [
+    (["stats", "{flows}", "-o", "{out}"], "flows"),
+    (["featurize", "{flows}", "--width", "60", "--stride", "60",
+      "-o", "{out}"], "flows"),
+    (["train", "{features}", "-o", "{out}"], "features"),
+    (["eval", "{features_ok}", "--model", "{model}", "-o", "{out}"], "model"),
 ], ids=["stats", "featurize", "train", "eval-model"])
-def test_input_not_utf8_is_data_error(ws, tmp_path, capsys, argv):
+def test_input_not_utf8_is_data_error(ws, tmp_path, capsys, argv, bad):
+    """The error names the file and the line of its first byte that is not
+    UTF-8, not an offset within a decode chunk."""
     paths = {"out": tmp_path / "out", "features_ok": ws["features"]}
     for key in ("flows", "features", "model"):
         paths[key] = tmp_path / key
         paths[key].write_bytes(_not_utf8(ws[key]))
     rc = main([arg.format(**paths) for arg in argv])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("data error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert f"({paths[bad]}, line 3)" in err
     assert not paths["out"].exists()
 
 

@@ -56,8 +56,8 @@ def test_traced_job_records_every_layer(tmp_path):
     assert len(by_name["run_single"]) == 2
     assert all(s["counts"]["rows"] == synth["flows"]
                for s in by_name["read_flows"])
-    # two sweep cells plus featurize
-    assert len(by_name["build_matrix"]) == 3
+    # one sweep build (90/60 is derived from 90/15) plus featurize
+    assert len(by_name["build_matrix"]) == 2
     assert all(s["counts"]["entries"] > 0 for s in by_name["build_matrix"])
     # two sweep cells plus train
     assert len(by_name["fit"]) == 3

@@ -147,6 +147,84 @@ def test_run_grid_pooled_cells_match_run_single(corpus):
         assert cell.metric("train_precision") == train.precision
 
 
+def count_builds(monkeypatch):
+    """Route flowsift.sweep.build_matrix through a counter; returns the list
+    of (width, stride) it is called with."""
+    calls = []
+    real = flowsift.sweep.build_matrix
+
+    def counting(*args, **kwargs):
+        calls.append((args[1].width_s, args[1].stride_s))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(flowsift.sweep, "build_matrix", counting)
+    return calls
+
+
+def test_run_grid_builds_each_width_once_per_undivided_stride(
+        corpus, monkeypatch):
+    """15 divides 30, 60, 75, 90 and 120: one build per width serves all
+    six strides, gap geometries (120 > 90) included."""
+    strides = [15, 30, 60, 75, 90, 120]
+    calls = count_builds(monkeypatch)
+    result = run_grid(corpus, widths=[90, 180], strides=strides)
+    assert sorted(calls) == [(90, 15), (180, 15)]
+    assert [(c.width_s, c.stride_s) for c in result.cells] == [
+        (w, s) for w in (90, 180) for s in strides]
+    monkeypatch.undo()
+    for cell in result.cells:
+        train, test = run_single(corpus, cell.width_s, cell.stride_s)
+        assert cell.status == ("ok:stride_gap" if cell.stride_s > cell.width_s
+                               else "ok")
+        assert (cell.train, cell.test) == (train, test), \
+            f"{cell.width_s}/{cell.stride_s} differs from its own build"
+
+
+def test_run_grid_failed_build_fails_every_cell_it_serves(monkeypatch):
+    """A build that raises marks its own cell and each derived cell with
+    the error, as building each of them would have."""
+    calls = count_builds(monkeypatch)
+    result = run_grid(FlowTable.from_records([]), widths=[90],
+                      strides=[15, 30])
+    assert calls == [(90, 15)]
+    assert [(c.stride_s, c.status) for c in result.cells] == [
+        (15, "error:EmptyInput"), (30, "error:EmptyInput")]
+    assert all(c.wall_time_s is not None and c.test is None
+               for c in result.cells)
+
+
+def test_reference_table_geometries_need_eleven_builds():
+    """The paper's 15 distinct geometries: 90/15 serves 90/30, 90/75 and
+    90/90, and 180/30 serves 180/120."""
+    geometries = list(dict.fromkeys(
+        (r.width_s, r.stride_s) for r in WIDTH_STRIDE_RESULTS))
+    plan = flowsift.sweep._plan_builds(geometries)
+    assert len(geometries) == 15 and len(plan) == 11
+    assert plan[(90, 15)] == [15, 30, 75, 90]
+    assert plan[(180, 30)] == [30, 120]
+    assert sorted((w, s) for (w, _), strides in plan.items()
+                  for s in strides) == sorted(geometries)
+
+
+def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch):
+    """Each distinct geometry runs once; every requested pair keeps its row,
+    in request order. 30 is not a multiple of 60 and 60 is derived from 15,
+    so each width is built at 15 and at no other stride."""
+    calls = count_builds(monkeypatch)
+    result = run_grid(corpus, widths=[90, 60, 90], strides=[60, 15, 30, 15])
+    assert sorted(calls) == [(60, 15), (90, 15)]
+    assert [(c.width_s, c.stride_s) for c in result.cells] == [
+        (w, s) for w in (90, 60, 90) for s in (60, 15, 30, 15)]
+    rows = sweep_csv(result, timings=True).split("\n")[1:-1]
+    assert rows[:4] == rows[8:], "the repeated width repeats its rows"
+    assert rows[1] == rows[3] and rows[5] == rows[7]
+    assert len(set(rows)) == 6
+    monkeypatch.undo()
+    for cell in result.cells:
+        train, test = run_single(corpus, cell.width_s, cell.stride_s)
+        assert (cell.train, cell.test) == (train, test)
+
+
 def test_repeat_runs_chronological_is_seed_invariant(corpus):
     runs, dispersion = repeat_runs(corpus, 60, 60, runs=2, spec=SplitSpec())
     assert [r.seed for r in runs] == [0, 1]
@@ -172,16 +250,9 @@ def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
     spec = SplitSpec(mode="stratified_random")
     expected = [run_single(corpus, 60, 60, spec=spec, seed=seed)
                 for seed in (4, 5, 6)]
-    calls = []
-    real = flowsift.sweep.build_matrix
-
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(flowsift.sweep, "build_matrix", counting)
+    calls = count_builds(monkeypatch)
     runs, _ = repeat_runs(corpus, 60, 60, runs=3, spec=spec, base_seed=4)
-    assert len(calls) == 1
+    assert calls == [(60, 60)]
     assert [r.seed for r in runs] == [4, 5, 6]
     for cell, (train, test) in zip(runs, expected):
         assert cell.status == "ok"

@@ -1,11 +1,12 @@
-"""Atomic writes: a failed write leaves the previous file and no temp file."""
+"""Atomic writes (a failed write leaves the previous file and no temp
+file) and the path:line restatement of undecodable input."""
 import os
 
 import numpy as np
 import pytest
 
 from flowsift import FeatureMatrix, write_matrix_csv
-from flowsift._util import atomic_open, atomic_write_text
+from flowsift._util import atomic_open, atomic_write_text, naming_undecodable
 
 
 def leftovers(directory):
@@ -58,3 +59,20 @@ def test_failed_matrix_write_keeps_previous_file(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read() == b"previous\n"
     assert leftovers(tmp_path) == []
+
+
+def test_undecodable_error_names_the_line_past_the_first_chunk(tmp_path):
+    """A bad byte on line 5,000, far past the text reader's first decode
+    chunk, is reported at its line and its offset in that line; the error
+    keeps its type."""
+    path = tmp_path / "big.csv"
+    lines = [b"0123456789,abcdef,\xc3\xa9" for _ in range(6000)]
+    lines[4999] = b"01234\xe9"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(UnicodeDecodeError) as info:
+        with naming_undecodable(str(path)), \
+                open(path, "r", encoding="utf-8") as fh:
+            fh.read()
+    assert info.value.start == 5
+    assert str(info.value).endswith(
+        f"invalid continuation byte ({path}, line 5000)")

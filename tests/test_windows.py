@@ -548,3 +548,59 @@ def test_build_matrix_bit_identical_to_per_window_lexsort(
     assert np.array_equal(m.y, y)
     assert np.array_equal(m.window_index, win)
     assert m.src_addr.tolist() == key.tolist()
+
+
+@pytest.mark.parametrize("width,stride", [(90, 15), (30, 15), (10, 20)],
+                         ids=["90-15", "30-15-gaps-from-x3", "10-20-gaps"])
+@pytest.mark.parametrize("lead_s", [None, 37], ids=["earliest", "origin"])
+@pytest.mark.parametrize("ties", [True, False], ids=["ties", "spread"])
+@pytest.mark.parametrize("group_by", ["src", "src_dst"])
+def test_stride_multiple_bit_identical_to_direct_build(
+        width, stride, lead_s, ties, group_by):
+    """Window k at stride m*s is window m*k at stride s under one origin, so
+    the rows of a build at stride s with window_index % m == 0, re-indexed
+    to window_index // m, are the build at m*s bit for bit, meta included:
+    overlapping, tiling and gap geometries alike. lead_s pins the origin
+    that many seconds before the first flow."""
+    rng = random.Random(width * 1000 + stride * 10 + (lead_s or 0) + ties)
+    flows = []
+    for _ in range(800):
+        if ties:
+            mags = dict(dur=rng.choice([0.1, 0.7, 2.9]),
+                        pkts=rng.choice([1, 2, 3]),
+                        tot_bytes=rng.choice([60, 1500]),
+                        src_bytes=rng.choice([0, 40]))
+        else:
+            tot = rng.randint(60, 100000)
+            mags = dict(dur=rng.uniform(0, 100), pkts=rng.randint(1, 500),
+                        tot_bytes=tot, src_bytes=rng.randint(0, tot))
+        flows.append(flow(
+            t_s=rng.uniform(0, 900), src=f"10.0.0.{rng.randint(1, 4)}",
+            dst=f"10.1.0.{rng.randint(1, 2)}", **mags,
+            cls=rng.choice(list(LabelClass))))
+    table = FlowTable.from_records(flows)
+    origin = (None if lead_s is None
+              else int(table.start_time_us.min()) - lead_s * US)
+    base = build_matrix(table, WindowConfig(width, stride, origin),
+                        group_by=group_by)
+    for m in range(1, 7):
+        direct = build_matrix(table, WindowConfig(width, m * stride, origin),
+                              group_by=group_by)
+        derived = windows.stride_multiple(base, m)
+        assert derived.n_rows > 0
+        assert derived.X.tobytes() == direct.X.tobytes(), f"x{m}"
+        assert derived.y.tobytes() == direct.y.tobytes()
+        assert derived.y.dtype == direct.y.dtype
+        assert np.array_equal(derived.window_index, direct.window_index)
+        assert np.array_equal(derived.window_start_us, direct.window_start_us)
+        assert derived.src_addr.dtype == direct.src_addr.dtype
+        assert np.array_equal(derived.src_addr, direct.src_addr)
+        assert derived.meta == direct.meta
+    assert base.meta["stride_s"] == stride, "the base matrix is not changed"
+
+
+def test_stride_multiple_rejects_a_non_positive_multiple():
+    m = build_matrix(FlowTable.from_records([flow()]), WindowConfig(60, 60))
+    for bad in (0, -2, 1.5):
+        with pytest.raises(ValueError):
+            windows.stride_multiple(m, bad)
