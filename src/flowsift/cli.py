@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from ._util import atomic_write_text, fmt_g9
+from ._util import atomic_write_text, fmt_g9, naming_undecodable
 from .errors import EmptyValues, FlowsiftError, SchemaMismatch
 from .features import read_matrix_csv, write_matrix_csv
 from .ingest import LabelClass, class_from_token, label_distribution, read_flows
@@ -108,6 +108,8 @@ def _files_map(text: str) -> dict[int, str]:
         if not sep or not path or not key.strip().lstrip("-").isdigit():
             raise argparse.ArgumentTypeError(
                 f"expects id=path pairs, got {pair!r}")
+        if int(key) in out:
+            raise argparse.ArgumentTypeError(f"repeats id {int(key)}")
         out[int(key)] = path
     if not out:
         raise argparse.ArgumentTypeError("expects at least one id=path pair")
@@ -244,14 +246,15 @@ def _is_data_row(row: dict) -> bool:
 
 def _cmd_report(args) -> int:
     column = f"{args.partition}_{args.histogram}"
+    # decoded whole first: the ValueError below would catch a decode error
+    with naming_undecodable(args.sweep_csv), \
+            open(args.sweep_csv, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh.readlines())
+    if reader.fieldnames is None or column not in reader.fieldnames:
+        raise SchemaMismatch(f"{args.sweep_csv} has no column {column!r}")
     try:
-        with open(args.sweep_csv, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or column not in reader.fieldnames:
-                raise SchemaMismatch(
-                    f"{args.sweep_csv} has no column {column!r}")
-            values = [float(row[column]) for row in reader
-                      if row.get(column) and _is_data_row(row)]
+        values = [float(row[column]) for row in reader
+                  if row.get(column) and _is_data_row(row)]
     except ValueError as exc:
         raise SchemaMismatch(f"non-numeric value in {column}: {exc}") from None
     if not all(0.0 <= v <= 1.0 for v in values):

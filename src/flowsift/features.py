@@ -161,6 +161,20 @@ def standardize_fit(matrix: FeatureMatrix) -> StandardizationParams:
         raise DegenerateComputation(f"cannot standardize: {exc}") from None
 
 
+# rows per weighted_gram block: one BLAS call over all rows splits its sum by
+# thread, so its bits would follow the thread count; fixed blocks do not
+_GRAM_BLOCK_ROWS = 512
+
+
+def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Σᵢ cᵢ·aᵢaᵢᵀ over the rows aᵢ of A, summed block by block in row order."""
+    gram = np.zeros((A.shape[1], A.shape[1]))
+    for lo in range(0, A.shape[0], _GRAM_BLOCK_ROWS):
+        block = A[lo:lo + _GRAM_BLOCK_ROWS]
+        gram += (block.T * c[lo:lo + _GRAM_BLOCK_ROWS]) @ block
+    return gram
+
+
 # rows formatted per write: bounds the text held at once to under a megabyte
 _WRITE_CHUNK_ROWS = 4096
 

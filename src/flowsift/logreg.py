@@ -2,10 +2,11 @@
 
 Deterministic damped Newton (iteratively reweighted least squares) with
 backtracking on the loss: no solver library beyond a dense linear solve, no
-stochasticity, so identical inputs give bit-identical models and run-to-run
-variation can only come from data splits. Numerics are kept overflow-safe
-throughout: the sigmoid never exponentiates a positive argument and the loss
-uses the log(1 + e^-|z|) form rather than log(sigmoid).
+stochasticity, so identical inputs give bit-identical models at any BLAS
+thread count and run-to-run variation can only come from data splits.
+Numerics are kept overflow-safe throughout: the sigmoid never exponentiates a
+positive argument and the loss uses the log(1 + e^-|z|) form rather than
+log(sigmoid).
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ import numpy as np
 from ._util import atomic_write_text, naming_undecodable
 from .errors import (CorruptModel, NonFiniteLoss, SchemaMismatch,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput)
-from .features import (FeatureMatrix, StandardizationParams, standardize_fit)
+from .features import (FeatureMatrix, StandardizationParams, standardize_fit,
+                       weighted_gram)
 
 MODEL_SCHEMA_VERSION = 3
 
@@ -131,15 +133,9 @@ def gradient(weights, bias: float, X, y, class_weights,
     y = np.asarray(y, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     _check_shapes(weights, X, y, class_weights)
-    return _gradient_at(sigmoid(X @ weights + bias), weights, X, y,
-                        class_weights, l2_lambda)
-
-
-def _gradient_at(p, weights, X, y, class_weights,
-                 l2_lambda: float) -> tuple[np.ndarray, float]:
-    """gradient given the probabilities p = sigmoid(X @ weights + bias)."""
+    p = sigmoid(X @ weights + bias)
     r = class_weights * (p - y) / class_weights.sum()
-    return X.T @ r + l2_lambda * weights, float(r.sum())
+    return np.einsum("ij,i->j", X, r) + l2_lambda * weights, float(r.sum())
 
 
 def class_weights_for(y: np.ndarray, mode: str) -> np.ndarray:
@@ -179,17 +175,17 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
         ) -> tuple[LogRegModel, TrainReport]:
     """Train on a labeled feature matrix.
 
-    Features are standardized against this data; weights and bias start at
-    zero. Each iteration solves for the Newton direction with the Hessian
-    Xaᵀ diag(cᵢpᵢ(1-pᵢ)/Σc) Xa + λI, where Xa is the standardized X with a
-    column of ones for the bias (the bias entry of λI is 0), then backtracks
-    from the full step, halving it while it would increase the loss. Stops
-    when the gradient inf-norm falls below _TOL, when an accepted step
-    improves the loss by less than _TOL, or when no halved step can decrease
-    the loss (numerical floor); _MAX_ITER is only a safety cap, reported as
-    converged=False. The margins Xs @ w + b are computed once per iterate:
-    the accepted candidate's margins serve the next iteration's gradient,
-    curvature and loss.
+    Features are standardized against this data into Xa, with a last column
+    of ones for the bias, and θ = [w, b] starts at zero. Each iteration
+    solves for the Newton direction with the Hessian
+    Xaᵀ diag(cᵢpᵢ(1-pᵢ)/Σc) Xa + λI (the bias entry of λI is 0), then
+    backtracks from the full step, halving it while it would increase the
+    loss. Stops when the gradient inf-norm falls below _TOL, when an accepted
+    step improves the loss by less than _TOL, or when no halved step can
+    decrease the loss (numerical floor); _MAX_ITER is only a safety cap,
+    reported as converged=False. The margins Xa @ θ are computed once per
+    iterate: the accepted candidate's margins serve the next iteration's
+    gradient, curvature and loss.
 
     The model's decision threshold is 0.5.
     """
@@ -197,46 +193,45 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
     y = np.asarray(matrix.y, dtype=np.float64)
     class_weights = class_weights_for(y, hp.class_weight_mode)
     params = standardize_fit(matrix)
-    Xs = params.transform(matrix.X)
-    Xa = np.column_stack([Xs, np.ones(len(y))])
-    ridge = np.diag(np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0))
+    # standardized in place: X - means as a temporary is a second copy of X
+    Xa = np.ones((matrix.n_rows, matrix.n_features + 1))
+    np.subtract(matrix.X, params.means, out=Xa[:, :-1])
+    np.divide(Xa[:, :-1], params.scales, out=Xa[:, :-1])
+    ridge = np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0)
     norm_weights = class_weights / class_weights.sum()
 
-    w = np.zeros(matrix.n_features)
-    b = 0.0
-    z = Xs @ w + b
-    current = _loss_at(z, w, y, class_weights, hp.l2_lambda)
+    theta = np.zeros(matrix.n_features + 1)
+    z = Xa @ theta
+    current = _loss_at(z, theta[:-1], y, class_weights, hp.l2_lambda)
     if not math.isfinite(current):
         raise NonFiniteLoss(f"initial loss is {current}")
     trace = [current]
     converged = False
     for _ in range(_MAX_ITER):
         p = sigmoid(z)
-        dw, db = _gradient_at(p, w, Xs, y, class_weights, hp.l2_lambda)
-        if not (np.isfinite(dw).all() and math.isfinite(db)):
+        grad = np.einsum("ij,i->j", Xa, norm_weights * (p - y)) + ridge * theta
+        if not np.isfinite(grad).all():
             raise NonFiniteLoss("gradient is non-finite")
-        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < _TOL:
+        if float(np.abs(grad).max()) < _TOL:
             converged = True
             break
-        curvature = norm_weights * p * (1.0 - p)
-        hessian = (Xa.T * curvature) @ Xa + ridge
-        direction = _newton_direction(hessian, np.append(dw, db))
+        hessian = weighted_gram(Xa, norm_weights * p * (1.0 - p))
+        hessian[np.diag_indices_from(hessian)] += ridge
+        direction = _newton_direction(hessian, grad)
         step = 1.0
-        accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            w_new = w - step * direction[:-1]
-            b_new = b - step * float(direction[-1])
-            z_new = Xs @ w_new + b_new
-            candidate = _loss_at(z_new, w_new, y, class_weights, hp.l2_lambda)
+            theta_new = theta - step * direction
+            z_new = Xa @ theta_new
+            candidate = _loss_at(z_new, theta_new[:-1], y, class_weights,
+                                 hp.l2_lambda)
             if math.isfinite(candidate) and candidate <= current:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             converged = True
             break
         improvement = current - candidate
-        w, b, z, current = w_new, b_new, z_new, candidate
+        theta, z, current = theta_new, z_new, candidate
         trace.append(current)
         if improvement < _TOL:
             converged = True
@@ -248,8 +243,8 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
         "converged": converged,
     }
     model = LogRegModel(
-        weights=w,
-        bias=b,
+        weights=theta[:-1],
+        bias=float(theta[-1]),
         feature_names=matrix.feature_names,
         standardization=params,
         threshold=0.5,

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._util import atomic_write_text
 from .errors import BadComponentCount, SchemaMismatch, TooFewRows
-from .features import FeatureMatrix
+from .features import FeatureMatrix, weighted_gram
 from .logreg import fit
 from .metrics import evaluate
 from .split import SplitSpec, split
@@ -41,8 +41,7 @@ def pearson_matrix(matrix: FeatureMatrix) -> CorrelationMatrix:
     X = matrix.X
     n = X.shape[0]
     constant = X.min(axis=0) == X.max(axis=0)
-    centered = X - X.mean(axis=0)
-    cov = centered.T @ centered / n
+    cov = weighted_gram(X - X.mean(axis=0), np.full(n, 1.0 / n))
     std = np.sqrt(np.diag(cov).clip(min=0.0))
     denom = np.outer(std, std)
     live = ~constant
@@ -159,8 +158,7 @@ def pca_fit(matrix: FeatureMatrix, n_components: int) -> PcaModel:
             f"n_components must be in 1..{dim}, got {n_components}")
     X = matrix.X
     mean = X.mean(axis=0)
-    centered = X - mean
-    cov = centered.T @ centered / X.shape[0]
+    cov = weighted_gram(X - mean, np.full(X.shape[0], 1.0 / X.shape[0]))
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
     components = eigvecs[:, order].T.copy()

@@ -1,12 +1,14 @@
 """Command-line behavior: exit codes, flag validation, output formats, and
 flag/default parity with the documented interface."""
 import argparse
+import hashlib
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from flowsift import errors
 from flowsift.cli import build_parser, main
 from flowsift.ingest import HEADER_LINE
 from flowsift.sweep import SWEEP_CSV_HEADER
+from flowsift.synth import preset_scenario9, write_synth
 
 BACKGROUND_ROW = ("2011/08/16 10:00:01.000000,2.000000,tcp,10.0.0.{i},1025,"
                   "   ->,77.75.0.1,80,FSPA_FSPA,0,0,10,900,450,"
@@ -161,6 +164,7 @@ def test_stats_json_payload(tmp_path, capsys):
      "unrecognized arguments: --tol 1e-6"),
     (["train", "{features}", "--seed", "3"], "unrecognized arguments: --seed 3"),
     (["scenarios", "--files", "9"], "--files"),
+    (["scenarios", "--files", "9={flows},9={root}/other.csv"], "--files"),
     (["featurize", "{root}/missing.csv", "--width", "0", "--stride", "15"],
      "--width"),
 ], ids=["featurize-width-0", "synth-seed", "repeat-seed", "sweep-random-seed",
@@ -170,7 +174,7 @@ def test_stats_json_payload(tmp_path, capsys):
         "featurize-corr-1.5", "sweep-fraction-1", "repeat-purge-negative",
         "train-max-iter-0", "train-tol-negative", "train-seed-negative",
         "train-max-iter-5", "train-tol-1e-6", "train-seed-3",
-        "scenarios-files-no-path",
+        "scenarios-files-no-path", "scenarios-files-repeated-id",
         "usage-error-before-missing-input"])
 def test_zero_width_is_usage_error(ws, tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
@@ -276,17 +280,69 @@ def test_train_converges_silently_at_defaults(ws, tmp_path, capsys):
     assert json.loads(out.read_text())["training_meta"]["converged"] is True
 
 
-def test_python_dash_m_runs_the_cli():
-    env = dict(os.environ)
+def _child_env(**extra) -> dict:
+    """This process's environment, with the package source importable."""
+    env = dict(os.environ, **extra)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "flowsift", "--help"],
-                          capture_output=True, text=True, env=env,
+                          capture_output=True, text=True, env=_child_env(),
                           timeout=60)
     assert proc.returncode == 0
     for sub in ("featurize", "train", "eval", "sweep", "synth"):
         assert sub in proc.stdout
+
+
+# runs in a child process, in its output directory, on the flow file named
+# by its one argument
+_PIPELINE_CHILD = """
+import sys
+from flowsift.cli import main
+flows = sys.argv[1]
+geometry = ["--width", "90", "--stride", "15"]
+for argv in (
+    ["featurize", flows, *geometry, "-o", "f90.csv"],
+    ["train", "f90.csv", "-o", "m90.txt"],
+    ["featurize", flows, "--width", "600", "--stride", "15", "-o", "f600.csv"],
+    ["train", "f600.csv", "-o", "m600.txt"],
+    ["featurize", flows, "--width", "60", "--stride", "60", "--backward-elim",
+     "--selection-report", "selection.json", "-o", "elim.csv"],
+    ["featurize", flows, *geometry, "--pca-components", "3", "-o", "pca.csv"],
+    ["train", "pca.csv", "-o", "mpca.txt"],
+    ["sweep", flows, "--widths", "90,600", "--strides", "15,60",
+     "--fraction", "0.3", "-o", "sweep.csv"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
+    """The same commands under OPENBLAS_NUM_THREADS=1 and =3 write the same
+    bytes: every product over the row axis sums in an order the thread count
+    does not choose. The model files differed while fit's gradient and
+    Hessian were single BLAS calls over all rows."""
+    flows = tmp_path / "flows.csv"
+    cfg = preset_scenario9(seed=42)
+    write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))
+    digests = []
+    for threads in ("1", "3"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _PIPELINE_CHILD, str(flows)], cwd=out,
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
+    assert len(digests[0]) == 9
+    assert digests[0] == digests[1]
 
 
 def test_single_class_training_is_degenerate(tmp_path, capsys):
@@ -329,12 +385,13 @@ def _not_utf8(path):
       "-o", "{out}"], "flows"),
     (["train", "{features}", "-o", "{out}"], "features"),
     (["eval", "{features_ok}", "--model", "{model}", "-o", "{out}"], "model"),
-], ids=["stats", "featurize", "train", "eval-model"])
+    (["report", "{sweep}", "--histogram", "f1", "-o", "{out}"], "sweep"),
+], ids=["stats", "featurize", "train", "eval-model", "report"])
 def test_input_not_utf8_is_data_error(ws, tmp_path, capsys, argv, bad):
     """The error names the file and the line of its first byte that is not
     UTF-8, not an offset within a decode chunk."""
     paths = {"out": tmp_path / "out", "features_ok": ws["features"]}
-    for key in ("flows", "features", "model"):
+    for key in ("flows", "features", "model", "sweep"):
         paths[key] = tmp_path / key
         paths[key].write_bytes(_not_utf8(ws[key]))
     rc = main([arg.format(**paths) for arg in argv])

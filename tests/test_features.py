@@ -13,7 +13,7 @@ from flowsift import (
 )
 from flowsift._util import fmt_g9
 from flowsift.features import (FEATURE_NAMES, _META_COLUMNS,
-                                _read_matrix_csv_bulk)
+                                _read_matrix_csv_bulk, weighted_gram)
 
 
 def small_matrix(X, y=None, names=("a", "b")):
@@ -84,6 +84,18 @@ def test_standardize_fit_rejects_overflow(column):
     m = small_matrix([[v] for v in column], names=("v",))
     with pytest.raises(DegenerateComputation):
         standardize_fit(m)
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1025])
+def test_weighted_gram_matches_one_product(n):
+    """Summing 512-row blocks changes only the rounding of Σᵢ cᵢ·aᵢaᵢᵀ, on
+    either side of a block edge."""
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, 22))
+    c = rng.random(n)
+    gram = weighted_gram(A, c)
+    assert gram.shape == (22, 22)
+    np.testing.assert_allclose(gram, (A.T * c) @ A, rtol=1e-12, atol=1e-12)
 
 
 def test_matrix_select_projects_and_validates():

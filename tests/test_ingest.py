@@ -17,6 +17,7 @@ from flowsift import (
     WindowConfig,
     build_matrix,
     classify_label,
+    fit,
     label_distribution,
     parse_line,
     parse_timestamp,
@@ -473,3 +474,15 @@ def test_builders_hold_their_output_once(capture_700s):
     assert m.n_rows > 10_000
     assert peak <= 2 * sum(a.nbytes for a in (
         m.X, m.y, m.window_index, m.window_start_us, m.src_addr))
+
+
+def test_fit_holds_one_working_copy_of_x(capture_700s):
+    """fit standardizes into one (n, F+1) array and keeps one parameter
+    vector; the rest of its peak is n-length vectors. It peaked at 3.39x X
+    when it held the standardized X, its augmented copy and a full-size
+    Hessian temporary."""
+    table, _ = read_flows(capture_700s)
+    m = build_matrix(table, WindowConfig(width_s=90, stride_s=15))
+    (model, report), peak = _traced_peak(lambda: fit(m))
+    assert m.n_rows > 10_000 and report.converged
+    assert peak <= 1.6 * m.X.nbytes

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import flowsift.logreg
+from flowsift.features import weighted_gram
 from flowsift import (
     CorruptModel,
     FeatureMatrix,
@@ -228,37 +229,45 @@ def test_fit_reaches_at_least_the_gradient_descent_loss():
 
 
 def reference_newton(matrix, hp):
-    """The Newton loop as first written: every margin X @ w + b recomputed
-    through the public loss and gradient. fit computes each iterate's margins
-    once and must reach the same iterates bit for bit. The cap and tolerance
-    are fit's own constants, read at call time."""
+    """The Newton loop as first written, in the augmented form: Xa is the
+    standardized X beside a column of ones, θ = [w, b], and the margins
+    Xa @ θ are recomputed for every gradient and, through the public loss,
+    for every candidate. fit standardizes into Xa in place, computes each
+    iterate's margins once and adds the ridge to the Hessian's diagonal; it
+    must reach the same iterates bit for bit. The cap and tolerance are fit's
+    own constants, read at call time."""
     y = np.asarray(matrix.y, dtype=np.float64)
     cw = class_weights_for(y, hp.class_weight_mode)
-    Xs = standardize_fit(matrix).transform(matrix.X)
-    Xa = np.column_stack([Xs, np.ones(len(y))])
-    ridge = np.diag(np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0))
+    Xa = np.column_stack([standardize_fit(matrix).transform(matrix.X),
+                          np.ones(len(y))])
+    ridge = np.append(np.full(matrix.n_features, hp.l2_lambda), 0.0)
     norm_weights = cw / cw.sum()
-    w, b = np.zeros(matrix.n_features), 0.0
-    trace = [loss(w, b, Xs, y, cw, hp.l2_lambda)]
+
+    def objective(theta):
+        # the unregularized loss on Xa, plus the ridge on w alone
+        return (loss(theta, 0.0, Xa, y, cw, 0.0)
+                + 0.5 * hp.l2_lambda * float(theta[:-1] @ theta[:-1]))
+
+    theta = np.zeros(matrix.n_features + 1)
+    trace = [objective(theta)]
     converged = False
     tol = flowsift.logreg._TOL
     for _ in range(flowsift.logreg._MAX_ITER):
-        dw, db = gradient(w, b, Xs, y, cw, hp.l2_lambda)
-        if max(float(np.abs(dw).max(initial=0.0)), abs(db)) < tol:
+        p = sigmoid(Xa @ theta)
+        g = np.einsum("ij,i->j", Xa, norm_weights * (p - y)) + ridge * theta
+        if float(np.abs(g).max()) < tol:
             converged = True
             break
-        p = sigmoid(Xs @ w + b)
-        hessian = (Xa.T * (norm_weights * p * (1.0 - p))) @ Xa + ridge
-        g = np.append(dw, db)
+        hessian = (weighted_gram(Xa, norm_weights * p * (1.0 - p))
+                   + np.diag(ridge))
         try:
             direction = np.linalg.solve(hessian, g)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(hessian, g, rcond=None)[0]
         step, accepted = 1.0, False
         for _ in range(60):
-            w_new = w - step * direction[:-1]
-            b_new = b - step * float(direction[-1])
-            candidate = loss(w_new, b_new, Xs, y, cw, hp.l2_lambda)
+            theta_new = theta - step * direction
+            candidate = objective(theta_new)
             if math.isfinite(candidate) and candidate <= trace[-1]:
                 accepted = True
                 break
@@ -267,12 +276,12 @@ def reference_newton(matrix, hp):
             converged = True
             break
         improvement = trace[-1] - candidate
-        w, b = w_new, b_new
+        theta = theta_new
         trace.append(candidate)
         if improvement < tol:
             converged = True
             break
-    return w, b, trace, converged
+    return theta[:-1], float(theta[-1]), trace, converged
 
 
 def constant_column_matrix():
