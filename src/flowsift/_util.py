@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes and number formatting."""
+"""Small shared helpers: atomic file writes, number formatting and the
+count of usable cores."""
 from __future__ import annotations
 
 import os
@@ -55,6 +56,14 @@ def naming_undecodable(path: str) -> Iterator[None]:
                     break
         raise UnicodeDecodeError(exc.encoding, exc.object, exc.start,
                                  exc.end, f"{exc.reason} ({where})") from None
+
+
+def usable_cores() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (taskset, cgroup cpusets), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def fmt_g9(value: float) -> str:

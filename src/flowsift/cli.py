@@ -147,7 +147,8 @@ def _cmd_stats(args) -> int:
             tok = cls.token
             lines.append(f"{tok},{dist.counts[tok]},"
                          f"{fmt_g9(dist.percentages[tok])}")
-        lines.append(f"total,{dist.total},100")
+        # the sum of the rows above: 0 for a capture with no parsed row
+        lines.append(f"total,{dist.total},{100 if dist.total else 0}")
         text = "\n".join(lines) + "\n"
     if args.output:
         atomic_write_text(args.output, text)

@@ -29,6 +29,9 @@ class MalformedRow(FlowsiftError):
         self.line_no = line_no
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line_no, self.reason)
+
 
 # --- windowing / features -----------------------------------------------------
 

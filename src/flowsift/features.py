@@ -133,7 +133,11 @@ class StandardizationParams:
             raise ValueError("standardization scales must be finite and > 0")
 
     def transform(self, X: np.ndarray) -> np.ndarray:
-        return (X - self.means) / self.scales
+        """(X - means) / scales in one new X-sized array: the division
+        runs in place."""
+        out = X - self.means
+        np.divide(out, self.scales, out=out)
+        return out
 
 
 def standardize_fit(matrix: FeatureMatrix) -> StandardizationParams:

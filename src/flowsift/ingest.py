@@ -22,15 +22,20 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
+import pickle
 import re
+import signal
+import threading
+import traceback
 from array import array
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timedelta
-from typing import Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._util import naming_undecodable
+from ._util import naming_undecodable, usable_cores
 from .errors import MalformedRow
 
 TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
@@ -43,10 +48,10 @@ CNC_TOKEN = "cc"
 # depends on the host timezone.
 _EPOCH = datetime(1970, 1, 1)
 _US = timedelta(microseconds=1)
-# TIMESTAMP_FORMAT in its canonical spelling; any other token strptime accepts
-# (one-digit fields, short fractions, non-ASCII digits) takes the slow path
-_CANONICAL_TIMESTAMP = re.compile(
-    r"\d{4}/\d\d/\d\d \d\d:\d\d:\d\d\.\d{6}", re.ASCII)
+# TIMESTAMP_FORMAT's canonical spelling up to the dot of its six-digit
+# fraction; any other token strptime accepts (one-digit fields, short
+# fractions, non-ASCII digits) takes the slow path
+_CANONICAL_SECOND = re.compile(r"\d{4}/\d\d/\d\d \d\d:\d\d:\d\d\.", re.ASCII)
 
 
 class LabelClass(enum.IntEnum):
@@ -139,19 +144,30 @@ def parse_timestamp(token: str) -> int:
     TIMESTAMP_FORMAT; the canonical spelling skips strptime, and a bad
     token raises ValueError.
     """
-    if _CANONICAL_TIMESTAMP.fullmatch(token):
-        try:
-            return _second_us(token[:19]) + int(token[20:])
-        except ValueError:
-            pass        # no such date or time: strptime raises the error
+    try:
+        return _canonical_us(token)
+    except ValueError:
+        pass        # not canonical, or no such date or time: strptime decides
     dt = datetime.strptime(token, TIMESTAMP_FORMAT)
     return (dt - _EPOCH) // _US
 
 
+def _canonical_us(token: str) -> int:
+    """parse_timestamp of a token in the canonical spelling; ValueError for
+    any other token and for a date or time that does not exist."""
+    fraction = token[20:]
+    if not (len(token) == 26 and token.isascii() and fraction.isdigit()):
+        raise ValueError(f"not a canonical timestamp: {token!r}")
+    return _second_us(token[:20]) + int(fraction)
+
+
 @functools.lru_cache(maxsize=4096)
 def _second_us(stamp: str) -> int:
-    """Microseconds from the epoch to an ASCII "YYYY/MM/DD HH:MM:SS"; flows
-    come in time order, so consecutive rows mostly share the second."""
+    """Microseconds from the epoch to a canonical "YYYY/MM/DD HH:MM:SS.";
+    ValueError for any other string. Flows come in time order, so
+    consecutive rows mostly share the second."""
+    if not _CANONICAL_SECOND.fullmatch(stamp):
+        raise ValueError(f"not a canonical timestamp: {stamp!r}")
     second = datetime(int(stamp[:4]), int(stamp[5:7]), int(stamp[8:10]),
                       int(stamp[11:13]), int(stamp[14:16]), int(stamp[17:19]))
     return (second - _EPOCH) // _US
@@ -192,6 +208,9 @@ def _parse_tos(token: str, line_no: int, name: str) -> int | None:
     return value
 
 
+_COUNTER_END = 1 << 64
+
+
 def _parse_counter(token: str, line_no: int, name: str) -> int:
     try:
         value = int(token)
@@ -199,21 +218,53 @@ def _parse_counter(token: str, line_no: int, name: str) -> int:
         raise MalformedRow(line_no, f"non-numeric counter {name} {token!r}") from None
     # binetflow counters are unsigned 64-bit; the bound also keeps every
     # counter finite in the float64 magnitudes column
-    if not 0 <= value < 1 << 64:
+    if not 0 <= value < _COUNTER_END:
         raise MalformedRow(line_no, f"counter {name} {value} outside 0..2**64-1")
     return value
 
 
 def _split_fields(line: str, line_no: int) -> list[str]:
-    fields = list(map(str.strip, line.split(",")))
+    """A row's fields as they stand, stray whitespace and all."""
+    fields = line.split(",")
     if len(fields) != N_FIELDS:
         raise MalformedRow(line_no, f"expected {N_FIELDS} fields, got {len(fields)}")
     return fields
 
 
 def _typed_fields(fields: list[str], line_no: int) -> tuple:
-    """Validate a row's typed fields in column order; returns (start_time_us,
-    dur, sport, dport, s_tos, d_tos, tot_pkts, tot_bytes, src_bytes)."""
+    """Validate a row's typed fields; returns (start_time_us, dur, sport,
+    dport, s_tos, d_tos, tot_pkts, tot_bytes, src_bytes).
+
+    Tokens come as split, unstripped. Canonical tokens convert inline: int
+    and float accept a padded token only where the per-field parsers below
+    accept its stripped form, and give the same value. A row with any other
+    token (hex ports, float ToS, empty optional fields) or a value out of
+    range goes through those parsers, which raise the MalformedRow of the
+    first bad field in column order.
+    """
+    try:
+        dur = float(fields[1])
+        sport, dport = int(fields[4]), int(fields[7])
+        s_tos, d_tos = int(fields[9]), int(fields[10])
+        tot_pkts, tot_bytes = int(fields[11]), int(fields[12])
+        src_bytes = int(fields[13])
+        start_time_us = _canonical_us(fields[0])
+    except ValueError:
+        pass
+    else:
+        if (0.0 <= dur < math.inf and 0 <= sport <= 65535
+                and 0 <= dport <= 65535 and 0 <= s_tos <= 255
+                and 0 <= d_tos <= 255 and 0 <= tot_pkts < _COUNTER_END
+                and 0 <= tot_bytes < _COUNTER_END
+                and 0 <= src_bytes < _COUNTER_END):
+            return (start_time_us, dur, sport, dport, s_tos, d_tos,
+                    tot_pkts, tot_bytes, src_bytes)
+    return _checked_fields([f.strip() for f in fields], line_no)
+
+
+def _checked_fields(fields: list[str], line_no: int) -> tuple:
+    """_typed_fields of stripped tokens, one parser per field in column
+    order."""
     try:
         start_time_us = parse_timestamp(fields[0])
     except ValueError:
@@ -237,7 +288,7 @@ def _typed_fields(fields: list[str], line_no: int) -> tuple:
 
 def parse_line(line: str, line_no: int) -> FlowRecord:
     """Parse one data row. Raises MalformedRow with the offending line number."""
-    fields = _split_fields(line, line_no)
+    fields = [f.strip() for f in _split_fields(line, line_no)]
     (start_time_us, dur, sport, dport, s_tos, d_tos,
      tot_pkts, tot_bytes, src_bytes) = _typed_fields(fields, line_no)
     label_raw = fields[14]
@@ -354,9 +405,15 @@ class FlowTable:
     @classmethod
     def from_records(cls, records: Iterable[FlowRecord]) -> "FlowTable":
         """The table read_flows would return for these records."""
-        return _build_table((r.start_time_us, r.dur, r.tot_pkts, r.tot_bytes,
-                             r.src_bytes, r.src_addr, r.dst_addr,
-                             int(r.label_class)) for r in records)
+        columns = t, mags, src, dst, classes = _new_columns()
+        codes: dict[str, int] = {}
+        for r in records:
+            t.append(r.start_time_us)
+            mags.fromlist([r.dur, r.tot_pkts, r.tot_bytes, r.src_bytes])
+            src.append(codes.setdefault(r.src_addr, len(codes)))
+            dst.append(codes.setdefault(r.dst_addr, len(codes)))
+            classes.append(r.label_class)
+        return _table(columns, codes)
 
     def __len__(self) -> int:
         return len(self.start_time_us)
@@ -372,69 +429,281 @@ class FlowTable:
             yield FlowRow(t, *mags, addrs[src], addrs[dst], classes[c])
 
 
-def _build_table(rows: Iterable[tuple]) -> FlowTable:
-    """Collect (start_time_us, dur, tot_pkts, tot_bytes, src_bytes, src_addr,
-    dst_addr, class code) tuples into a FlowTable.
+def _new_columns() -> tuple[array, array, array, array, array]:
+    """Empty typed buffers for start_time_us, magnitudes, src_code,
+    dst_code and label_class, in FlowTable field order."""
+    return array("q"), array("d"), array("i"), array("i"), array("b")
 
-    Each value goes straight into a typed array.array buffer, and each
-    column is a zero-copy view of its buffer: no per-row Python object is
-    kept, and no column is copied.
+
+def _table(columns: tuple, addresses: Iterable[str]) -> FlowTable:
+    """The read-only FlowTable over filled buffers.
+
+    Each column is a zero-copy view of its buffer: no per-row Python
+    object is kept, and no column is copied.
     """
-    codes: dict[str, int] = {}
-    t, mags, src, dst, cls = (array("q"), array("d"), array("i"), array("i"),
-                              array("b"))
-    for start_us, dur, pkts, tot_bytes, src_bytes, s, d, c in rows:
-        t.append(start_us)
-        # fromlist converts a list in one call; extend would iterate
-        mags.fromlist([dur, pkts, tot_bytes, src_bytes])
-        src.append(codes.setdefault(s, len(codes)))
-        dst.append(codes.setdefault(d, len(codes)))
-        cls.append(c)
+    t, mags, src, dst, classes = columns
     table = FlowTable(start_time_us=np.asarray(t),
                       magnitudes=np.asarray(mags).reshape(-1, 4),
                       src_code=np.asarray(src), dst_code=np.asarray(dst),
-                      addresses=np.array(list(codes), dtype=str),
-                      label_class=np.asarray(cls))
+                      addresses=np.array(list(addresses), dtype=str),
+                      label_class=np.asarray(classes))
     # one table serves every cell of a sweep: no caller may change it
     for col in vars(table).values():
         col.flags.writeable = False
     return table
 
 
-def _accepted_rows(lines: Iterable[str], on_error: str, stats: IngestStats
-                   ) -> Iterator[tuple]:
-    """The _build_table tuple of every row parse_line accepts, tallied in
-    stats; on_error="abort" re-raises the first MalformedRow."""
-    # each distinct label is classified once
-    classes: dict[str, tuple[int, bool]] = {}
-    for line_no, line in enumerate(lines, start=1):
-        if line_no == 1 and line.startswith(HEADER_PREFIX):
-            continue
-        if line.strip() == "":
-            continue
-        stats.total_rows += 1
+# read_flows cuts a capture into byte ranges, one per usable core, and
+# parses every range but the first in a forked child. No range is shorter
+# than this, since a fork and the transfer of its columns cost a few
+# milliseconds; two ranges still beat one on a 0.6-MB capture (26 against
+# 30 ms on a 2-core x86-64 host).
+_MIN_RANGE_BYTES = 256 << 10
+# ranges are read, decoded and sent between processes in blocks of this
+# size, so no range is held whole as bytes or text; larger blocks parse no
+# faster and leave more heap behind
+_BLOCK_BYTES = 8 << 10
+
+
+class _Range(NamedTuple):
+    """One byte range's parse. columns are typed buffers in FlowTable field
+    order; their address codes index addresses, the range's own first-seen
+    order. error is the range's first MalformedRow (numbered within the
+    range) or UnicodeDecodeError; the range stops there."""
+
+    columns: tuple
+    addresses: dict[str, int]
+    stats: IngestStats
+    lines: int
+    error: Exception | None
+
+
+def _parse_range(fh: BinaryIO, budget: int | None, abort: bool,
+                 header: bool) -> _Range:
+    """Parse the rows of the next budget bytes of fh (up to EOF when None);
+    header says the range starts the file, whose line 1 may be a header.
+
+    The row loop appends each accepted row's values straight into typed
+    buffers, validating through _split_fields and _typed_fields like
+    parse_line.
+    """
+    columns = t, mags, src, dst, classes = _new_columns()
+    codes: dict[str, int] = {}
+    # each distinct raw label is classified once: (class code, recognized)
+    label_classes: dict[str, tuple[int, bool]] = {}
+    total = parsed = unrecognized = src_over = line_no = 0
+    error = None
+    try:
+        for lines in _text_blocks(fh, budget):
+            for line in lines:
+                line_no += 1
+                if not line.strip() or (line_no == 1 and header and
+                                        line.startswith(HEADER_PREFIX)):
+                    continue
+                total += 1
+                try:
+                    fields = _split_fields(line, line_no)
+                    (start_time_us, dur, _, _, _, _, tot_pkts, tot_bytes,
+                     src_bytes) = _typed_fields(fields, line_no)
+                except MalformedRow:
+                    if abort:
+                        raise
+                    continue
+                parsed += 1
+                label = fields[14]
+                cls = label_classes.get(label)
+                if cls is None:
+                    code, known = _classify(label.strip())
+                    cls = label_classes[label] = (int(code), known)
+                if not cls[1]:
+                    unrecognized += 1
+                # on the parsed ints: the float64 column can round both to
+                # one value
+                if src_bytes > tot_bytes:
+                    src_over += 1
+                t.append(start_time_us)
+                # fromlist converts a list in one call; extend would iterate
+                mags.fromlist([dur, tot_pkts, tot_bytes, src_bytes])
+                src.append(codes.setdefault(fields[3].strip(), len(codes)))
+                dst.append(codes.setdefault(fields[6].strip(), len(codes)))
+                classes.append(cls[0])
+    except (MalformedRow, UnicodeDecodeError) as exc:
+        error = exc
+    stats = IngestStats(total_rows=total, parsed=parsed,
+                        skipped=total - parsed,
+                        unrecognized_labels=unrecognized,
+                        src_bytes_over_total=src_over)
+    return _Range(columns, codes, stats, line_no, error)
+
+
+def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
+    """The lines of the next budget bytes of fh (up to EOF when None), one
+    list per block, without their line ends.
+
+    Blocks are cut after a b"\\n" and decoded as text mode decodes a file:
+    UTF-8, with "\\r\\n" and a lone "\\r" ending a line as "\\n" does. A block
+    that does not decode yields its lines before the first bad one and then
+    raises the UnicodeDecodeError, so a malformed row above a bad byte is
+    still found first.
+    """
+    carry = b""
+    while True:
+        block = fh.read(_BLOCK_BYTES if budget is None
+                        else min(_BLOCK_BYTES, budget))
+        if budget is not None:
+            budget -= len(block)
+        if block:
+            data = carry + block
+            end = data.rfind(b"\n") + 1
+        elif carry:                     # the last line has no line end
+            data, end = carry, len(carry)
+        else:
+            return
+        carry = data[end:]
         try:
-            fields = _split_fields(line, line_no)
-            (start_time_us, dur, _, _, _, _,
-             tot_pkts, tot_bytes, src_bytes) = _typed_fields(fields, line_no)
-        except MalformedRow:
-            if on_error == "abort":
-                raise
-            stats.skipped += 1
-            continue
-        stats.parsed += 1
-        label = fields[14]
-        cls = classes.get(label)
-        if cls is None:
-            code, known = _classify(label)
-            cls = classes[label] = (int(code), known)
-        if not cls[1]:
-            stats.unrecognized_labels += 1
-        # on the parsed ints: the float64 column can round both to one value
-        if src_bytes > tot_bytes:
-            stats.src_bytes_over_total += 1
-        yield (start_time_us, dur, tot_pkts, tot_bytes, src_bytes,
-               fields[3], fields[6], cls[0])
+            text = str(memoryview(data)[:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            good = data.rfind(b"\n", 0, exc.start) + 1
+            yield _split_lines(str(memoryview(data)[:good], "utf-8"))
+            raise
+        yield _split_lines(text)
+
+
+def _split_lines(text: str) -> list[str]:
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()     # what follows the last line end is no line
+    return lines
+
+
+def _cut_targets(size: int) -> list[int]:
+    """Offsets near which to cut a size-byte capture: one range per usable
+    core, none shorter than _MIN_RANGE_BYTES. A single range where os.fork
+    is missing or another thread is alive, whose locks a child would
+    inherit in whatever state they were."""
+    n = min(usable_cores(), size // _MIN_RANGE_BYTES)
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return []
+    return [size * i // n for i in range(1, n)]
+
+
+def _range_starts(fh: BinaryIO) -> list[int]:
+    """Where each range begins: 0, then just after the b"\\n" that ends the
+    line holding each cut target."""
+    size = os.fstat(fh.fileno()).st_size     # 0 for a pipe: one range
+    cuts = set()
+    for target in _cut_targets(size):
+        fh.seek(target - 1)
+        fh.readline()
+        cuts.add(fh.tell())
+    if cuts:
+        fh.seek(0)
+    return [0, *sorted(c for c in cuts if c < size)]
+
+
+def _serve_range(path: str, lo: int, hi: int | None, abort: bool,
+                 sink: BinaryIO) -> None:
+    """A forked child's whole life: parse bytes [lo, hi) of path (up to EOF
+    when hi is None), send the result to sink and exit. The result is a
+    pickled (addresses, stats, lines, error, column byte counts), then the
+    raw bytes of each column unless error is set."""
+    status = 1
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(lo)
+            part = _parse_range(fh, None if hi is None else hi - lo, abort,
+                                header=False)
+        columns = part.columns if part.error is None else ()
+        pickle.dump((list(part.addresses), part.stats, part.lines,
+                     part.error, [len(c) * c.itemsize for c in columns]),
+                    sink, pickle.HIGHEST_PROTOCOL)
+        for column in columns:
+            sink.write(column)
+        sink.flush()
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+        raise
+    finally:
+        # never return into the caller's stack, nor run its exit handlers
+        os._exit(status)
+
+
+def _receive(source: BinaryIO, columns: tuple, codes: dict[str, int]
+             ) -> tuple[IngestStats, int, Exception | None]:
+    """Read a child's result from source: append its columns to columns,
+    its address codes remapped into codes, which takes its new addresses in
+    their first-seen order. Returns its stats, line count and error."""
+    try:
+        addresses, stats, lines, error, sizes = pickle.load(source)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError("an ingest range parser ended without "
+                                "sending its rows") from None
+    remap = np.array([codes.setdefault(a, len(codes)) for a in addresses],
+                     dtype=np.int32)
+    for column, size, recode in zip(columns, sizes,
+                                    (None, None, remap, remap, None)):
+        while size:
+            block = source.read(min(size, _BLOCK_BYTES))
+            if len(block) != min(size, _BLOCK_BYTES):
+                raise ChildProcessError("an ingest range parser ended "
+                                        "mid-column")
+            size -= len(block)
+            if recode is not None:
+                block = memoryview(
+                    recode[np.frombuffer(block, dtype=np.int32)]).cast("B")
+            column.frombytes(block)
+    return stats, lines, error
+
+
+def _raise_error(error: Exception | None, line_offset: int) -> None:
+    """Raise a range's error, if any, numbered within the file."""
+    if isinstance(error, MalformedRow) and line_offset:
+        raise MalformedRow(error.line_no + line_offset, error.reason)
+    if error is not None:
+        raise error
+
+
+def _read_ranges(path: str, fh: BinaryIO, starts: list[int], abort: bool
+                 ) -> tuple[FlowTable, IngestStats]:
+    """Parse the range at each start, the first in this process and each
+    other in a forked child, and stitch them in file order."""
+    ends = [*starts[1:], None]
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for lo, hi in zip(starts[1:], ends[1:]):
+            read_end, write_end = os.pipe()
+            with open(write_end, "wb") as sink:
+                source = open(read_end, "rb")
+                try:
+                    pid = os.fork()
+                except OSError:
+                    source.close()
+                    raise
+                if pid == 0:
+                    _serve_range(path, lo, hi, abort, sink)
+            children.append((pid, source))
+        first = _parse_range(fh, ends[0], abort, header=True)
+        columns, codes = first.columns, first.addresses
+        stats, lines, error = first.stats, first.lines, first.error
+        line_offset = 0
+        for _, source in children:
+            _raise_error(error, line_offset)
+            line_offset += lines
+            more, lines, error = _receive(source, columns, codes)
+            stats = IngestStats(*(a + b for a, b in zip(astuple(stats),
+                                                        astuple(more))))
+        _raise_error(error, line_offset)
+    finally:
+        for pid, source in children:
+            # killed before its pipe closes, a child never reports the
+            # broken pipe; the kill is a no-op on one that has exited
+            os.kill(pid, signal.SIGKILL)
+            source.close()
+            os.waitpid(pid, 0)
+    return _table(columns, codes), stats
 
 
 def read_flows(path: str, on_error: str = "skip"
@@ -443,14 +712,17 @@ def read_flows(path: str, on_error: str = "skip"
 
     The table holds exactly the rows parse_line accepts. on_error: "skip"
     counts malformed rows and moves on; "abort" re-raises the first
-    MalformedRow.
+    MalformedRow. In either mode the first line that is not UTF-8 raises
+    UnicodeDecodeError, unless abort mode meets a malformed row above it.
+
+    The file is parsed in byte ranges, one per usable core, each but the
+    first in a forked child process (see _cut_targets); the table, the
+    stats and the error raised are the same at any number of ranges.
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    stats = IngestStats()
-    with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
-        table = _build_table(_accepted_rows(fh, on_error, stats))
-    return table, stats
+    with naming_undecodable(path), open(path, "rb") as fh:
+        return _read_ranges(path, fh, _range_starts(fh), on_error == "abort")
 
 
 @dataclass(frozen=True)

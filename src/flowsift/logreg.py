@@ -269,8 +269,9 @@ def _check_schema(model: LogRegModel, matrix: FeatureMatrix) -> None:
 def predict_proba(model: LogRegModel, matrix: FeatureMatrix) -> np.ndarray:
     """P(positive) per row; the matrix schema must equal the model's."""
     _check_schema(model, matrix)
-    Xs = model.standardization.transform(matrix.X)
-    return sigmoid(Xs @ model.weights + model.bias)
+    # the standardized X is freed once its margins are taken
+    margins = model.standardization.transform(matrix.X) @ model.weights
+    return sigmoid(margins + model.bias)
 
 
 def predict_label(model: LogRegModel, matrix: FeatureMatrix) -> np.ndarray:

@@ -11,12 +11,11 @@ across several capture files.
 """
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from ._util import atomic_write_text, fmt_g9
+from ._util import atomic_write_text, fmt_g9, usable_cores
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
@@ -199,7 +198,7 @@ def run_grid(flows: FlowTable,
     """
     combos = [(w, s) for w in widths for s in strides]
     plan = _plan_builds(combos)
-    workers = max(1, min(len(plan), os.cpu_count() or 1))
+    workers = max(1, min(len(plan), usable_cores()))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         built = pool.map(lambda b: _run_build(flows, b[0], plan[b], spec,
                                               base_seed), plan)

@@ -112,6 +112,19 @@ def test_stats_csv_stdout(tmp_path, capsys):
     assert rows["total"] == ["3", "100"]
 
 
+@pytest.mark.parametrize("rows", [[], ["not,a,flow", BOTNET_ROW[:-1] + ",x"]],
+                         ids=["header-only", "every-row-skipped"])
+def test_stats_total_of_a_capture_without_parsed_rows(tmp_path, capsys, rows):
+    """The total row's percent is the sum of the class rows: 0, not 100,
+    when no row parsed."""
+    flows = tmp_path / "f.csv"
+    write_flow_file(flows, rows)
+    assert main(["stats", str(flows)]) == 0
+    out = capsys.readouterr().out.strip().split("\n")
+    assert [l.split(",")[2] for l in out[1:]] == ["0"] * 5
+    assert out[-1] == "total,0,0"
+
+
 def test_stats_json_payload(tmp_path, capsys):
     flows = tmp_path / "f.csv"
     write_flow_file(flows, [BACKGROUND_ROW.format(i=1), BOTNET_ROW])
@@ -342,6 +355,54 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
         digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                         for path in out.iterdir()})
     assert len(digests[0]) == 9
+    assert digests[0] == digests[1]
+
+
+# runs in a child process, in its output directory, on the flow file named
+# by its one argument
+_CORES_CHILD = """
+import sys
+from flowsift._util import usable_cores
+from flowsift.cli import main
+flows = sys.argv[1]
+print(usable_cores())
+for argv in (
+    ["stats", flows, "--json", "-o", "stats.json"],
+    ["featurize", flows, "--width", "90", "--stride", "15", "-o", "f90.csv"],
+    ["sweep", flows, "--widths", "90,600", "--strides", "15,60",
+     "--fraction", "0.3", "-o", "sweep.csv"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_outputs_do_not_depend_on_usable_cores(tmp_path):
+    """The same commands pinned to one CPU and on every CPU this process
+    may use write the same bytes. Pinned, ingest reads the capture in one
+    range and the sweep runs on one thread; unpinned, both use one per
+    core."""
+    flows = tmp_path / "flows.csv"
+    cfg = preset_scenario9(seed=42)
+    write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    digests = []
+    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)),
+                          ("unpinned", None)):
+        out = tmp_path / name
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-c", _CORES_CHILD, str(flows)], cwd=out,
+            env=_child_env(), preexec_fn=preexec, capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        if preexec is not None:
+            assert proc.stdout == "1\n"
+        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in out.iterdir()})
+    assert len(digests[0]) == 3
     assert digests[0] == digests[1]
 
 

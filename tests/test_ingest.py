@@ -1,6 +1,9 @@
 """Flow-file parsing, label classification, and ingest bookkeeping."""
+import itertools
 import math
+import os
 import random
+import threading
 import tracemalloc
 from dataclasses import replace
 from datetime import datetime, timedelta
@@ -21,13 +24,15 @@ from flowsift import (
     label_distribution,
     parse_line,
     parse_timestamp,
+    predict_proba,
     preset_scenario9,
     read_flows,
     render_line,
     render_timestamp,
     write_synth,
 )
-from flowsift.ingest import TIMESTAMP_FORMAT
+from flowsift import ingest
+from flowsift.ingest import HEADER_LINE, TIMESTAMP_FORMAT
 
 BOT_ROW = ("2011/08/16 10:01:46.972101,3550.182373,udp,147.32.84.165,1025,"
            "  <->,147.32.80.9,53,CON,0,0,12,875,413,flow=From-Botnet-V42-UDP-DNS")
@@ -307,7 +312,8 @@ def test_parse_timestamp_agrees_with_strptime():
 
 def _mixed_fixture():
     """Header, canonical and odd-but-valid rows, and rows every validator
-    rejects, with CRLF and LF endings and blank lines between them."""
+    rejects, with CRLF, LF and one lone-CR ending and blank lines between
+    them."""
     def row(**change):
         fields = BOT_ROW.split(",")
         for i, value in change.items():
@@ -346,6 +352,10 @@ def _mixed_fixture():
         row(f12="123456789012345678900", f13="123456789012345678901"),
         row(f11=str(2 ** 64)),
         row(f12="1" + "0" * 400),
+        # padded numbers, one padded with a separator strip removes and
+        # int does not
+        row(f1=" 2.5 ", f4="\t1025", f11=" 12", f13="\x1c413",
+            f14=" flow=From-Botnet-V42-TCP-CC "),
         row(f0="1969/12/31 23:59:59.000001", f3="b", f6="a"),
     ]
     lines = ["StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,"
@@ -354,7 +364,7 @@ def _mixed_fixture():
         lines.append(r)
         if i % 7 == 3:
             lines.append("   ")
-    return "".join(line + ("\r\n" if i % 2 else "\n")
+    return "".join(line + ("\r" if i == 2 else "\r\n" if i % 2 else "\n")
                    for i, line in enumerate(lines))
 
 
@@ -406,6 +416,147 @@ def test_read_flows_matches_parse_line_oracle(tmp_path):
     with pytest.raises(MalformedRow) as err:
         read_flows(path, on_error="abort")
     assert err.value.line_no == first_bad
+
+
+def _force_ranges(monkeypatch, path, n):
+    """Make read_flows cut path into n ranges, whatever the host's cores."""
+    size = os.path.getsize(path)
+    monkeypatch.setattr(ingest, "usable_cores", lambda: n)
+    monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", size // n)
+    with open(path, "rb") as fh:
+        assert len(ingest._range_starts(fh)) == n
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_reads_like_oracle(path):
+    """Both policies of read_flows agree with the parse_line oracle and
+    leave no child process behind."""
+    records, want_stats, first_bad = _oracle(path)
+    want_stats.unrecognized_labels = 1          # "mystery-label"
+    table, stats = read_flows(path, on_error="skip")
+    _assert_no_child_left()
+    assert stats == want_stats
+    _assert_same_table(table, FlowTable.from_records(records))
+    with pytest.raises(MalformedRow) as err:
+        read_flows(path, on_error="abort")
+    _assert_no_child_left()
+    assert err.value.line_no == first_bad
+
+
+@pytest.mark.parametrize("ranges", range(1, 8))
+def test_read_flows_is_the_same_at_any_range_count(tmp_path, monkeypatch,
+                                                   ranges):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(_mixed_fixture().encode("utf-8"))
+    _force_ranges(monkeypatch, path, ranges)
+    _assert_reads_like_oracle(path)
+
+
+@pytest.mark.parametrize("landing", [
+    ("header",), ("blank",), ("malformed",), ("header", "blank", "malformed"),
+    ("blank", "malformed", "last")])
+def test_read_flows_cut_after_any_kind_of_line(tmp_path, monkeypatch,
+                                              landing):
+    """A cut target inside the header, a blank line, a malformed row or the
+    last line starts the next range just after that line; the read is the
+    oracle's all the same."""
+    data = _mixed_fixture().encode("utf-8")
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(data)
+    lines = data.splitlines(keepends=True)
+    ends = list(itertools.accumulate(map(len, lines)))
+    index = {"header": 0,
+             "blank": next(i for i, l in enumerate(lines) if not l.strip()),
+             "malformed": next(i for i, l in enumerate(lines)
+                               if b"2011/+8/16" in l),
+             "last": len(lines) - 1}
+    targets = [ends[index[k]] - 2 for k in landing]
+    monkeypatch.setattr(ingest, "_cut_targets", lambda size: targets)
+    with open(path, "rb") as fh:
+        assert ingest._range_starts(fh) == [0, *sorted(
+            ends[index[k]] for k in landing if k != "last")]
+    _assert_reads_like_oracle(path)
+
+
+def _rows_file(path, n_rows, malformed=None, undecodable=None):
+    """A header and n_rows flow rows, with a 14-field row and a Latin-1
+    byte on the given 1-based lines."""
+    lines = [HEADER_LINE.encode()]
+    for line_no in range(2, n_rows + 2):
+        row = BOT_ROW.replace("147.32.84.165", f"10.0.{line_no // 256}."
+                              f"{line_no % 256}").encode()
+        if line_no == malformed:
+            row = row.rsplit(b",", 1)[0]
+        if line_no == undecodable:
+            row += b"\xe9"
+        lines.append(row)
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 5])
+def test_undecodable_line_in_any_range_names_file_and_line(
+        tmp_path, monkeypatch, ranges):
+    path = tmp_path / "latin1.csv"
+    _rows_file(path, 60, undecodable=50)
+    _force_ranges(monkeypatch, path, ranges)
+    for on_error in ("skip", "abort"):
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_flows(path, on_error=on_error)
+        _assert_no_child_left()
+        assert str(err.value).endswith(f"({path}, line 50)")
+
+
+@pytest.mark.parametrize("ranges", [1, 2, 3, 5])
+@pytest.mark.parametrize("malformed, undecodable", [
+    (5, 7), (7, 5), (5, 58), (58, 5), (30, 31), (31, 30)])
+def test_abort_raises_whichever_bad_line_comes_first(
+        tmp_path, monkeypatch, ranges, malformed, undecodable):
+    """Both lines lie within the first 8 KiB, where the text reader used to
+    raise the decode error for a malformed row above it."""
+    path = tmp_path / "both.csv"
+    _rows_file(path, 60, malformed=malformed, undecodable=undecodable)
+    _force_ranges(monkeypatch, path, ranges)
+    if malformed < undecodable:
+        with pytest.raises(MalformedRow) as err:
+            read_flows(path, on_error="abort")
+        assert err.value.line_no == malformed
+    else:
+        with pytest.raises(UnicodeDecodeError) as err:
+            read_flows(path, on_error="abort")
+        assert str(err.value).endswith(f"line {undecodable})")
+    _assert_no_child_left()
+
+
+def test_read_flows_stays_in_process_without_fork_or_beside_a_thread(
+        tmp_path, monkeypatch):
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(_mixed_fixture().encode("utf-8"))
+    want, want_stats = read_flows(path)
+    _force_ranges(monkeypatch, path, 4)
+
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        table, stats = read_flows(path)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    _assert_same_table(table, want)
+    assert stats == want_stats
+    monkeypatch.delattr(os, "fork")
+    table, stats = read_flows(path)
+    _assert_same_table(table, want)
+    assert stats == want_stats
 
 
 def test_flow_table_columns_are_read_only():
@@ -461,13 +612,17 @@ def _traced_peak(build):
         tracemalloc.stop()
 
 
-def test_builders_hold_their_output_once(capture_700s):
+def test_builders_hold_their_output_once(capture_700s, monkeypatch):
     """read_flows and build_matrix append straight into typed buffers that
     become their output arrays: neither stages rows in Python lists or
     copies its output at the end, so each peaks near the size of what it
-    returns (4.2x and 2.3x when they did)."""
-    (table, _), peak = _traced_peak(lambda: read_flows(capture_700s))
-    assert peak <= 3 * sum(col.nbytes for col in vars(table).values())
+    returns (4.2x and 2.3x when they did). A multi-range read appends each
+    child's columns to the first range's buffers a block at a time."""
+    for ranges in (1, 4):
+        _force_ranges(monkeypatch, capture_700s, ranges)
+        (table, _), peak = _traced_peak(lambda: read_flows(capture_700s))
+        assert peak <= 3 * sum(col.nbytes for col in vars(table).values()), \
+            ranges
 
     m, peak = _traced_peak(lambda: build_matrix(
         table, WindowConfig(width_s=600, stride_s=15)))
@@ -486,3 +641,15 @@ def test_fit_holds_one_working_copy_of_x(capture_700s):
     (model, report), peak = _traced_peak(lambda: fit(m))
     assert m.n_rows > 10_000 and report.converged
     assert peak <= 1.6 * m.X.nbytes
+
+
+def test_predict_proba_holds_one_standardized_copy_of_x(capture_700s):
+    """predict_proba subtracts the means into one new array and divides it
+    in place, and frees it once the margins are taken. It peaked at 2.01x X
+    when the division made a second X-sized array."""
+    table, _ = read_flows(capture_700s)
+    m = build_matrix(table, WindowConfig(width_s=90, stride_s=15))
+    model, _ = fit(m)
+    proba, peak = _traced_peak(lambda: predict_proba(model, m))
+    assert len(proba) == m.n_rows > 10_000
+    assert peak <= 1.2 * m.X.nbytes
