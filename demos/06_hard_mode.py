@@ -7,8 +7,8 @@ well on both is fooling itself.
 """
 import time
 
-from flowsift import (FlowTable, parse_line, preset_scenario9, run_single,
-                      synthesize)
+from flowsift import (FlowTable, SplitSpec, WindowConfig, build_matrix,
+                      parse_line, preset_scenario9, run_single, synthesize)
 
 
 def load(hard):
@@ -21,7 +21,8 @@ def main():
     for tag, hard in (("regular beaconing", False), ("hard mode", True)):
         t0 = time.perf_counter()
         flows = load(hard)
-        train, test = run_single(flows, width_s=90, stride_s=15)
+        matrix = build_matrix(flows, WindowConfig(width_s=90, stride_s=15))
+        train, test = run_single(matrix, SplitSpec())   # chronological
         dt = time.perf_counter() - t0
         print(f"=== {tag} ({len(flows)} flows, {dt:.1f}s) ===")
         print(f"  train P={train.precision:.3f} R={train.recall:.3f} "

@@ -209,8 +209,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_sweep(args) -> int:
     flows = _read_flows(args)
-    result = run_grid(flows, args.widths, args.strides, spec=_split_spec(args),
-                      base_seed=args.seed)
+    result = run_grid(flows, args.widths, args.strides, spec=_split_spec(args))
     write_sweep_csv(args.output, result, timings=args.timings)
     return 0
 
@@ -218,15 +217,14 @@ def _cmd_sweep(args) -> int:
 def _cmd_repeat(args) -> int:
     flows = _read_flows(args)
     runs, dispersion = repeat_runs(flows, args.width, args.stride, args.runs,
-                                   spec=_split_spec(args), base_seed=args.seed)
+                                   spec=_split_spec(args))
     write_repeat_csv(args.output, runs, dispersion, timings=args.timings)
     return 0
 
 
 def _cmd_scenarios(args) -> int:
-    rows = scenario_compare(args.files, width_s=args.width,
-                            stride_s=args.stride, spec=_split_spec(args),
-                            seed=args.seed, on_error=args.on_error)
+    rows = scenario_compare(args.files, args.width, args.stride,
+                            spec=_split_spec(args), on_error=args.on_error)
     write_scenarios_csv(args.output, rows, timings=args.timings)
     return 0
 

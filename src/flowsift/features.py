@@ -267,7 +267,9 @@ def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
                                usecols=[0, 1, *range(3, len(cols))], ndmin=1)
         except ValueError:
             return None
-    X = np.ascontiguousarray(table["X"])
+    # X and the row identities stay views of the table: copying them out
+    # would hold the matrix twice at the peak
+    X = table["X"]
     y = table["target"]
     if not (np.isfinite(X).all() and ((y == 0) | (y == 1)).all()):
         return None
@@ -275,8 +277,8 @@ def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
         feature_names=tuple(cols[3:-1]),
         X=X,
         y=y.astype(np.int8),
-        window_index=table["window_index"].copy(),
-        window_start_us=table["window_start_us"].copy(),
+        window_index=table["window_index"],
+        window_start_us=table["window_start_us"],
         src_addr=np.array(src),
     )
 

@@ -303,6 +303,18 @@ def save_model(path: str, model: LogRegModel) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _json_array(value, dtype) -> np.ndarray:
+    """A model file's flat JSON list as a 1-D array: booleans for the bool
+    dtype, numbers for float64. Anything else, a nested list or a boolean
+    among numbers included, raises ValueError rather than being coerced."""
+    kind, types = ("booleans", (bool,)) if dtype is bool else (
+        "numbers", (int, float))
+    if not (isinstance(value, list) and all(type(v) in types for v in value)):
+        raise ValueError(f"expected a flat list of {kind}, "
+                         f"got {json.dumps(value)[:80]}")
+    return np.array(value, dtype=dtype)
+
+
 def load_model(path: str) -> LogRegModel:
     """Read a model file; rejects unknown schema versions and mangled files."""
     with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
@@ -321,13 +333,13 @@ def load_model(path: str) -> LogRegModel:
         std = payload["standardization"]
         params = StandardizationParams(
             feature_names=tuple(payload["feature_names"]),
-            means=np.array(std["means"], dtype=np.float64),
-            scales=np.array(std["scales"], dtype=np.float64),
-            constant_flags=np.array(std["constant_flags"], dtype=bool),
+            means=_json_array(std["means"], np.float64),
+            scales=_json_array(std["scales"], np.float64),
+            constant_flags=_json_array(std["constant_flags"], bool),
         )
         hp = HyperParams(**payload["hyperparams"])
         model = LogRegModel(
-            weights=np.array(payload["weights"], dtype=np.float64),
+            weights=_json_array(payload["weights"], np.float64),
             bias=float(payload["bias"]),
             feature_names=tuple(payload["feature_names"]),
             standardization=params,
@@ -335,7 +347,7 @@ def load_model(path: str) -> LogRegModel:
             hyperparams=hp,
             training_meta=dict(payload["training_meta"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModel(f"{path}: {exc}") from None
     if not (len(params.means) == len(params.scales)
             == len(params.constant_flags) == len(model.weights)):

@@ -1,13 +1,13 @@
 """Grid experiments over window geometry.
 
-A sweep fixes the flow data and varies (width, stride); each cell runs the
-full pipeline — windowing, split, training, evaluation — and lands in one CSV
-row. A cell whose stride is a multiple of a smaller stride of its width takes
-its windows from that stride's build instead of windowing again. Cells are
-independent, so failures are recorded in-place and the rest of the grid
-still runs. Repeat runs re-execute a single cell under consecutive
-seeds to expose sampling variance; scenario comparison runs one fixed cell
-across several capture files.
+A sweep fixes the flow data and varies (width, stride); each cell builds its
+matrix, runs run_single on it — split, training, evaluation — under the one
+SplitSpec, and lands in one CSV row. A cell whose stride is a multiple of a
+smaller stride of its width takes its windows from that stride's build
+instead of windowing again. Cells are independent, so failures are recorded
+in-place and the rest of the grid still runs. Repeat runs re-execute a
+single cell under consecutive seeds to expose sampling variance; scenario
+comparison runs one fixed cell across several capture files.
 """
 from __future__ import annotations
 
@@ -53,10 +53,16 @@ class SweepCell:
     seed: int
     train: MetricsReport | None = None
     test: MetricsReport | None = None
-    rows_train: int | None = None
-    rows_test: int | None = None
     wall_time_s: float | None = None
     status: str = "ok"
+
+    @property
+    def rows_train(self) -> int | None:
+        return None if self.train is None else self.train.confusion.total
+
+    @property
+    def rows_test(self) -> int | None:
+        return None if self.test is None else self.test.confusion.total
 
     def metric(self, key: str) -> float | None:
         report = self.train if key.startswith("train_") else self.test
@@ -74,60 +80,36 @@ class SweepResult:
         return [c for c in self.cells if c.status.startswith("ok")]
 
 
-def run_single(flows: FlowTable,
-               width_s: int,
-               stride_s: int,
-               spec: SplitSpec | None = None,
-               seed: int = 0,
-               *,
-               _matrix: FeatureMatrix | None = None,
+def run_single(matrix: FeatureMatrix, spec: SplitSpec | None = None
                ) -> tuple[MetricsReport, MetricsReport]:
-    """One full pipeline pass; returns (train report, test report).
-
-    _matrix, when given, is the already-built matrix of this geometry (how
-    run_grid hands a cell the rows it shares with another); it is not built
-    again.
-    """
-    if _matrix is None:
-        cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
-        _matrix = build_matrix(flows, cfg)
-    return _train_score(_matrix, spec, seed)
-
-
-def _train_score(matrix: FeatureMatrix, spec: SplitSpec | None,
-                 seed: int) -> tuple[MetricsReport, MetricsReport]:
-    """Split, fit and evaluate an already-built matrix under one seed."""
-    spec = replace(spec or SplitSpec(), seed=seed)
-    train_m, test_m = split(matrix, spec)
+    """One cell pass on a built matrix: split it under spec (chronological
+    by default; the seed is spec.seed), fit on the train side and score
+    both sides. Returns (train report, test report)."""
+    train_m, test_m = split(matrix, spec or SplitSpec())
     model, _ = fit(train_m)
     return evaluate(model, train_m), evaluate(model, test_m)
 
 
-def _record(cell: SweepCell, reports: tuple[MetricsReport, MetricsReport]
-            ) -> None:
-    cell.train, cell.test = reports
-    cell.rows_train = cell.train.confusion.total
-    cell.rows_test = cell.test.confusion.total
-    cell.status = "ok:stride_gap" if cell.stride_s > cell.width_s else "ok"
+# what a cell records as its status instead of raising: reading a capture,
+# building, splitting or fitting failed
+_CELL_ERRORS = (OSError, UnicodeDecodeError, FlowsiftError)
 
 
-def _run_cell(flows: FlowTable, width_s: int, stride_s: int,
-              spec: SplitSpec | None, seed: int,
-              matrix: FeatureMatrix | None = None,
-              t0: float | None = None) -> SweepCell:
-    """Run one cell, recording a FlowsiftError as its status. matrix is
-    handed to run_single; t0 backdates the cell's wall time to cover the
-    work that made it."""
-    cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
-    if t0 is None:
-        t0 = time.perf_counter()
+def _run_cell(width_s: int, stride_s: int, spec: SplitSpec,
+              matrix: FeatureMatrix | Exception, t0: float) -> SweepCell:
+    """Score one cell's matrix with run_single and record the outcome.
+    matrix is the error that making it raised when that failed; t0
+    backdates the wall time to cover the work that made it."""
+    cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=spec.seed)
     try:
-        reports = run_single(flows, width_s, stride_s, spec, seed,
-                             _matrix=matrix)
-    except FlowsiftError as exc:
+        if isinstance(matrix, Exception):
+            raise matrix
+        cell.train, cell.test = run_single(matrix, spec)
+    except _CELL_ERRORS as exc:
         cell.status = f"error:{type(exc).__name__}"
     else:
-        _record(cell, reports)
+        if WindowConfig(width_s=width_s, stride_s=stride_s).coverage_gap:
+            cell.status = "ok:stride_gap"
     cell.wall_time_s = time.perf_counter() - t0
     return cell
 
@@ -154,29 +136,25 @@ def _plan_builds(geometries: list[tuple[int, int]]
 
 
 def _run_build(flows: FlowTable, width_s: int, strides: list[int],
-               spec: SplitSpec | None, seed: int) -> list[SweepCell]:
+               spec: SplitSpec) -> list[SweepCell]:
     """Build (width_s, strides[0]) once, then run its cell and the cell of
     every later stride, each a multiple of strides[0], on rows of that
     build. The built cell's wall time includes the build; a derived cell's
-    covers its derivation, split, fit and evaluation."""
+    covers its derivation, split, fit and evaluation. A failed build is
+    every served cell's error."""
     t0 = time.perf_counter()
     try:
         base = build_matrix(flows, WindowConfig(width_s=width_s,
                                                 stride_s=strides[0]))
-    except FlowsiftError as exc:
-        wall = time.perf_counter() - t0
-        return [SweepCell(width_s=width_s, stride_s=s, seed=seed,
-                          wall_time_s=wall,
-                          status=f"error:{type(exc).__name__}")
-                for s in strides]
-    cells = [_run_cell(flows, width_s, strides[0], spec, seed, base, t0)]
+    except _CELL_ERRORS as exc:
+        return [_run_cell(width_s, s, spec, exc, t0) for s in strides]
+    cells = [_run_cell(width_s, strides[0], spec, base, t0)]
     for stride_s in strides[1:]:
         t0 = time.perf_counter()
         matrix = stride_multiple(base, stride_s // strides[0])
         if stride_s == strides[-1]:
             base = None     # its last derived matrix exists
-        cells.append(_run_cell(flows, width_s, stride_s, spec, seed,
-                               matrix, t0))
+        cells.append(_run_cell(width_s, stride_s, spec, matrix, t0))
     return cells
 
 
@@ -184,24 +162,25 @@ def run_grid(flows: FlowTable,
              widths: list[int],
              strides: list[int],
              spec: SplitSpec | None = None,
-             base_seed: int = 0,
              ) -> SweepResult:
     """Cartesian sweep in request order: widths outer, strides inner.
 
-    Every cell uses the same base seed so cells differ only in geometry.
-    Each distinct geometry is computed once, and each width is built once
-    per stride that no smaller requested stride divides: a larger stride is
-    derived from the build of its smallest such divisor (stride_multiple),
-    bit for bit. Builds run on a thread pool with one worker per core, at
-    most one per build; each runs its own cell and those derived from it. A
-    repeated (width, stride) pair repeats its cell's row.
+    Every cell splits under the one spec (chronological by default), seed
+    included, so cells differ only in geometry. Each distinct geometry is
+    computed once, and each width is built once per stride that no smaller
+    requested stride divides: a larger stride is derived from the build of
+    its smallest such divisor (stride_multiple), bit for bit. Builds run on
+    a thread pool with one worker per core, at most one per build; each
+    runs its own cell and those derived from it. A repeated (width, stride)
+    pair repeats its cell's row.
     """
+    spec = spec or SplitSpec()
     combos = [(w, s) for w in widths for s in strides]
     plan = _plan_builds(combos)
     workers = max(1, min(len(plan), usable_cores()))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        built = pool.map(lambda b: _run_build(flows, b[0], plan[b], spec,
-                                              base_seed), plan)
+        built = pool.map(lambda b: _run_build(flows, b[0], plan[b], spec),
+                         plan)
         done = {(c.width_s, c.stride_s): c for cells in built for c in cells}
     return SweepResult(cells=[replace(done[ws]) for ws in combos])
 
@@ -211,9 +190,9 @@ def repeat_runs(flows: FlowTable,
                 stride_s: int,
                 runs: int,
                 spec: SplitSpec | None = None,
-                base_seed: int = 0,
                 ) -> tuple[list[SweepCell], dict]:
-    """Re-run one cell under seeds base_seed..base_seed+runs-1.
+    """Re-run one cell under seeds spec.seed..spec.seed+runs-1; spec
+    defaults to a stratified random split at seed 0.
 
     The matrix does not depend on the seed, so it is built once; each
     cell's wall_time_s covers its split, fit and evaluation. Returns the
@@ -222,17 +201,17 @@ def repeat_runs(flows: FlowTable,
     """
     if runs < 2:
         raise ValueError(f"runs must be >= 2, got {runs}")
-    if spec is None:
-        spec = SplitSpec(mode="stratified_random")
+    spec = spec or SplitSpec(mode="stratified_random")
     cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
     matrix = build_matrix(flows, cfg)
+    status = "ok:stride_gap" if cfg.coverage_gap else "ok"
     out: list[SweepCell] = []
-    for seed in range(base_seed, base_seed + runs):
-        cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed)
+    for seed in range(spec.seed, spec.seed + runs):
         t0 = time.perf_counter()
-        _record(cell, _train_score(matrix, spec, seed))
-        cell.wall_time_s = time.perf_counter() - t0
-        out.append(cell)
+        train, test = run_single(matrix, replace(spec, seed=seed))
+        out.append(SweepCell(width_s=width_s, stride_s=stride_s, seed=seed,
+                             train=train, test=test, status=status,
+                             wall_time_s=time.perf_counter() - t0))
     dispersion = {}
     for key in _METRIC_KEYS:
         vals = [c.metric(key) for c in out]
@@ -248,10 +227,9 @@ class ScenarioCell:
 
 
 def scenario_compare(scenario_files: dict[int, str],
-                     width_s: int = 189,
-                     stride_s: int = 129,
+                     width_s: int,
+                     stride_s: int,
                      spec: SplitSpec | None = None,
-                     seed: int = 0,
                      on_error: str = "skip",
                      ) -> list[ScenarioCell]:
     """Run one fixed (width, stride) cell per capture file.
@@ -261,20 +239,20 @@ def scenario_compare(scenario_files: dict[int, str],
     degenerate split) is recorded in that row and the remaining captures
     still run.
     """
+    spec = spec or SplitSpec()
+    cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
     out: list[ScenarioCell] = []
     for scenario_id in sorted(scenario_files):
-        path = scenario_files[scenario_id]
         t0 = time.perf_counter()
         try:
-            flows, _ = read_flows(path, on_error=on_error)
-        except (OSError, UnicodeDecodeError, FlowsiftError) as exc:
-            cell = SweepCell(width_s=width_s, stride_s=stride_s, seed=seed,
-                             status=f"error:{type(exc).__name__}",
-                             wall_time_s=time.perf_counter() - t0)
-            out.append(ScenarioCell(scenario=scenario_id, cell=cell))
-            continue
-        cell = _run_cell(flows, width_s, stride_s, spec, seed)
-        out.append(ScenarioCell(scenario=scenario_id, cell=cell))
+            flows, _ = read_flows(scenario_files[scenario_id],
+                                  on_error=on_error)
+            matrix = build_matrix(flows, cfg)
+        except _CELL_ERRORS as exc:
+            matrix = exc
+        out.append(ScenarioCell(
+            scenario=scenario_id,
+            cell=_run_cell(width_s, stride_s, spec, matrix, t0)))
     return out
 
 

@@ -262,9 +262,17 @@ def test_unknown_positive_class_is_usage_error(ws, tmp_path, capsys):
 
 def test_mangled_model_is_data_error(ws, tmp_path, capsys):
     payload = json.loads(open(ws["model"]).read())
+    # one feature whose four arrays each hold one nested pair: the lengths
+    # agree, and a reader that coerces them fails later inside numpy
+    nested = json.loads(json.dumps(payload))
+    nested["feature_names"] = ["flow_count"]
+    nested["weights"] = [payload["weights"][:2]]
+    std = nested["standardization"]
+    for key in ("means", "scales", "constant_flags"):
+        std[key] = [std[key][:2]]
     payload["standardization"]["means"][0] = math.nan
     bad = tmp_path / "model.txt"
-    for text in ("{ not json", json.dumps(payload)):
+    for text in ("{ not json", json.dumps(payload), json.dumps(nested)):
         bad.write_text(text)
         out = tmp_path / "r.txt"
         rc = main(["eval", ws["features"], "--model", str(bad),
@@ -615,6 +623,20 @@ def unknown_flags(text: str) -> set[str]:
     for sub in subcommand_parsers().values():
         known |= set(sub._option_string_actions)
     return set(DOC_FLAG.findall(text)) - known - NON_CLI_FLAGS
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's Library usage block runs against the current API, and
+    its run_single line scores as the four steps above it do."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library usage", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    write_synth(str(tmp_path / "flows.csv"),
+                replace(preset_scenario9(seed=1), duration_s=700.0))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    f1s = capsys.readouterr().out.split()
+    assert len(f1s) == 2 and f1s[0] == f1s[1] and float(f1s[0]) > 0
 
 
 @pytest.mark.parametrize("doc", ["README.md", "demos/README.md"])

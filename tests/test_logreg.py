@@ -456,6 +456,28 @@ def test_load_rejects_broken_standardization(tmp_path, field, value):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("constant_flags", ["no"]), ("constant_flags", [1]),
+    ("weights", [True]), ("means", [True]), ("scales", ["1.0"]),
+    ("weights", [[0.5, 0.5]]), ("means", 0.0), ("weights", [10 ** 400])],
+    ids=["flag-string", "flag-number", "weights-bool", "mean-bool",
+         "scale-string", "weights-nested", "means-scalar", "weights-huge"])
+def test_load_rejects_arrays_it_would_coerce(tmp_path, field, value):
+    """Each of the four arrays is a flat JSON list of numbers (booleans for
+    the flags). numpy would turn "no" into True, true into 1.0 and a nested
+    list into a second axis, and overflow on an integer beyond float64."""
+    model, _ = fit(two_cluster_matrix())
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    payload = json.loads(path.read_text())
+    n = len(payload["weights"])
+    arrays = (payload if field == "weights" else payload["standardization"])
+    arrays[field] = value * n if isinstance(value, list) else value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptModel):
+        load_model(str(path))
+
+
 def test_load_rejects_unknown_schema_version(tmp_path):
     """99 is from the future; 1 is the gradient-descent-era schema; 2 carried
     the solver cap, tolerance and seed."""

@@ -1,4 +1,6 @@
 """Grid sweeps, repeated runs, per-capture comparison, and their CSV forms."""
+from dataclasses import replace
+
 import pytest
 
 import flowsift.sweep
@@ -74,21 +76,26 @@ def corpus():
                                   for i, line in enumerate(lines))
 
 
+def cell_scores(corpus, width_s, stride_s, spec=None):
+    """The oracle of a sweep cell: run_single on its own build."""
+    return run_single(build_matrix(corpus, WindowConfig(width_s, stride_s)),
+                      spec)
+
+
 def test_run_single_learns_the_easy_corpus(corpus):
-    train, test = run_single(corpus, width_s=90, stride_s=15,
-                             spec=SplitSpec(), seed=0)
+    matrix = build_matrix(corpus, WindowConfig(width_s=90, stride_s=15))
+    train, test = run_single(matrix, SplitSpec())
     assert test.precision >= 0.9 and test.recall >= 0.9
     # each report scores its own side of the default chronological split
-    train_m, test_m = split(
-        build_matrix(corpus, WindowConfig(width_s=90, stride_s=15)),
-        SplitSpec(mode="chronological"))
+    train_m, test_m = split(matrix, SplitSpec(mode="chronological"))
     assert train.confusion.total == train_m.n_rows
     assert test.confusion.total == test_m.n_rows
+    assert (train, test) == run_single(matrix), "SplitSpec() is the default"
 
 
 def test_run_single_deterministic(corpus):
-    a = run_single(corpus, 60, 60, seed=3)
-    b = run_single(corpus, 60, 60, seed=3)
+    a = cell_scores(corpus, 60, 60, SplitSpec(seed=3))
+    b = cell_scores(corpus, 60, 60, SplitSpec(seed=3))
     assert a[1].confusion == b[1].confusion
     assert a[1].precision == b[1].precision
     assert a[0].f1 == b[0].f1
@@ -138,13 +145,19 @@ def test_run_grid_isolates_failed_cells(corpus):
 
 
 def test_run_grid_pooled_cells_match_run_single(corpus):
-    """Running cells side by side on the pool changes no cell's result."""
-    result = run_grid(corpus, widths=[60, 90], strides=[30, 60])
-    for cell in result.cells:
-        train, test = run_single(corpus, cell.width_s, cell.stride_s)
-        assert cell.status == "ok"
-        assert cell.metric("test_f1") == test.f1
-        assert cell.metric("train_precision") == train.precision
+    """Running cells side by side on the pool changes no cell's result;
+    every cell splits under the one spec and records its seed."""
+    for spec in (None, SplitSpec(mode="stratified_random", seed=5)):
+        result = run_grid(corpus, widths=[60, 90], strides=[30, 60],
+                          spec=spec)
+        for cell in result.cells:
+            train, test = cell_scores(corpus, cell.width_s, cell.stride_s,
+                                      spec)
+            assert cell.status == "ok"
+            assert cell.seed == (spec or SplitSpec()).seed
+            assert cell.metric("test_f1") == test.f1
+            assert cell.metric("train_precision") == train.precision
+            assert (cell.train, cell.test) == (train, test)
 
 
 def count_builds(monkeypatch):
@@ -173,7 +186,7 @@ def test_run_grid_builds_each_width_once_per_undivided_stride(
         (w, s) for w in (90, 180) for s in strides]
     monkeypatch.undo()
     for cell in result.cells:
-        train, test = run_single(corpus, cell.width_s, cell.stride_s)
+        train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
         assert cell.status == ("ok:stride_gap" if cell.stride_s > cell.width_s
                                else "ok")
         assert (cell.train, cell.test) == (train, test), \
@@ -221,7 +234,7 @@ def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch):
     assert len(set(rows)) == 6
     monkeypatch.undo()
     for cell in result.cells:
-        train, test = run_single(corpus, cell.width_s, cell.stride_s)
+        train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
         assert (cell.train, cell.test) == (train, test)
 
 
@@ -234,7 +247,9 @@ def test_repeat_runs_chronological_is_seed_invariant(corpus):
 
 
 def test_repeat_runs_dispersion_arithmetic(corpus):
-    runs, dispersion = repeat_runs(corpus, 60, 60, runs=4, base_seed=5)
+    runs, dispersion = repeat_runs(
+        corpus, 60, 60, runs=4,
+        spec=SplitSpec(mode="stratified_random", seed=5))
     assert [r.seed for r in runs] == [5, 6, 7, 8]
     for key, stats in dispersion.items():
         part, name = key.split("_", 1)
@@ -247,11 +262,11 @@ def test_repeat_runs_dispersion_arithmetic(corpus):
 def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
     """Only the split and the fit depend on the seed, so one build serves
     every run, and each run scores as run_single does at its seed."""
-    spec = SplitSpec(mode="stratified_random")
-    expected = [run_single(corpus, 60, 60, spec=spec, seed=seed)
+    spec = SplitSpec(mode="stratified_random", seed=4)
+    expected = [cell_scores(corpus, 60, 60, replace(spec, seed=seed))
                 for seed in (4, 5, 6)]
     calls = count_builds(monkeypatch)
-    runs, _ = repeat_runs(corpus, 60, 60, runs=3, spec=spec, base_seed=4)
+    runs, _ = repeat_runs(corpus, 60, 60, runs=3, spec=spec)
     assert calls == [(60, 60)]
     assert [r.seed for r in runs] == [4, 5, 6]
     for cell, (train, test) in zip(runs, expected):
@@ -262,6 +277,8 @@ def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
         assert cell.test.confusion == test.confusion
         assert cell.metric("test_f1") == test.f1
         assert cell.metric("train_precision") == train.precision
+    with pytest.raises(AttributeError):
+        runs[0].rows_train = 0      # read from the train report
 
 
 def test_repeat_runs_requires_two(corpus):
@@ -277,8 +294,9 @@ def test_scenario_compare_isolates_missing_capture(tmp_path):
     write_synth(path, small)
 
     rows = scenario_compare({9: path, 5: str(tmp_path / "missing.csv")},
-                            width_s=90, stride_s=30)
+                            width_s=90, stride_s=30, spec=SplitSpec(seed=2))
     assert [r.scenario for r in rows] == [5, 9], "rows sort by scenario id"
+    assert [r.cell.seed for r in rows] == [2, 2]
     assert rows[0].cell.status == "error:FileNotFoundError"
     assert rows[1].cell.status == "ok"
     assert rows[1].cell.test is not None
