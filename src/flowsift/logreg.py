@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,12 @@ class HyperParams:
     class_weight_mode: str = "balanced"
 
     def __post_init__(self):
+        if isinstance(self.l2_lambda, bool) or not isinstance(
+                self.l2_lambda, numbers.Real):
+            raise ValueError(f"l2_lambda must be a number, got {self.l2_lambda!r}")
         if not 0 <= self.l2_lambda < math.inf:
             raise ValueError("l2_lambda must be finite and >= 0")
+        # membership also rules out anything but a string
         if self.class_weight_mode not in ("none", "balanced"):
             raise ValueError("class_weight_mode must be 'none' or 'balanced'")
 
@@ -315,6 +320,15 @@ def _json_array(value, dtype) -> np.ndarray:
     return np.array(value, dtype=dtype)
 
 
+def _json_number(value) -> float:
+    """A model file's JSON number as a float. A boolean, a string or
+    anything else raises ValueError rather than being coerced, as in
+    _json_array."""
+    if type(value) not in (int, float):
+        raise ValueError(f"expected a number, got {json.dumps(value)[:80]}")
+    return float(value)
+
+
 def load_model(path: str) -> LogRegModel:
     """Read a model file; rejects unknown schema versions and mangled files."""
     with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
@@ -340,10 +354,10 @@ def load_model(path: str) -> LogRegModel:
         hp = HyperParams(**payload["hyperparams"])
         model = LogRegModel(
             weights=_json_array(payload["weights"], np.float64),
-            bias=float(payload["bias"]),
+            bias=_json_number(payload["bias"]),
             feature_names=tuple(payload["feature_names"]),
             standardization=params,
-            threshold=float(payload["threshold"]),
+            threshold=_json_number(payload["threshold"]),
             hyperparams=hp,
             training_meta=dict(payload["training_meta"]),
         )

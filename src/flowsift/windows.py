@@ -21,6 +21,10 @@ DEFAULT_POSITIVE_CLASSES = frozenset({LabelClass.BOTNET, LabelClass.CNC})
 
 _US_PER_S = 1_000_000
 
+# build_matrix packs each flow's rank above the 32-bit flat index of its
+# value among the four attribute rows, so 4 * n must fit in 32 bits
+_MAX_FLOWS = 1 << 30
+
 
 @dataclass(frozen=True)
 class WindowConfig:
@@ -112,6 +116,9 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
         raise ValueError(f"group_by must be 'src' or 'src_dst', got {group_by!r}")
     if len(flows) == 0:
         raise EmptyInput("build_matrix needs at least one flow")
+    if len(flows) > _MAX_FLOWS:
+        raise ValueError(f"build_matrix takes at most {_MAX_FLOWS} flows, "
+                         f"got {len(flows)}")
 
     t = flows.start_time_us
     origin = int(t.min()) if cfg.origin_us is None else cfg.origin_us
@@ -131,11 +138,16 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     uniq_keys, key_code = _group_keys(flows, group_by)
     key_code = key_code[by_time]
     # each flow's rank in the stable (key, value) order of every attribute,
-    # sorted once over all flows: a window's slice is contiguous, so
-    # argsort(rank[lo:hi]) is exactly that slice's own stable lexsort
+    # sorted once over all flows, packed above the flat index a * n + i of
+    # its value in vals: a window's slice is contiguous and its ranks are
+    # distinct, so a plain sort of ranks[a, lo:hi] is exactly that slice's
+    # own stable lexsort, with the flat indices in its low 32 bits
+    n = len(d)
     ranks = np.empty(vals.shape, dtype=np.int64)
     for a, v in enumerate(vals):
-        ranks[a, np.lexsort((v, key_code))] = np.arange(len(d))
+        ranks[a, np.lexsort((v, key_code))] = np.arange(n)
+        ranks[a] <<= 32
+        ranks[a] |= np.arange(a * n, (a + 1) * n)
 
     # X, y, window index and key code of every row so far, as typed buffers
     out = (array("d"), array("b"), array("q"), array("q"))
@@ -147,8 +159,7 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
             # window that ends after it
             k = int(d[lo] - w) // s + 1
             continue
-        parts = _aggregate_window(k, vals[:, lo:hi], pos[lo:hi],
-                                  key_code[lo:hi], ranks[:, lo:hi])
+        parts = _aggregate_window(k, vals, pos, key_code, ranks[:, lo:hi])
         for buf, part in zip(out, parts):
             # frombytes copies raw bytes, so a part must already have its
             # buffer's dtype: "equiv" casting raises TypeError on any other
@@ -215,14 +226,18 @@ def _aggregate_window(k, vals, pos, key_code, ranks):
     """Features (float64), targets (int8), window index and key code (both
     int64) of window k's groups, one row per key code, ascending.
 
-    vals and ranks are (attribute, flow); ranks[a] holds distinct ints that
-    order the window's flows by (key code, attribute a).
+    vals is (attribute, flow) over every flow; pos and key_code are per
+    flow. ranks[a] is the window's slice of attribute a's packed keys: a
+    rank that orders the window's flows by (key code, attribute a) above
+    the flat index of the flow's value in vals.
     """
     # sort values within each group so every reduction below is independent
     # of input flow order, bit for bit
-    orders = np.argsort(ranks, axis=1)
-    v_s = np.take_along_axis(vals, orders, axis=1)
-    c_s = key_code[orders[0]]
+    flat = np.sort(ranks, axis=1)
+    flat &= 0xFFFFFFFF
+    v_s = vals.ravel().take(flat)
+    order = flat[0]                     # a == 0: the flows' time positions
+    c_s = key_code[order]
     g_start = np.flatnonzero(np.diff(c_s, prepend=-1))    # codes are >= 0
     g_len = np.diff(np.append(g_start, len(c_s)))
     g_end = g_start + g_len - 1
@@ -246,7 +261,7 @@ def _aggregate_window(k, vals, pos, key_code, ranks):
     stats = np.stack((sums, means, np.sqrt(var), maxs, meds), axis=-1)
     X = np.column_stack(
         (g_len, stats.swapaxes(0, 1).reshape(len(g_start), -1)))
-    y = np.logical_or.reduceat(pos[orders[0]], g_start).astype(np.int8)
+    y = np.logical_or.reduceat(pos[order], g_start).astype(np.int8)
     return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
 
 

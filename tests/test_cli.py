@@ -270,9 +270,13 @@ def test_mangled_model_is_data_error(ws, tmp_path, capsys):
     std = nested["standardization"]
     for key in ("means", "scales", "constant_flags"):
         std[key] = [std[key][:2]]
+    # a boolean bias, which float() would read as 1.0
+    boolean = json.loads(json.dumps(payload))
+    boolean["bias"] = True
     payload["standardization"]["means"][0] = math.nan
     bad = tmp_path / "model.txt"
-    for text in ("{ not json", json.dumps(payload), json.dumps(nested)):
+    for text in ("{ not json", json.dumps(payload), json.dumps(nested),
+                 json.dumps(boolean)):
         bad.write_text(text)
         out = tmp_path / "r.txt"
         rc = main(["eval", ws["features"], "--model", str(bad),
@@ -310,8 +314,9 @@ def _child_env(**extra) -> dict:
     return env
 
 
-def test_python_dash_m_runs_the_cli():
-    proc = subprocess.run([sys.executable, "-m", "flowsift", "--help"],
+@pytest.mark.parametrize("module", ["flowsift", "flowsift.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    proc = subprocess.run([sys.executable, "-m", module, "--help"],
                           capture_output=True, text=True, env=_child_env(),
                           timeout=60)
     assert proc.returncode == 0

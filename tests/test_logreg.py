@@ -335,8 +335,10 @@ def test_fit_huge_l2_crushes_weights():
 
 
 @pytest.mark.parametrize("kwargs", [{"l2_lambda": math.nan},
-                                    {"l2_lambda": math.inf}],
-                         ids=["l2-nan", "l2-inf"])
+                                    {"l2_lambda": math.inf},
+                                    {"l2_lambda": True},
+                                    {"l2_lambda": "1e-4"}],
+                         ids=["l2-nan", "l2-inf", "l2-bool", "l2-string"])
 def test_hyperparams_reject_non_finite(kwargs):
     with pytest.raises(ValueError):
         HyperParams(**kwargs)
@@ -473,6 +475,30 @@ def test_load_rejects_arrays_it_would_coerce(tmp_path, field, value):
     n = len(payload["weights"])
     arrays = (payload if field == "weights" else payload["standardization"])
     arrays[field] = value * n if isinstance(value, list) else value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(CorruptModel):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("bias", True), ("bias", "1.5"), ("bias", [0.5]), ("bias", None),
+    ("threshold", "0.5"), ("threshold", False),
+    ("l2_lambda", True), ("l2_lambda", "1e-4"), ("l2_lambda", [1e-4]),
+    ("class_weight_mode", 1), ("class_weight_mode", ["balanced"])],
+    ids=["bias-bool", "bias-string", "bias-list", "bias-null",
+         "threshold-string", "threshold-bool", "l2-bool", "l2-string",
+         "l2-list", "class-weight-number", "class-weight-list"])
+def test_load_rejects_scalars_it_would_coerce(tmp_path, field, value):
+    """bias and threshold are JSON numbers and not booleans, the rule the
+    arrays follow; l2_lambda is a number and class_weight_mode a string.
+    float() would turn true into 1.0 and "1.5" into 1.5, and a boolean
+    l2_lambda passed the range check as 0 or 1."""
+    model, _ = fit(two_cluster_matrix())
+    path = tmp_path / "model.txt"
+    save_model(str(path), model)
+    payload = json.loads(path.read_text())
+    (payload["hyperparams"] if field in payload["hyperparams"]
+     else payload)[field] = value
     path.write_text(json.dumps(payload))
     with pytest.raises(CorruptModel):
         load_model(str(path))

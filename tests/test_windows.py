@@ -471,7 +471,7 @@ def lexsort_reference(flows, cfg, group_by):
     each attribute, and the same reductions in the same order."""
     t = flows.start_time_us
     by_time = np.argsort(t, kind="stable")
-    d = t[by_time] - t.min()
+    d = t[by_time] - (t.min() if cfg.origin_us is None else cfg.origin_us)
     vals = flows.magnitudes[by_time]
     pos = np.isin(flows.label_class,
                   [LabelClass.BOTNET, LabelClass.CNC])[by_time]
@@ -511,17 +511,21 @@ def lexsort_reference(flows, cfg, group_by):
     return tuple(map(np.concatenate, (X, y, win, key)))
 
 
-@pytest.mark.parametrize("width,stride,span_s", [
-    (600, 15, 1800), (90, 15, 600), (10, 30, 600), (1, 1, 120)],
-    ids=["600-15", "90-15", "10-30-gaps", "1-1"])
+@pytest.mark.parametrize("width,stride,span_s,lead_s", [
+    (600, 15, 1800, None), (90, 15, 600, None), (10, 30, 600, None),
+    (1, 1, 120, None), (90, 15, 600, 37)],
+    ids=["600-15", "90-15", "10-30-gaps", "1-1", "90-15-origin"])
 @pytest.mark.parametrize("ties", [True, False], ids=["ties", "spread"])
 @pytest.mark.parametrize("group_by", ["src", "src_dst"])
 def test_build_matrix_bit_identical_to_per_window_lexsort(
-        width, stride, span_s, ties, group_by):
+        width, stride, span_s, lead_s, ties, group_by):
     """Ranks sorted once over all flows order each window exactly as the
     window's own lexsort would: every output bit matches. 600/15 puts each
     flow in 40 windows and groups of over 128 flows (numpy's pairwise-sum
-    block); ties leaves a few distinct values among many flows per key."""
+    block); ties leaves a few distinct values among many flows per key.
+    lead_s pins the origin that many seconds before the first flow, so the
+    window grid, and where each window's slice of the keys starts, is not
+    anchored at the earliest flow."""
     rng = random.Random(width * 1000 + stride)
     flows = []
     for _ in range(1500):
@@ -538,16 +542,30 @@ def test_build_matrix_bit_identical_to_per_window_lexsort(
             t_s=rng.uniform(0, span_s), src=f"10.0.0.{rng.randint(1, 3)}",
             dst=f"10.1.0.{rng.randint(1, 2)}", **mags,
             cls=rng.choice(list(LabelClass))))
-    m = build_matrix(FlowTable.from_records(flows),
-                     WindowConfig(width_s=width, stride_s=stride),
-                     group_by=group_by)
-    X, y, win, key = lexsort_reference(FlowTable.from_records(flows),
-                                       WindowConfig(width_s=width,
-                                                    stride_s=stride), group_by)
+    table = FlowTable.from_records(flows)
+    origin = (None if lead_s is None
+              else int(table.start_time_us.min()) - lead_s * US)
+    cfg = WindowConfig(width_s=width, stride_s=stride, origin_us=origin)
+    m = build_matrix(table, cfg, group_by=group_by)
+    X, y, win, key = lexsort_reference(table, cfg, group_by)
     assert np.array_equal(m.X, X), "features must match bit for bit"
     assert np.array_equal(m.y, y)
     assert np.array_equal(m.window_index, win)
     assert m.src_addr.tolist() == key.tolist()
+
+
+def test_build_matrix_rejects_more_flows_than_its_keys_can_index(
+        monkeypatch):
+    """Each packed key holds a flat index below 4 * n in 32 bits, so a
+    table past the bound is refused rather than aggregated from wrong
+    values. The bound is forced down; no large table is allocated."""
+    table = FlowTable.from_records([flow(t_s=i) for i in range(5)])
+    cfg = WindowConfig(width_s=60, stride_s=60)
+    monkeypatch.setattr(windows, "_MAX_FLOWS", 5)
+    assert build_matrix(table, cfg).n_rows == 1
+    monkeypatch.setattr(windows, "_MAX_FLOWS", 4)
+    with pytest.raises(ValueError, match="at most 4 flows, got 5"):
+        build_matrix(table, cfg)
 
 
 @pytest.mark.parametrize("width,stride", [(90, 15), (30, 15), (10, 20)],
