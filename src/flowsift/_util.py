@@ -1,11 +1,14 @@
-"""Small shared helpers: atomic file writes, number formatting and the
-count of usable cores."""
+"""Small shared helpers: atomic file writes, number formatting, the count
+of usable cores and the one way work runs in parallel, in forked children."""
 from __future__ import annotations
 
 import os
+import signal
 import tempfile
+import threading
+import traceback
 from contextlib import contextmanager
-from typing import Iterator, TextIO
+from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -64,6 +67,66 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def can_fork() -> bool:
+    """Whether work may go to forked children: os.fork exists (looked up
+    now, not at import) and no other Python thread is alive, whose locks a
+    child would inherit in whatever state they were."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+@contextmanager
+def forked(tasks: Sequence[Callable[[BinaryIO], None]]
+           ) -> Iterator[list[BinaryIO]]:
+    """Run each task in an os.fork'ed child of its own; yield the read ends
+    of their pipes, in task order.
+
+    A child calls task(sink) with the write end of its pipe, flushes it and
+    leaves through os._exit, so it never returns into the caller's stack nor
+    runs its exit handlers. A task that raises prints its traceback and
+    exits 1, so the reader meets the end of the pipe early. However the
+    block is left, every child is killed, its pipe closed and the child
+    reaped. Callers check can_fork first.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for task in tasks:
+            read_end, write_end = os.pipe()
+            # the parent closes each write end before the next fork, so no
+            # child holds another's pipe open past that child's exit
+            with open(write_end, "wb") as sink:
+                source = open(read_end, "rb")
+                try:
+                    pid = os.fork()
+                except OSError:
+                    source.close()
+                    raise
+                if pid == 0:
+                    _child(task, sink)
+            children.append((pid, source))
+        yield [source for _, source in children]
+    finally:
+        for pid, source in children:
+            # killed before its pipe closes, a child never reports the
+            # broken pipe; the kill is a no-op on one that has exited
+            os.kill(pid, signal.SIGKILL)
+            source.close()
+            os.waitpid(pid, 0)
+
+
+def _child(task: Callable[[BinaryIO], None], sink: BinaryIO) -> None:
+    """A forked child's whole life: run task on sink, then exit."""
+    status = 1
+    try:
+        task(sink)
+        sink.flush()
+        status = 0
+    except BaseException:
+        traceback.print_exc()
+        raise
+    finally:
+        os._exit(status)
 
 
 def fmt_g9(value: float) -> str:

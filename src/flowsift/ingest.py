@@ -25,9 +25,6 @@ import math
 import os
 import pickle
 import re
-import signal
-import threading
-import traceback
 from array import array
 from dataclasses import astuple, dataclass
 from datetime import datetime, timedelta
@@ -35,7 +32,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._util import naming_undecodable, usable_cores
+from ._util import can_fork, forked, naming_undecodable, usable_cores
 from .errors import MalformedRow
 
 TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
@@ -580,11 +577,10 @@ def _split_lines(text: str) -> list[str]:
 
 def _cut_targets(size: int) -> list[int]:
     """Offsets near which to cut a size-byte capture: one range per usable
-    core, none shorter than _MIN_RANGE_BYTES. A single range where os.fork
-    is missing or another thread is alive, whose locks a child would
-    inherit in whatever state they were."""
+    core, none shorter than _MIN_RANGE_BYTES. A single range where the
+    process may not fork (_util.can_fork)."""
     n = min(usable_cores(), size // _MIN_RANGE_BYTES)
-    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+    if n < 2 or not can_fork():
         return []
     return [size * i // n for i in range(1, n)]
 
@@ -605,30 +601,20 @@ def _range_starts(fh: BinaryIO) -> list[int]:
 
 def _serve_range(path: str, lo: int, hi: int | None, abort: bool,
                  sink: BinaryIO) -> None:
-    """A forked child's whole life: parse bytes [lo, hi) of path (up to EOF
-    when hi is None), send the result to sink and exit. The result is a
-    pickled (addresses, stats, lines, error, column byte counts), then the
-    raw bytes of each column unless error is set."""
-    status = 1
-    try:
-        with open(path, "rb") as fh:
-            fh.seek(lo)
-            part = _parse_range(fh, None if hi is None else hi - lo, abort,
-                                header=False)
-        columns = part.columns if part.error is None else ()
-        pickle.dump((list(part.addresses), part.stats, part.lines,
-                     part.error, [len(c) * c.itemsize for c in columns]),
-                    sink, pickle.HIGHEST_PROTOCOL)
-        for column in columns:
-            sink.write(column)
-        sink.flush()
-        status = 0
-    except BaseException:
-        traceback.print_exc()
-        raise
-    finally:
-        # never return into the caller's stack, nor run its exit handlers
-        os._exit(status)
+    """A forked child's task: parse bytes [lo, hi) of path (up to EOF when
+    hi is None) and send the result to sink. The result is a pickled
+    (addresses, stats, lines, error, column byte counts), then the raw
+    bytes of each column unless error is set."""
+    with open(path, "rb") as fh:
+        fh.seek(lo)
+        part = _parse_range(fh, None if hi is None else hi - lo, abort,
+                            header=False)
+    columns = part.columns if part.error is None else ()
+    pickle.dump((list(part.addresses), part.stats, part.lines, part.error,
+                 [len(c) * c.itemsize for c in columns]),
+                sink, pickle.HIGHEST_PROTOCOL)
+    for column in columns:
+        sink.write(column)
 
 
 def _receive(source: BinaryIO, columns: tuple, codes: dict[str, int]
@@ -671,38 +657,19 @@ def _read_ranges(path: str, fh: BinaryIO, starts: list[int], abort: bool
     """Parse the range at each start, the first in this process and each
     other in a forked child, and stitch them in file order."""
     ends = [*starts[1:], None]
-    children: list[tuple[int, BinaryIO]] = []
-    try:
-        for lo, hi in zip(starts[1:], ends[1:]):
-            read_end, write_end = os.pipe()
-            with open(write_end, "wb") as sink:
-                source = open(read_end, "rb")
-                try:
-                    pid = os.fork()
-                except OSError:
-                    source.close()
-                    raise
-                if pid == 0:
-                    _serve_range(path, lo, hi, abort, sink)
-            children.append((pid, source))
+    with forked([functools.partial(_serve_range, path, lo, hi, abort)
+                 for lo, hi in zip(starts[1:], ends[1:])]) as sources:
         first = _parse_range(fh, ends[0], abort, header=True)
         columns, codes = first.columns, first.addresses
         stats, lines, error = first.stats, first.lines, first.error
         line_offset = 0
-        for _, source in children:
+        for source in sources:
             _raise_error(error, line_offset)
             line_offset += lines
             more, lines, error = _receive(source, columns, codes)
             stats = IngestStats(*(a + b for a, b in zip(astuple(stats),
                                                         astuple(more))))
         _raise_error(error, line_offset)
-    finally:
-        for pid, source in children:
-            # killed before its pipe closes, a child never reports the
-            # broken pipe; the kill is a no-op on one that has exited
-            os.kill(pid, signal.SIGKILL)
-            source.close()
-            os.waitpid(pid, 0)
     return _table(columns, codes), stats
 
 

@@ -5,17 +5,22 @@ matrix, runs run_single on it — split, training, evaluation — under the one
 SplitSpec, and lands in one CSV row. A cell whose stride is a multiple of a
 smaller stride of its width takes its windows from that stride's build
 instead of windowing again. Cells are independent, so failures are recorded
-in-place and the rest of the grid still runs. Repeat runs re-execute a
+in-place and the rest of the grid still runs. A grid's builds are dealt
+over the usable cores, each share but the first run by a forked worker
+process that sends its cells back. Repeat runs re-execute a
 single cell under consecutive seeds to expose sampling variance; scenario
 comparison runs one fixed cell across several capture files.
 """
 from __future__ import annotations
 
+import functools
+import pickle
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field, replace
+from typing import BinaryIO
 
-from ._util import atomic_write_text, fmt_g9, usable_cores
+from ._util import atomic_write_text, can_fork, fmt_g9, forked, usable_cores
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
@@ -158,6 +163,57 @@ def _run_build(flows: FlowTable, width_s: int, strides: list[int],
     return cells
 
 
+# one sweep worker's work: (width, strides) pairs as _plan_builds maps them
+_Share = list[tuple[int, list[int]]]
+
+
+def _deal(plan: dict[tuple[int, int], list[int]], n: int) -> list[_Share]:
+    """Deal the builds of plan into n shares, longest first, each to the
+    share with the least cost so far. A build's cost is its width over its
+    stride (the windows each flow lands in) times the cells it serves."""
+    def cost(build: tuple[int, int]) -> float:
+        return build[0] / build[1] * len(plan[build])
+
+    shares: list[_Share] = [[] for _ in range(n)]
+    loads = [0.0] * n
+    for build in sorted(plan, key=cost, reverse=True):
+        i = loads.index(min(loads))
+        shares[i].append((build[0], plan[build]))
+        loads[i] += cost(build)
+    return shares
+
+
+def _run_share(flows: FlowTable, share: _Share, spec: SplitSpec
+               ) -> list[SweepCell]:
+    return [cell for width_s, strides in share
+            for cell in _run_build(flows, width_s, strides, spec)]
+
+
+def _send_share(flows: FlowTable, share: _Share, spec: SplitSpec,
+                sink: BinaryIO) -> None:
+    """A sweep worker's task: run its share and pickle the cells to sink,
+    or the exception that stopped them, for run_grid to raise. The
+    exception's traceback does not pickle, so the worker prints it."""
+    try:
+        result: list[SweepCell] | Exception = _run_share(flows, share, spec)
+    except Exception as exc:
+        traceback.print_exc()
+        result = exc
+    pickle.dump(result, sink, pickle.HIGHEST_PROTOCOL)
+
+
+def _receive_share(source: BinaryIO, share: _Share) -> list[SweepCell]:
+    try:
+        result = pickle.load(source)
+    except (EOFError, pickle.UnpicklingError):
+        builds = ", ".join(f"{w}/{strides[0]}" for w, strides in share)
+        raise ChildProcessError(f"the sweep worker for builds {builds} "
+                                "ended without sending its cells") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def run_grid(flows: FlowTable,
              widths: list[int],
              strides: list[int],
@@ -169,19 +225,29 @@ def run_grid(flows: FlowTable,
     included, so cells differ only in geometry. Each distinct geometry is
     computed once, and each width is built once per stride that no smaller
     requested stride divides: a larger stride is derived from the build of
-    its smallest such divisor (stride_multiple), bit for bit. Builds run on
-    a thread pool with one worker per core, at most one per build; each
-    runs its own cell and those derived from it. A repeated (width, stride)
-    pair repeats its cell's row.
+    its smallest such divisor (stride_multiple), bit for bit. Each build
+    runs its own cell and those derived from it.
+
+    The builds are dealt into one share per usable core, at most one per
+    build (_deal). This process runs the first share and a forked worker
+    each other; a worker sends its cells back through a pipe. Everything
+    runs in this process where it may not fork (_util.can_fork). A cell's
+    error is its status; any other exception in a share is raised here,
+    and a worker that ends without sending its cells raises
+    ChildProcessError. A repeated (width, stride) pair repeats its cell's
+    row.
     """
     spec = spec or SplitSpec()
     combos = [(w, s) for w in widths for s in strides]
     plan = _plan_builds(combos)
-    workers = max(1, min(len(plan), usable_cores()))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        built = pool.map(lambda b: _run_build(flows, b[0], plan[b], spec),
-                         plan)
-        done = {(c.width_s, c.stride_s): c for cells in built for c in cells}
+    n = min(len(plan), usable_cores()) if can_fork() else 1
+    shares = _deal(plan, max(1, n))
+    with forked([functools.partial(_send_share, flows, share, spec)
+                 for share in shares[1:]]) as sources:
+        cells = _run_share(flows, shares[0], spec)
+        for share, source in zip(shares[1:], sources):
+            cells += _receive_share(source, share)
+    done = {(c.width_s, c.stride_s): c for c in cells}
     return SweepResult(cells=[replace(done[ws]) for ws in combos])
 
 

@@ -395,8 +395,8 @@ for argv in (
 def test_outputs_do_not_depend_on_usable_cores(tmp_path):
     """The same commands pinned to one CPU and on every CPU this process
     may use write the same bytes. Pinned, ingest reads the capture in one
-    range and the sweep runs on one thread; unpinned, both use one per
-    core."""
+    range and the sweep runs in one process; unpinned, both use one process
+    per core."""
     flows = tmp_path / "flows.csv"
     cfg = preset_scenario9(seed=42)
     write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))

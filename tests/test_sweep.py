@@ -1,4 +1,7 @@
 """Grid sweeps, repeated runs, per-capture comparison, and their CSV forms."""
+import os
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -145,8 +148,8 @@ def test_run_grid_isolates_failed_cells(corpus):
 
 
 def test_run_grid_pooled_cells_match_run_single(corpus):
-    """Running cells side by side on the pool changes no cell's result;
-    every cell splits under the one spec and records its seed."""
+    """Running cells side by side in worker processes changes no cell's
+    result; every cell splits under the one spec and records its seed."""
     for spec in (None, SplitSpec(mode="stratified_random", seed=5)):
         result = run_grid(corpus, widths=[60, 90], strides=[30, 60],
                           spec=spec)
@@ -160,46 +163,58 @@ def test_run_grid_pooled_cells_match_run_single(corpus):
             assert (cell.train, cell.test) == (train, test)
 
 
-def count_builds(monkeypatch):
-    """Route flowsift.sweep.build_matrix through a counter; returns the list
-    of (width, stride) it is called with."""
-    calls = []
+def count_builds(monkeypatch, log):
+    """Route flowsift.sweep.build_matrix through a counter that appends each
+    (width, stride) it is called with to the file log, so builds made in a
+    forked sweep worker are counted too; returns a reader of the list."""
     real = flowsift.sweep.build_matrix
 
     def counting(*args, **kwargs):
-        calls.append((args[1].width_s, args[1].stride_s))
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{args[1].width_s} {args[1].stride_s}\n")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(flowsift.sweep, "build_matrix", counting)
+
+    def calls():
+        if not log.exists():
+            return []
+        with open(log, encoding="utf-8") as fh:
+            return [tuple(map(int, line.split())) for line in fh]
     return calls
 
 
 def test_run_grid_builds_each_width_once_per_undivided_stride(
-        corpus, monkeypatch):
+        corpus, monkeypatch, tmp_path):
     """15 divides 30, 60, 75, 90 and 120: one build per width serves all
-    six strides, gap geometries (120 > 90) included."""
+    six strides, gap geometries (120 > 90) included. The same on the
+    host's cores and on one."""
     strides = [15, 30, 60, 75, 90, 120]
-    calls = count_builds(monkeypatch)
-    result = run_grid(corpus, widths=[90, 180], strides=strides)
-    assert sorted(calls) == [(90, 15), (180, 15)]
-    assert [(c.width_s, c.stride_s) for c in result.cells] == [
-        (w, s) for w in (90, 180) for s in strides]
-    monkeypatch.undo()
-    for cell in result.cells:
-        train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
-        assert cell.status == ("ok:stride_gap" if cell.stride_s > cell.width_s
-                               else "ok")
-        assert (cell.train, cell.test) == (train, test), \
-            f"{cell.width_s}/{cell.stride_s} differs from its own build"
+    for cores in ("host", 1):
+        if cores == 1:
+            monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: 1)
+        calls = count_builds(monkeypatch, tmp_path / f"builds-{cores}")
+        result = run_grid(corpus, widths=[90, 180], strides=strides)
+        assert sorted(calls()) == [(90, 15), (180, 15)]
+        assert [(c.width_s, c.stride_s) for c in result.cells] == [
+            (w, s) for w in (90, 180) for s in strides]
+        monkeypatch.undo()
+        for cell in result.cells:
+            train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
+            assert cell.status == ("ok:stride_gap"
+                                   if cell.stride_s > cell.width_s else "ok")
+            assert (cell.train, cell.test) == (train, test), \
+                f"{cell.width_s}/{cell.stride_s} differs from its own build"
 
 
-def test_run_grid_failed_build_fails_every_cell_it_serves(monkeypatch):
+def test_run_grid_failed_build_fails_every_cell_it_serves(monkeypatch,
+                                                          tmp_path):
     """A build that raises marks its own cell and each derived cell with
     the error, as building each of them would have."""
-    calls = count_builds(monkeypatch)
+    calls = count_builds(monkeypatch, tmp_path / "builds")
     result = run_grid(FlowTable.from_records([]), widths=[90],
                       strides=[15, 30])
-    assert calls == [(90, 15)]
+    assert calls() == [(90, 15)]
     assert [(c.stride_s, c.status) for c in result.cells] == [
         (15, "error:EmptyInput"), (30, "error:EmptyInput")]
     assert all(c.wall_time_s is not None and c.test is None
@@ -219,23 +234,138 @@ def test_reference_table_geometries_need_eleven_builds():
                   for s in strides) == sorted(geometries)
 
 
-def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch):
+def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch,
+                                                         tmp_path):
     """Each distinct geometry runs once; every requested pair keeps its row,
     in request order. 30 is not a multiple of 60 and 60 is derived from 15,
-    so each width is built at 15 and at no other stride."""
-    calls = count_builds(monkeypatch)
-    result = run_grid(corpus, widths=[90, 60, 90], strides=[60, 15, 30, 15])
-    assert sorted(calls) == [(60, 15), (90, 15)]
-    assert [(c.width_s, c.stride_s) for c in result.cells] == [
-        (w, s) for w in (90, 60, 90) for s in (60, 15, 30, 15)]
-    rows = sweep_csv(result, timings=True).split("\n")[1:-1]
-    assert rows[:4] == rows[8:], "the repeated width repeats its rows"
-    assert rows[1] == rows[3] and rows[5] == rows[7]
-    assert len(set(rows)) == 6
-    monkeypatch.undo()
-    for cell in result.cells:
-        train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
-        assert (cell.train, cell.test) == (train, test)
+    so each width is built at 15 and at no other stride. The same on the
+    host's cores and on one."""
+    for cores in ("host", 1):
+        if cores == 1:
+            monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: 1)
+        calls = count_builds(monkeypatch, tmp_path / f"builds-{cores}")
+        result = run_grid(corpus, widths=[90, 60, 90],
+                          strides=[60, 15, 30, 15])
+        assert sorted(calls()) == [(60, 15), (90, 15)]
+        assert [(c.width_s, c.stride_s) for c in result.cells] == [
+            (w, s) for w in (90, 60, 90) for s in (60, 15, 30, 15)]
+        rows = sweep_csv(result, timings=True).split("\n")[1:-1]
+        assert rows[:4] == rows[8:], "the repeated width repeats its rows"
+        assert rows[1] == rows[3] and rows[5] == rows[7]
+        assert len(set(rows)) == 6
+        monkeypatch.undo()
+        for cell in result.cells:
+            train, test = cell_scores(corpus, cell.width_s, cell.stride_s)
+            assert (cell.train, cell.test) == (train, test)
+
+
+def _forced_cores(monkeypatch, n):
+    monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: n)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _build_calling(monkeypatch, width_s, action):
+    """Make flowsift.sweep.build_matrix call action() before building any
+    geometry of width width_s."""
+    real = flowsift.sweep.build_matrix
+
+    def build(flows, cfg):
+        if cfg.width_s == width_s:
+            action()
+        return real(flows, cfg)
+
+    monkeypatch.setattr(flowsift.sweep, "build_matrix", build)
+
+
+# on two cores, 90/15 (cost 6) is this process's share and 60/15 (cost 4)
+# the worker's
+TWO_SHARES = dict(widths=[90, 60], strides=[15])
+
+
+def test_two_shares_put_the_wider_build_in_this_process():
+    plan = flowsift.sweep._plan_builds([(90, 15), (60, 15)])
+    assert flowsift.sweep._deal(plan, 2) == [[(90, [15])], [(60, [15])]]
+
+
+def test_worker_exception_reaches_the_caller_with_its_type(corpus,
+                                                          monkeypatch):
+    """An exception that is not a cell error, raised in a forked worker,
+    is raised by run_grid with its own type and message."""
+    _forced_cores(monkeypatch, 2)
+
+    def fail():
+        raise LookupError("raised in the worker")
+
+    _build_calling(monkeypatch, 60, fail)
+    with pytest.raises(LookupError, match="raised in the worker"):
+        run_grid(corpus, **TWO_SHARES)
+    _assert_no_child_left()
+
+
+def test_worker_that_sends_nothing_is_a_child_process_error(corpus,
+                                                            monkeypatch):
+    _forced_cores(monkeypatch, 2)
+    _build_calling(monkeypatch, 60, lambda: os._exit(3))
+    with pytest.raises(ChildProcessError, match="builds 60/15 ended"):
+        run_grid(corpus, **TWO_SHARES)
+    _assert_no_child_left()
+
+
+def test_interrupt_kills_and_reaps_every_worker(corpus, monkeypatch):
+    """A KeyboardInterrupt in this process's share ends a worker that
+    would otherwise run for a minute."""
+    _forced_cores(monkeypatch, 2)
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    _build_calling(monkeypatch, 60, lambda: time.sleep(60))
+    _build_calling(monkeypatch, 90, interrupt)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(corpus, **TWO_SHARES)
+    _assert_no_child_left()
+    assert time.perf_counter() - t0 < 30
+
+
+def test_run_grid_stays_in_process_without_fork_or_beside_a_thread(
+        corpus, monkeypatch):
+    want = sweep_csv(run_grid(corpus, **TWO_SHARES))
+    _forced_cores(monkeypatch, 2)
+
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        beside_thread = run_grid(corpus, **TWO_SHARES)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert sweep_csv(beside_thread) == want
+    monkeypatch.delattr(os, "fork")
+    assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
+
+
+def test_sweep_csv_does_not_depend_on_usable_cores(corpus, monkeypatch):
+    """Six builds, a derived stride, a gap geometry and a failed width, in
+    one process and dealt over two and three."""
+    csvs = []
+    for cores in (1, 2, 3):
+        _forced_cores(monkeypatch, cores)
+        csvs.append(sweep_csv(run_grid(corpus, widths=[60, 90, 3600],
+                                       strides=[30, 45, 90])))
+        _assert_no_child_left()
+    assert "ok:stride_gap" in csvs[0] and "error:DegenerateSplit" in csvs[0]
+    assert csvs[0] == csvs[1] == csvs[2]
 
 
 def test_repeat_runs_chronological_is_seed_invariant(corpus):
@@ -259,15 +389,15 @@ def test_repeat_runs_dispersion_arithmetic(corpus):
         assert stats["range"] == stats["max"] - stats["min"]
 
 
-def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch):
+def test_repeat_runs_builds_the_matrix_once(corpus, monkeypatch, tmp_path):
     """Only the split and the fit depend on the seed, so one build serves
     every run, and each run scores as run_single does at its seed."""
     spec = SplitSpec(mode="stratified_random", seed=4)
     expected = [cell_scores(corpus, 60, 60, replace(spec, seed=seed))
                 for seed in (4, 5, 6)]
-    calls = count_builds(monkeypatch)
+    calls = count_builds(monkeypatch, tmp_path / "builds")
     runs, _ = repeat_runs(corpus, 60, 60, runs=3, spec=spec)
-    assert calls == [(60, 60)]
+    assert calls() == [(60, 60)]
     assert [r.seed for r in runs] == [4, 5, 6]
     for cell, (train, test) in zip(runs, expected):
         assert cell.status == "ok"
