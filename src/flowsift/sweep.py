@@ -20,6 +20,8 @@ import traceback
 from dataclasses import dataclass, field, replace
 from typing import BinaryIO
 
+import numpy as np
+
 from ._util import atomic_write_text, can_fork, fmt_g9, forked, usable_cores
 from .errors import FlowsiftError
 from .features import FeatureMatrix
@@ -167,20 +169,18 @@ def _run_build(flows: FlowTable, width_s: int, strides: list[int],
 _Share = list[tuple[int, list[int]]]
 
 
-def _deal(plan: dict[tuple[int, int], list[int]], n: int) -> list[_Share]:
-    """Deal the builds of plan into n shares, longest first, each to the
-    share with the least cost so far. A build's cost is its width over its
-    stride (the windows each flow lands in) times the cells it serves."""
-    def cost(build: tuple[int, int]) -> float:
-        return build[0] / build[1] * len(plan[build])
-
-    shares: list[_Share] = [[] for _ in range(n)]
-    loads = [0.0] * n
-    for build in sorted(plan, key=cost, reverse=True):
-        i = loads.index(min(loads))
-        shares[i].append((build[0], plan[build]))
-        loads[i] += cost(build)
-    return shares
+@functools.cache
+def _blas_survives_fork() -> bool:
+    """Whether numpy's BLAS is OpenBLAS on its own pthreads pool, whose
+    fork handler shuts the pool down before a fork so that a child may call
+    BLAS. A BLAS on OpenMP, or one this cannot name, may hang a child that
+    enters a parallel region after the parent's pool has started."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return ("openblas" in str(blas.get("name", "")).lower()
+            and "USE_OPENMP" not in str(blas.get("openblas configuration")))
 
 
 def _run_share(flows: FlowTable, share: _Share, spec: SplitSpec
@@ -228,20 +228,23 @@ def run_grid(flows: FlowTable,
     its smallest such divisor (stride_multiple), bit for bit. Each build
     runs its own cell and those derived from it.
 
-    The builds are dealt into one share per usable core, at most one per
-    build (_deal). This process runs the first share and a forked worker
-    each other; a worker sends its cells back through a pipe. Everything
-    runs in this process where it may not fork (_util.can_fork). A cell's
-    error is its status; any other exception in a share is raised here,
-    and a worker that ends without sending its cells raises
-    ChildProcessError. A repeated (width, stride) pair repeats its cell's
-    row.
+    The builds are dealt round-robin, in plan order, into one share per
+    usable core, at most one per build. This process runs the first share
+    and a forked worker each other; a worker sends its cells back through a
+    pipe. Workers fit and score, so everything runs in this process where
+    it may not fork (_util.can_fork) or numpy's BLAS may not survive a fork
+    (_blas_survives_fork). A cell's error is its status; any other
+    exception in a share is raised here, and a worker that ends without
+    sending its cells raises ChildProcessError. A repeated (width, stride)
+    pair repeats its cell's row.
     """
     spec = spec or SplitSpec()
     combos = [(w, s) for w in widths for s in strides]
     plan = _plan_builds(combos)
-    n = min(len(plan), usable_cores()) if can_fork() else 1
-    shares = _deal(plan, max(1, n))
+    n = (max(1, min(len(plan), usable_cores()))
+         if can_fork() and _blas_survives_fork() else 1)
+    builds = [(width_s, served) for (width_s, _), served in plan.items()]
+    shares = [builds[i::n] for i in range(n)]
     with forked([functools.partial(_send_share, flows, share, spec)
                  for share in shares[1:]]) as sources:
         cells = _run_share(flows, shares[0], spec)

@@ -263,6 +263,13 @@ def _forced_cores(monkeypatch, n):
     monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: n)
 
 
+def _forking_two_shares(monkeypatch):
+    """Two cores, and forking whatever numpy's BLAS: the workers of the
+    tests that use this stop before they reach BLAS."""
+    _forced_cores(monkeypatch, 2)
+    monkeypatch.setattr(flowsift.sweep, "_blas_survives_fork", lambda: True)
+
+
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -281,21 +288,15 @@ def _build_calling(monkeypatch, width_s, action):
     monkeypatch.setattr(flowsift.sweep, "build_matrix", build)
 
 
-# on two cores, 90/15 (cost 6) is this process's share and 60/15 (cost 4)
-# the worker's
+# on two cores, 90/15 is this process's share and 60/15 the worker's
 TWO_SHARES = dict(widths=[90, 60], strides=[15])
-
-
-def test_two_shares_put_the_wider_build_in_this_process():
-    plan = flowsift.sweep._plan_builds([(90, 15), (60, 15)])
-    assert flowsift.sweep._deal(plan, 2) == [[(90, [15])], [(60, [15])]]
 
 
 def test_worker_exception_reaches_the_caller_with_its_type(corpus,
                                                           monkeypatch):
     """An exception that is not a cell error, raised in a forked worker,
     is raised by run_grid with its own type and message."""
-    _forced_cores(monkeypatch, 2)
+    _forking_two_shares(monkeypatch)
 
     def fail():
         raise LookupError("raised in the worker")
@@ -308,7 +309,7 @@ def test_worker_exception_reaches_the_caller_with_its_type(corpus,
 
 def test_worker_that_sends_nothing_is_a_child_process_error(corpus,
                                                             monkeypatch):
-    _forced_cores(monkeypatch, 2)
+    _forking_two_shares(monkeypatch)
     _build_calling(monkeypatch, 60, lambda: os._exit(3))
     with pytest.raises(ChildProcessError, match="builds 60/15 ended"):
         run_grid(corpus, **TWO_SHARES)
@@ -318,7 +319,7 @@ def test_worker_that_sends_nothing_is_a_child_process_error(corpus,
 def test_interrupt_kills_and_reaps_every_worker(corpus, monkeypatch):
     """A KeyboardInterrupt in this process's share ends a worker that
     would otherwise run for a minute."""
-    _forced_cores(monkeypatch, 2)
+    _forking_two_shares(monkeypatch)
 
     def interrupt():
         raise KeyboardInterrupt
@@ -334,6 +335,7 @@ def test_interrupt_kills_and_reaps_every_worker(corpus, monkeypatch):
 
 def test_run_grid_stays_in_process_without_fork_or_beside_a_thread(
         corpus, monkeypatch):
+    """Also where numpy's BLAS is not one that a forked worker may call."""
     want = sweep_csv(run_grid(corpus, **TWO_SHARES))
     _forced_cores(monkeypatch, 2)
 
@@ -341,6 +343,9 @@ def test_run_grid_stays_in_process_without_fork_or_beside_a_thread(
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", refuse)
+    with monkeypatch.context() as patch:
+        patch.setattr(flowsift.sweep, "_blas_survives_fork", lambda: False)
+        assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
