@@ -1,14 +1,18 @@
 """Small shared helpers: atomic file writes, number formatting, the count
-of usable cores and the one way work runs in parallel, in forked children."""
+of usable cores, the one way work runs in parallel, in forked children each
+on a core of its own, and the OpenBLAS thread count."""
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
+import pickle
 import signal
 import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
-from typing import BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -16,8 +20,7 @@ def atomic_open(path: str) -> Iterator[TextIO]:
     """Yield a text handle on a temp file beside path, renamed over path when
     the block succeeds and unlinked when it raises, so readers never see a
     partial file and a failed run never clobbers a previous output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    fd, tmp = temp_beside(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
@@ -28,6 +31,13 @@ def atomic_open(path: str) -> Iterator[TextIO]:
         except OSError:
             pass
         raise
+
+
+def temp_beside(path: str) -> tuple[int, str]:
+    """Create a temp file in path's directory, named ".tmp-…~" so that a
+    leftover is known for what it is; returns its descriptor and path."""
+    return tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                            prefix=".tmp-", suffix="~")
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -88,37 +98,85 @@ def forked(tasks: Sequence[Callable[[BinaryIO], None]]
     exits 1, so the reader meets the end of the pipe early. However the
     block is left, every child is killed, its pipe closed and the child
     reaped. Callers check can_fork first.
+
+    Where the calling thread may run on several CPUs, each process gets one
+    for the whole block (see _pinned): this thread the first, the child of
+    tasks[k] the CPU k + 1 places after it, round the mask. A forked task
+    must not fork again: a pinned process sees usable_cores() == 1. A
+    thread started in the block keeps this thread's one CPU after it, and
+    OpenBLAS restarts its pool, shut down by the fork, at its next parallel
+    call: a caller that calls BLAS in the block runs it on one thread
+    (blas_threads).
     """
-    children: list[tuple[int, BinaryIO]] = []
+    with _pinned(len(tasks)) as cpus:
+        children: list[tuple[int, BinaryIO]] = []
+        try:
+            for place, task in enumerate(tasks, start=1):
+                read_end, write_end = os.pipe()
+                # the parent closes each write end before the next fork, so
+                # no child holds another's pipe open past that child's exit
+                with open(write_end, "wb") as sink:
+                    source = open(read_end, "rb")
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        source.close()
+                        raise
+                    if pid == 0:
+                        _child(task, sink, cpus[place % len(cpus)] if cpus
+                               else None)
+                children.append((pid, source))
+            yield [source for _, source in children]
+        finally:
+            for pid, source in children:
+                # killed before its pipe closes, a child never reports the
+                # broken pipe; the kill is a no-op on one that has exited
+                os.kill(pid, signal.SIGKILL)
+                source.close()
+                os.waitpid(pid, 0)
+
+
+@contextmanager
+def _pinned(tasks: int) -> Iterator[list[int]]:
+    """Pin the calling thread to the first CPU of its affinity mask for the
+    block and yield the mask's CPUs in order; the mask is given back however
+    the block is left. Yields [] and pins nothing where there is no task,
+    the mask holds one CPU or the platform cannot pin.
+
+    A child that keeps its parent's whole mask often stays on the parent's
+    CPU for a burst as short as a runbook-sized ingest range, so the two
+    run one after the other; pinned, they run side by side."""
+    cpus = (sorted(os.sched_getaffinity(0))
+            if tasks and hasattr(os, "sched_getaffinity") else [])
+    if len(cpus) < 2 or not _set_affinity(cpus[:1]):
+        yield []
+        return
     try:
-        for task in tasks:
-            read_end, write_end = os.pipe()
-            # the parent closes each write end before the next fork, so no
-            # child holds another's pipe open past that child's exit
-            with open(write_end, "wb") as sink:
-                source = open(read_end, "rb")
-                try:
-                    pid = os.fork()
-                except OSError:
-                    source.close()
-                    raise
-                if pid == 0:
-                    _child(task, sink)
-            children.append((pid, source))
-        yield [source for _, source in children]
+        yield cpus
     finally:
-        for pid, source in children:
-            # killed before its pipe closes, a child never reports the
-            # broken pipe; the kill is a no-op on one that has exited
-            os.kill(pid, signal.SIGKILL)
-            source.close()
-            os.waitpid(pid, 0)
+        _set_affinity(cpus)
 
 
-def _child(task: Callable[[BinaryIO], None], sink: BinaryIO) -> None:
-    """A forked child's whole life: run task on sink, then exit."""
+def _set_affinity(cpus: Sequence[int]) -> bool:
+    """Restrict the calling thread to cpus; False where the platform has no
+    affinity call or refuses it."""
+    if not hasattr(os, "sched_setaffinity"):
+        return False
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _child(task: Callable[[BinaryIO], None], sink: BinaryIO,
+           cpu: int | None) -> None:
+    """A forked child's whole life: move to cpu, if any, run task on sink,
+    then exit."""
     status = 1
     try:
+        if cpu is not None:
+            _set_affinity([cpu])
         task(sink)
         sink.flush()
         status = 0
@@ -127,6 +185,75 @@ def _child(task: Callable[[BinaryIO], None], sink: BinaryIO) -> None:
         raise
     finally:
         os._exit(status)
+
+
+def send_result(work: Callable[[], Any], sink: BinaryIO) -> None:
+    """A forked task that replies: pickle work()'s result to sink, or the
+    exception that stopped it, for receive_result to raise. The exception's
+    traceback does not pickle, so the child prints it."""
+    try:
+        result = work()
+    except Exception as exc:
+        traceback.print_exc()
+        result = exc
+    pickle.dump(result, sink, pickle.HIGHEST_PROTOCOL)
+
+
+def receive_result(source: BinaryIO, sender: str) -> Any:
+    """What send_result sent through source: the result, or its exception
+    raised again with its own type. A child that sent nothing raises
+    ChildProcessError naming sender, the work it was given."""
+    try:
+        result = pickle.load(source)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(f"{sender} ended without sending its "
+                                "result") from None
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+@functools.cache
+def _blas_thread_calls() -> tuple[Callable, Callable] | None:
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
+    or None where numpy's BLAS exports no such pair. They are looked up
+    through numpy's linalg extension, whose dependencies include its BLAS:
+    scipy_openblas_*_num_threads64_ in the wheel's scipy-openblas."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            name = f"{prefix}openblas_%s_num_threads{suffix}"
+            try:
+                get, set_ = lib[name % "get"], lib[name % "set"]
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def blas_threads(n: int) -> Iterator[None]:
+    """Run the block with numpy's OpenBLAS on n threads, and give it back
+    its thread count however the block is left. Children forked in the
+    block inherit the count. Changes nothing where no thread-count call is
+    found (_blas_thread_calls)."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(n)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def fmt_g9(value: float) -> str:

@@ -8,14 +8,18 @@ frozen; serialized artifacts depend on it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import os
+import shutil
 from array import array
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._util import atomic_open, naming_undecodable
+from ._util import (atomic_open, can_fork, forked, naming_undecodable,
+                    receive_result, send_result, temp_beside, usable_cores)
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -181,6 +185,10 @@ def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # rows formatted per write: bounds the text held at once to under a megabyte
 _WRITE_CHUNK_ROWS = 4096
+# write_matrix_csv formats one contiguous row range per usable core, every
+# range but the first in a forked child; no range is shorter than this, one
+# chunk, since a fork costs a few milliseconds
+_MIN_WRITE_ROWS = 4096
 
 
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
@@ -190,20 +198,68 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     order is whatever the matrix holds (build_matrix emits the canonical
     window-then-source order). Rows are formatted a chunk at a time and
     streamed to the atomic temp file, so the text is never held whole.
+
+    The rows are cut into one contiguous range per usable core, none
+    shorter than _MIN_WRITE_ROWS. This process writes the first range to
+    the temp file; a forked child writes each other range to a part file
+    beside path, which this process then appends in order and unlinks. The
+    error raised is that of the earliest bad row in file order. One range
+    where the process may not fork (_util.can_fork).
     """
     row_format = ",".join(["%d", "%d", "%s"] + ["%.9g"] * matrix.n_features
                           + ["%d"]) + "\n"
+    n = min(usable_cores(), matrix.n_rows // _MIN_WRITE_ROWS)
+    if n < 2 or not can_fork():
+        n = 1
+    bounds = [matrix.n_rows * i // n for i in range(n + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
     with atomic_open(path) as fh:
         fh.write(",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
                  + ",target\n")
-        for lo in range(0, matrix.n_rows, _WRITE_CHUNK_ROWS):
-            rows = slice(lo, lo + _WRITE_CHUNK_ROWS)
-            columns = [matrix.window_index[rows].tolist(),
-                       matrix.window_start_us[rows].tolist(),
-                       matrix.src_addr[rows].tolist(),
-                       *matrix.X[rows].T.tolist(),
-                       matrix.y[rows].tolist()]
-            fh.write("".join([row_format % row for row in zip(*columns)]))
+        parts: list[str] = []
+        try:
+            for _ in ranges[1:]:
+                fd, part = temp_beside(path)
+                os.close(fd)
+                parts.append(part)
+            with forked([functools.partial(send_result, functools.partial(
+                    _write_part, part, matrix, row_format, lo, hi))
+                    for part, (lo, hi) in zip(parts, ranges[1:])]) as sources:
+                _write_rows(fh, matrix, row_format, *ranges[0])
+                for part, (lo, hi), source in zip(parts, ranges[1:], sources):
+                    receive_result(source, "the feature-CSV writer of rows "
+                                           f"{lo}-{hi - 1}")
+                    _append(fh, part)
+        finally:
+            for part in parts:
+                os.unlink(part)
+
+
+def _write_rows(fh: TextIO, matrix: FeatureMatrix, row_format: str,
+                lo: int, hi: int) -> None:
+    """Format matrix rows [lo, hi) to fh a chunk at a time."""
+    for start in range(lo, hi, _WRITE_CHUNK_ROWS):
+        rows = slice(start, min(start + _WRITE_CHUNK_ROWS, hi))
+        columns = [matrix.window_index[rows].tolist(),
+                   matrix.window_start_us[rows].tolist(),
+                   matrix.src_addr[rows].tolist(),
+                   *matrix.X[rows].T.tolist(),
+                   matrix.y[rows].tolist()]
+        fh.write("".join([row_format % row for row in zip(*columns)]))
+
+
+def _write_part(part: str, matrix: FeatureMatrix, row_format: str,
+                lo: int, hi: int) -> None:
+    """A forked child's work: format rows [lo, hi) into the file part."""
+    with open(part, "w", encoding="utf-8", newline="") as fh:
+        _write_rows(fh, matrix, row_format, lo, hi)
+
+
+def _append(fh: TextIO, part: str) -> None:
+    """Copy the bytes of the file part to the end of fh."""
+    fh.flush()
+    with open(part, "rb") as source:
+        shutil.copyfileobj(source, fh.buffer)
 
 
 def _read_header(fh, path: str) -> list[str]:

@@ -7,22 +7,22 @@ smaller stride of its width takes its windows from that stride's build
 instead of windowing again. Cells are independent, so failures are recorded
 in-place and the rest of the grid still runs. A grid's builds are dealt
 over the usable cores, each share but the first run by a forked worker
-process that sends its cells back. Repeat runs re-execute a
+process that sends its cells back; while workers run, each process has a
+core of its own and BLAS runs on one thread. Repeat runs re-execute a
 single cell under consecutive seeds to expose sampling variance; scenario
 comparison runs one fixed cell across several capture files.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
-import pickle
 import time
-import traceback
 from dataclasses import dataclass, field, replace
-from typing import BinaryIO
 
 import numpy as np
 
-from ._util import atomic_write_text, can_fork, fmt_g9, forked, usable_cores
+from ._util import (atomic_write_text, blas_threads, can_fork, fmt_g9, forked,
+                    receive_result, send_result, usable_cores)
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
@@ -189,31 +189,6 @@ def _run_share(flows: FlowTable, share: _Share, spec: SplitSpec
             for cell in _run_build(flows, width_s, strides, spec)]
 
 
-def _send_share(flows: FlowTable, share: _Share, spec: SplitSpec,
-                sink: BinaryIO) -> None:
-    """A sweep worker's task: run its share and pickle the cells to sink,
-    or the exception that stopped them, for run_grid to raise. The
-    exception's traceback does not pickle, so the worker prints it."""
-    try:
-        result: list[SweepCell] | Exception = _run_share(flows, share, spec)
-    except Exception as exc:
-        traceback.print_exc()
-        result = exc
-    pickle.dump(result, sink, pickle.HIGHEST_PROTOCOL)
-
-
-def _receive_share(source: BinaryIO, share: _Share) -> list[SweepCell]:
-    try:
-        result = pickle.load(source)
-    except (EOFError, pickle.UnpicklingError):
-        builds = ", ".join(f"{w}/{strides[0]}" for w, strides in share)
-        raise ChildProcessError(f"the sweep worker for builds {builds} "
-                                "ended without sending its cells") from None
-    if isinstance(result, Exception):
-        raise result
-    return result
-
-
 def run_grid(flows: FlowTable,
              widths: list[int],
              strides: list[int],
@@ -230,9 +205,11 @@ def run_grid(flows: FlowTable,
 
     The builds are dealt round-robin, in plan order, into one share per
     usable core, at most one per build. This process runs the first share
-    and a forked worker each other; a worker sends its cells back through a
-    pipe. Workers fit and score, so everything runs in this process where
-    it may not fork (_util.can_fork) or numpy's BLAS may not survive a fork
+    and a forked worker each other, each process on a core of its own
+    (_util.forked) and numpy's BLAS on one thread; a worker sends its cells
+    back through a pipe (_util.send_result). Workers fit and score, so
+    everything runs in this process, BLAS threads untouched, where it may
+    not fork (_util.can_fork) or numpy's BLAS may not survive a fork
     (_blas_survives_fork). A cell's error is its status; any other
     exception in a share is raised here, and a worker that ends without
     sending its cells raises ChildProcessError. A repeated (width, stride)
@@ -245,11 +222,17 @@ def run_grid(flows: FlowTable,
          if can_fork() and _blas_survives_fork() else 1)
     builds = [(width_s, served) for (width_s, _), served in plan.items()]
     shares = [builds[i::n] for i in range(n)]
-    with forked([functools.partial(_send_share, flows, share, spec)
-                 for share in shares[1:]]) as sources:
+    # set before the fork, so that every worker inherits the one thread
+    one_blas_thread = blas_threads(1) if n > 1 else contextlib.nullcontext()
+    with one_blas_thread, forked([
+            functools.partial(send_result, functools.partial(
+                _run_share, flows, share, spec))
+            for share in shares[1:]]) as sources:
         cells = _run_share(flows, shares[0], spec)
         for share, source in zip(shares[1:], sources):
-            cells += _receive_share(source, share)
+            builds = ", ".join(f"{w}/{strides[0]}" for w, strides in share)
+            cells += receive_result(source,
+                                    f"the sweep worker for builds {builds}")
     done = {(c.width_s, c.stride_s): c for c in cells}
     return SweepResult(cells=[replace(done[ws]) for ws in combos])
 

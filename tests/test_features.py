@@ -1,6 +1,11 @@
 """Feature-matrix container, standardization, and CSV interchange."""
+import os
+import time
+
 import numpy as np
 import pytest
+
+from flowsift import features
 
 from flowsift import (
     DegenerateComputation,
@@ -11,7 +16,7 @@ from flowsift import (
     standardize_fit,
     write_matrix_csv,
 )
-from flowsift._util import fmt_g9
+from flowsift._util import atomic_write_text, fmt_g9
 from flowsift.features import (FEATURE_NAMES, _META_COLUMNS,
                                 _read_matrix_csv_bulk, weighted_gram)
 
@@ -408,3 +413,141 @@ def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):
         "window_index,window_start_us,src_addr,pc_1,pc_2,target\n"
         "0,0,h,0.25,-1.5,1\n3,45000000,g,-0,5e-324,0\n")
     assert_same_matrix(read_matrix_csv(str(path)), oracle_read(str(path)))
+
+
+# --- the feature-CSV write in forked row ranges ------------------------------
+
+def force_write_ranges(monkeypatch, ranges):
+    """Make write_matrix_csv cut a matrix of at least 100 rows per range into
+    ranges ranges, and count the children it forks; returns a reader of the
+    count."""
+    monkeypatch.setattr(features, "usable_cores", lambda: ranges)
+    monkeypatch.setattr(features, "_MIN_WRITE_ROWS", 100)
+    real = features.forked
+    children = []
+
+    def counting(tasks):
+        children.append(len(tasks))
+        return real(tasks)
+
+    monkeypatch.setattr(features, "forked", counting)
+    return lambda: sum(children)
+
+
+def tmp_leftovers(directory):
+    return sorted(n for n in os.listdir(directory) if n.startswith(".tmp-"))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
+@needs_fork
+@pytest.mark.parametrize("ranges", [1, 2, 3])
+def test_csv_write_in_forked_ranges_matches_per_cell_writer(
+        tmp_path, monkeypatch, ranges):
+    """9,001 rows: every range but the last ends inside a 4,096-row chunk,
+    and range boundaries fall mid-chunk."""
+    children = force_write_ranges(monkeypatch, ranges)
+    m = adversarial_matrix(FEATURE_NAMES, 9001, seed=ranges)
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, m)
+    assert children() == ranges - 1
+    with open(path, "rb") as fh:
+        assert fh.read() == reference_csv_text(m).encode("utf-8")
+    assert tmp_leftovers(tmp_path) == []
+
+
+def bad_cells_matrix(n, bad):
+    """n one-feature rows; row i of bad, a {row: value} map, gets that
+    window_index, which "%d" cannot format (nan: ValueError, inf:
+    OverflowError)."""
+    window_index = np.arange(n, dtype=np.float64)
+    for row, value in bad.items():
+        window_index[row] = value
+    return FeatureMatrix(feature_names=("a",), X=np.zeros((n, 1)),
+                         y=np.zeros(n, dtype=np.int8),
+                         window_index=window_index,
+                         window_start_us=np.zeros(n, dtype=np.int64),
+                         src_addr=np.array(["h"] * n))
+
+
+@needs_fork
+@pytest.mark.parametrize("bad,error", [
+    ({7_000: np.nan}, ValueError),
+    ({4_000: np.nan, 8_000: np.inf}, ValueError),
+    ({4_000: np.inf, 8_000: np.nan}, OverflowError),
+    ({100: np.inf, 8_000: np.nan}, OverflowError),
+], ids=["child", "second-child-later", "first-child-first", "this-range"])
+def test_failed_forked_write_raises_the_earliest_bad_row(
+        tmp_path, monkeypatch, bad, error):
+    """Three ranges of 3,000 rows: the earliest bad row in file order
+    decides the error, with its own type, whichever process formats it.
+    The previous file stays; no temp or part file, and no child, is
+    left."""
+    children = force_write_ranges(monkeypatch, 3)
+    path = str(tmp_path / "m.csv")
+    atomic_write_text(path, "previous\n")
+    with pytest.raises(error):
+        write_matrix_csv(path, bad_cells_matrix(9_000, bad))
+    assert children() == 2
+    with open(path, "rb") as fh:
+        assert fh.read() == b"previous\n"
+    assert tmp_leftovers(tmp_path) == []
+    assert_no_child_left()
+
+
+@needs_fork
+def test_forked_writer_that_reports_nothing_is_a_child_process_error(
+        tmp_path, monkeypatch):
+    force_write_ranges(monkeypatch, 2)
+    monkeypatch.setattr(features, "_write_part", lambda *args: os._exit(3))
+    path = str(tmp_path / "m.csv")
+    with pytest.raises(ChildProcessError,
+                       match="writer of rows 4500-8999 ended"):
+        write_matrix_csv(path, bad_cells_matrix(9_000, {}))
+    assert not os.path.exists(path)
+    assert tmp_leftovers(tmp_path) == []
+    assert_no_child_left()
+
+
+class _Interrupting:
+    """A src_addr cell whose formatting is interrupted."""
+
+    def __str__(self):
+        raise KeyboardInterrupt
+
+
+class _Stalling:
+    """A src_addr cell that takes a minute to format."""
+
+    def __str__(self):
+        time.sleep(60)
+        return "h"
+
+
+@needs_fork
+def test_interrupted_forked_write_leaves_nothing_behind(tmp_path,
+                                                        monkeypatch):
+    """A KeyboardInterrupt in this process's range ends a child that would
+    otherwise format for a minute; the previous file stays, and no temp or
+    part file, child or changed CPU mask is left."""
+    force_write_ranges(monkeypatch, 2)
+    m = bad_cells_matrix(9_000, {})
+    m.src_addr = m.src_addr.astype(object)
+    m.src_addr[0], m.src_addr[-1] = _Interrupting(), _Stalling()
+    path = str(tmp_path / "m.csv")
+    atomic_write_text(path, "previous\n")
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        write_matrix_csv(path, m)
+    assert time.perf_counter() - t0 < 30
+    with open(path, "rb") as fh:
+        assert fh.read() == b"previous\n"
+    assert tmp_leftovers(tmp_path) == []
+    assert_no_child_left()

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+import flowsift._util
 import flowsift.sweep
 from flowsift import (
     ClassProfile,
@@ -371,6 +372,88 @@ def test_sweep_csv_does_not_depend_on_usable_cores(corpus, monkeypatch):
         _assert_no_child_left()
     assert "ok:stride_gap" in csvs[0] and "error:DegenerateSplit" in csvs[0]
     assert csvs[0] == csvs[1] == csvs[2]
+
+
+# numpy's BLAS thread-count calls, or None where it exports none
+BLAS_CALLS = flowsift._util._blas_thread_calls()
+
+needs_blas_setter = pytest.mark.skipif(
+    BLAS_CALLS is None, reason="numpy's BLAS exports no thread-count call")
+
+
+@pytest.fixture
+def two_blas_threads():
+    """numpy's BLAS on two threads for the test, so that a count left at one
+    shows; the count it had is set again afterwards. Yields the getter."""
+    get, set_ = BLAS_CALLS
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _log_blas_threads(monkeypatch, width_s, log):
+    """Append the pid and BLAS thread count of the process that builds each
+    geometry of width width_s to the file log."""
+    get, _ = BLAS_CALLS
+
+    def record():
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {get()}\n")
+
+    _build_calling(monkeypatch, width_s, record)
+
+
+@needs_blas_setter
+def test_forked_sweep_runs_blas_on_one_thread(corpus, monkeypatch, tmp_path,
+                                              two_blas_threads):
+    """Both shares of a forked grid, this process's and the worker's, run
+    BLAS on one thread; after run_grid the count is what it was before."""
+    if not flowsift.sweep._blas_survives_fork():
+        pytest.skip("numpy's BLAS may not be called in a forked worker")
+    _forced_cores(monkeypatch, 2)
+    log = tmp_path / "threads"
+    for width_s in TWO_SHARES["widths"]:
+        _log_blas_threads(monkeypatch, width_s, log)
+    want = sweep_csv(run_grid(corpus, **TWO_SHARES))
+    assert two_blas_threads() == 2
+    seen = [line.split() for line in log.read_text().splitlines()]
+    assert len({pid for pid, _ in seen}) == 2, "two processes built"
+    assert [threads for _, threads in seen] == ["1", "1"]
+    monkeypatch.undo()
+    _forced_cores(monkeypatch, 1)
+    assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
+
+
+@needs_blas_setter
+@pytest.mark.parametrize("width_s", [90, 60], ids=["this-share", "worker"])
+def test_blas_thread_count_is_given_back_when_a_share_raises(
+        corpus, monkeypatch, width_s, two_blas_threads):
+    _forking_two_shares(monkeypatch)
+
+    def fail():
+        raise LookupError("raised in a share")
+
+    _build_calling(monkeypatch, width_s, fail)
+    with pytest.raises(LookupError, match="raised in a share"):
+        run_grid(corpus, **TWO_SHARES)
+    _assert_no_child_left()
+    assert two_blas_threads() == 2
+
+
+def test_one_share_grid_never_sets_blas_threads(corpus, monkeypatch):
+    """On one core, and with one build on two; a forked grid sets one
+    thread and then gives the count back."""
+    calls = []
+    monkeypatch.setattr(flowsift._util, "_blas_thread_calls",
+                        lambda: (lambda: 2, calls.append))
+    _forced_cores(monkeypatch, 1)
+    run_grid(corpus, **TWO_SHARES)
+    _forced_cores(monkeypatch, 2)
+    run_grid(corpus, widths=[90], strides=[15, 30])
+    assert calls == []
+    run_grid(corpus, **TWO_SHARES)
+    assert calls == ([1, 2] if flowsift.sweep._blas_survives_fork() else [])
 
 
 def test_repeat_runs_chronological_is_seed_invariant(corpus):

@@ -1,12 +1,15 @@
 """Atomic writes (a failed write leaves the previous file and no temp
-file) and the path:line restatement of undecodable input."""
+file), the path:line restatement of undecodable input, and where forked
+children run and how they report."""
+import functools
 import os
 
 import numpy as np
 import pytest
 
 from flowsift import FeatureMatrix, write_matrix_csv
-from flowsift._util import atomic_open, atomic_write_text, naming_undecodable
+from flowsift._util import (atomic_open, atomic_write_text, forked,
+                            naming_undecodable, receive_result, send_result)
 
 
 def leftovers(directory):
@@ -76,3 +79,84 @@ def test_undecodable_error_names_the_line_past_the_first_chunk(tmp_path):
     assert info.value.start == 5
     assert str(info.value).endswith(
         f"invalid continuation byte ({path}, line 5000)")
+
+
+# --- placement: each forked process on a core of its own --------------------
+
+def _report(value, sink):
+    """A forked task: send value and the child's CPU mask."""
+    send_result(lambda: (value, sorted(os.sched_getaffinity(0))), sink)
+
+
+def _run_forked(values):
+    """Run one _report task per value; return this process's mask inside
+    the block and what each child sent."""
+    with forked([functools.partial(_report, v) for v in values]) as sources:
+        inside = sorted(os.sched_getaffinity(0))
+        return inside, [receive_result(s, f"task {v}")
+                        for v, s in zip(values, sources)]
+
+
+needs_fork = pytest.mark.skipif(
+    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
+    reason="needs os.fork and CPU affinity")
+needs_two_cpus = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or len(os.sched_getaffinity(0)) < 2,
+    reason="needs an affinity mask of at least two CPUs")
+
+
+@needs_two_cpus
+def test_forked_block_gives_each_process_a_cpu():
+    """This process holds the first CPU of its mask for the block; the child
+    of task k holds the CPU k + 1 places after it, round the mask, so three
+    tasks on two CPUs put the second on this process's CPU. The mask is
+    given back after the block."""
+    before = os.sched_getaffinity(0)
+    cpus = sorted(before)
+    values = ["a", "b", "c"]
+    inside, sent = _run_forked(values)
+    assert inside == cpus[:1]
+    assert sent == [(v, [cpus[k % len(cpus)]])
+                    for k, v in enumerate(values, start=1)]
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_two_cpus
+def test_forked_block_gives_the_mask_back_on_interrupt():
+    before = os.sched_getaffinity(0)
+    with pytest.raises(KeyboardInterrupt):
+        with forked([functools.partial(_report, "a")]):
+            assert len(os.sched_getaffinity(0)) == 1
+            raise KeyboardInterrupt
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_fork
+def test_forked_block_without_tasks_pins_nothing():
+    before = os.sched_getaffinity(0)
+    with forked([]) as sources:
+        assert sources == []
+        assert os.sched_getaffinity(0) == before
+
+
+def _refuse(pid, cpus):
+    raise OSError(22, "Invalid argument")
+
+
+@needs_fork
+@pytest.mark.parametrize("platform", ["refuses", "cannot"])
+def test_forked_tasks_run_unpinned_where_affinity_cannot_be_set(
+        monkeypatch, platform):
+    """Where sched_setaffinity raises OSError, or does not exist, the tasks
+    still run and send what they send when pinned; the mask is unchanged."""
+    before = os.sched_getaffinity(0)
+    values = ["a", "b", "c"]
+    if platform == "refuses":
+        monkeypatch.setattr(os, "sched_setaffinity", _refuse, raising=False)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    inside, sent = _run_forked(values)
+    assert inside == sorted(before)
+    assert sent == [(v, sorted(before)) for v in values]
+    assert os.sched_getaffinity(0) == before
