@@ -1,6 +1,7 @@
-"""Small shared helpers: atomic file writes, number formatting, the count
-of usable cores, the one way work runs in parallel, in forked children each
-on a core of its own, and the OpenBLAS thread count."""
+"""Small shared helpers: atomic file writes, number formatting, and every
+decision about parallel work: how many shares to deal it into, running them
+in forked children each on a core of its own, whether those children may
+call numpy's BLAS, and the OpenBLAS thread count."""
 from __future__ import annotations
 
 import ctypes
@@ -12,7 +13,8 @@ import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
-from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
+from typing import (Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence,
+                    TextIO)
 
 
 @contextmanager
@@ -79,11 +81,32 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def can_fork() -> bool:
-    """Whether work may go to forked children: os.fork exists (looked up
-    now, not at import) and no other Python thread is alive, whose locks a
-    child would inherit in whatever state they were."""
-    return hasattr(os, "fork") and threading.active_count() == 1
+def shares(units: int, smallest: int = 1) -> int:
+    """How many shares to deal units of work into: one per usable core,
+    none of fewer than smallest units. One where the process may not fork:
+    os.fork is missing (looked up now, not at import) or another Python
+    thread is alive, whose locks a child would inherit in whatever state
+    they were."""
+    n = min(usable_cores(), units // smallest)
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return n
+
+
+def in_shares(work: Callable[[int], Any], n: int,
+              sender: Callable[[int], str]) -> list:
+    """[work(0), ..., work(n - 1)]: work(0) runs in this process and each
+    other share in a forked child (forked) that sends its result back
+    (send_result). n comes from shares. A share's exception is raised here
+    with its own type, the earliest share's where several fail; a child
+    that ends without sending its result raises ChildProcessError naming
+    sender(i), the work it was given."""
+    with forked([functools.partial(send_result, functools.partial(work, i))
+                 for i in range(1, n)]) as sources:
+        results = [work(0)]
+        for i, source in enumerate(sources, start=1):
+            results.append(receive_result(source, sender(i)))
+    return results
 
 
 @contextmanager
@@ -97,7 +120,7 @@ def forked(tasks: Sequence[Callable[[BinaryIO], None]]
     runs its exit handlers. A task that raises prints its traceback and
     exits 1, so the reader meets the end of the pipe early. However the
     block is left, every child is killed, its pipe closed and the child
-    reaped. Callers check can_fork first.
+    reaped. Callers size tasks with shares.
 
     Where the calling thread may run on several CPUs, each process gets one
     for the whole block (see _pinned): this thread the first, the child of
@@ -213,12 +236,21 @@ def receive_result(source: BinaryIO, sender: str) -> Any:
     return result
 
 
+class _Blas(NamedTuple):
+    """numpy's OpenBLAS, as _blas_thread_calls finds it."""
+
+    get: Callable[[], int]          # openblas_get_num_threads
+    set: Callable[[int], None]      # openblas_set_num_threads
+    # openblas_get_parallel(): 0 sequential, 1 pthreads, 2 OpenMP
+    parallel: int
+
+
 @functools.cache
-def _blas_thread_calls() -> tuple[Callable, Callable] | None:
-    """The (get, set) thread-count functions of the OpenBLAS numpy loaded,
-    or None where numpy's BLAS exports no such pair. They are looked up
-    through numpy's linalg extension, whose dependencies include its BLAS:
-    scipy_openblas_*_num_threads64_ in the wheel's scipy-openblas."""
+def _blas_thread_calls() -> _Blas | None:
+    """The thread-count calls and the parallel mode of the OpenBLAS numpy
+    loaded, or None where numpy's BLAS exports no such calls. They are
+    looked up through numpy's linalg extension, whose dependencies include
+    its BLAS: scipy_openblas_*64_ in the wheel's scipy-openblas."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -226,15 +258,28 @@ def _blas_thread_calls() -> tuple[Callable, Callable] | None:
         return None
     for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            name = f"{prefix}openblas_%s_num_threads{suffix}"
+            name = f"{prefix}openblas_%s{suffix}"
             try:
-                get, set_ = lib[name % "get"], lib[name % "set"]
+                get, set_, parallel = (lib[name % call] for call in (
+                    "get_num_threads", "set_num_threads", "get_parallel"))
             except AttributeError:
                 continue
             get.argtypes, get.restype = [], ctypes.c_int
             set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
+            parallel.argtypes, parallel.restype = [], ctypes.c_int
+            return _Blas(get, set_, parallel())
     return None
+
+
+def blas_survives_fork() -> bool:
+    """Whether a forked child may call numpy's BLAS: OpenBLAS, sequential
+    or on its own pthreads pool, whose fork handler shuts the pool down
+    before a fork. On OpenMP, or a BLAS that the probe does not find, a
+    child that enters a parallel region after the parent's pool has started
+    may hang. The probe asks the library loaded at run time, not numpy's
+    build metadata."""
+    blas = _blas_thread_calls()
+    return blas is not None and blas.parallel in (0, 1)
 
 
 @contextmanager
@@ -243,17 +288,16 @@ def blas_threads(n: int) -> Iterator[None]:
     its thread count however the block is left. Children forked in the
     block inherit the count. Changes nothing where no thread-count call is
     found (_blas_thread_calls)."""
-    calls = _blas_thread_calls()
-    if calls is None:
+    blas = _blas_thread_calls()
+    if blas is None:
         yield
         return
-    get, set_ = calls
-    before = get()
-    set_(n)
+    before = blas.get()
+    blas.set(n)
     try:
         yield
     finally:
-        set_(before)
+        blas.set(before)
 
 
 def fmt_g9(value: float) -> str:

@@ -8,7 +8,6 @@ frozen; serialized artifacts depend on it.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 import shutil
@@ -18,8 +17,8 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._util import (atomic_open, can_fork, forked, naming_undecodable,
-                    receive_result, send_result, temp_beside, usable_cores)
+from ._util import (atomic_open, in_shares, naming_undecodable, shares,
+                    temp_beside)
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -185,9 +184,9 @@ def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # rows formatted per write: bounds the text held at once to under a megabyte
 _WRITE_CHUNK_ROWS = 4096
-# write_matrix_csv formats one contiguous row range per usable core, every
-# range but the first in a forked child; no range is shorter than this, one
-# chunk, since a fork costs a few milliseconds
+# write_matrix_csv formats one contiguous row range per share, every range
+# but the first in a forked child; no range is shorter than this, one chunk,
+# since a fork costs a few milliseconds
 _MIN_WRITE_ROWS = 4096
 
 
@@ -199,18 +198,16 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     window-then-source order). Rows are formatted a chunk at a time and
     streamed to the atomic temp file, so the text is never held whole.
 
-    The rows are cut into one contiguous range per usable core, none
-    shorter than _MIN_WRITE_ROWS. This process writes the first range to
-    the temp file; a forked child writes each other range to a part file
-    beside path, which this process then appends in order and unlinks. The
-    error raised is that of the earliest bad row in file order. One range
-    where the process may not fork (_util.can_fork).
+    The rows are cut into one contiguous range per share (_util.shares),
+    none shorter than _MIN_WRITE_ROWS. This process writes the first range
+    to the temp file; a forked child writes each other range to a part file
+    beside path (_util.in_shares), which this process then appends in order
+    and unlinks. The error raised is that of the earliest bad row in file
+    order.
     """
     row_format = ",".join(["%d", "%d", "%s"] + ["%.9g"] * matrix.n_features
                           + ["%d"]) + "\n"
-    n = min(usable_cores(), matrix.n_rows // _MIN_WRITE_ROWS)
-    if n < 2 or not can_fork():
-        n = 1
+    n = shares(matrix.n_rows, _MIN_WRITE_ROWS)
     bounds = [matrix.n_rows * i // n for i in range(n + 1)]
     ranges = list(zip(bounds, bounds[1:]))
     with atomic_open(path) as fh:
@@ -222,14 +219,17 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
                 fd, part = temp_beside(path)
                 os.close(fd)
                 parts.append(part)
-            with forked([functools.partial(send_result, functools.partial(
-                    _write_part, part, matrix, row_format, lo, hi))
-                    for part, (lo, hi) in zip(parts, ranges[1:])]) as sources:
-                _write_rows(fh, matrix, row_format, *ranges[0])
-                for part, (lo, hi), source in zip(parts, ranges[1:], sources):
-                    receive_result(source, "the feature-CSV writer of rows "
-                                           f"{lo}-{hi - 1}")
-                    _append(fh, part)
+
+            def write(i: int) -> None:
+                if i:
+                    _write_part(parts[i - 1], matrix, row_format, *ranges[i])
+                else:
+                    _write_rows(fh, matrix, row_format, *ranges[0])
+
+            in_shares(write, n, lambda i: "the feature-CSV writer of rows "
+                                          f"{ranges[i][0]}-{ranges[i][1] - 1}")
+            for part in parts:
+                _append(fh, part)
         finally:
             for part in parts:
                 os.unlink(part)

@@ -32,7 +32,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from ._util import can_fork, forked, naming_undecodable, usable_cores
+from ._util import forked, naming_undecodable, shares
 from .errors import MalformedRow
 
 TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
@@ -450,9 +450,9 @@ def _table(columns: tuple, addresses: Iterable[str]) -> FlowTable:
     return table
 
 
-# read_flows cuts a capture into byte ranges, one per usable core, and
-# parses every range but the first in a forked child. No range is shorter
-# than this, since a fork and the transfer of its columns cost a few
+# read_flows cuts a capture into byte ranges, one per share, and parses
+# every range but the first in a forked child. No range is shorter than
+# this, since a fork and the transfer of its columns cost a few
 # milliseconds; two ranges still beat one on a 0.6-MB capture (26 against
 # 30 ms on a 2-core x86-64 host).
 _MIN_RANGE_BYTES = 256 << 10
@@ -576,12 +576,9 @@ def _split_lines(text: str) -> list[str]:
 
 
 def _cut_targets(size: int) -> list[int]:
-    """Offsets near which to cut a size-byte capture: one range per usable
-    core, none shorter than _MIN_RANGE_BYTES. A single range where the
-    process may not fork (_util.can_fork)."""
-    n = min(usable_cores(), size // _MIN_RANGE_BYTES)
-    if n < 2 or not can_fork():
-        return []
+    """Offsets near which to cut a size-byte capture: one range per share
+    (_util.shares), none shorter than _MIN_RANGE_BYTES."""
+    n = shares(size, _MIN_RANGE_BYTES)
     return [size * i // n for i in range(1, n)]
 
 

@@ -15,14 +15,11 @@ comparison runs one fixed cell across several capture files.
 from __future__ import annotations
 
 import contextlib
-import functools
 import time
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
-from ._util import (atomic_write_text, blas_threads, can_fork, fmt_g9, forked,
-                    receive_result, send_result, usable_cores)
+from ._util import (atomic_write_text, blas_survives_fork, blas_threads,
+                    fmt_g9, in_shares, shares)
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
@@ -165,30 +162,6 @@ def _run_build(flows: FlowTable, width_s: int, strides: list[int],
     return cells
 
 
-# one sweep worker's work: (width, strides) pairs as _plan_builds maps them
-_Share = list[tuple[int, list[int]]]
-
-
-@functools.cache
-def _blas_survives_fork() -> bool:
-    """Whether numpy's BLAS is OpenBLAS on its own pthreads pool, whose
-    fork handler shuts the pool down before a fork so that a child may call
-    BLAS. A BLAS on OpenMP, or one this cannot name, may hang a child that
-    enters a parallel region after the parent's pool has started."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):
-        return False
-    return ("openblas" in str(blas.get("name", "")).lower()
-            and "USE_OPENMP" not in str(blas.get("openblas configuration")))
-
-
-def _run_share(flows: FlowTable, share: _Share, spec: SplitSpec
-               ) -> list[SweepCell]:
-    return [cell for width_s, strides in share
-            for cell in _run_build(flows, width_s, strides, spec)]
-
-
 def run_grid(flows: FlowTable,
              widths: list[int],
              strides: list[int],
@@ -203,36 +176,36 @@ def run_grid(flows: FlowTable,
     its smallest such divisor (stride_multiple), bit for bit. Each build
     runs its own cell and those derived from it.
 
-    The builds are dealt round-robin, in plan order, into one share per
-    usable core, at most one per build. This process runs the first share
-    and a forked worker each other, each process on a core of its own
-    (_util.forked) and numpy's BLAS on one thread; a worker sends its cells
-    back through a pipe (_util.send_result). Workers fit and score, so
-    everything runs in this process, BLAS threads untouched, where it may
-    not fork (_util.can_fork) or numpy's BLAS may not survive a fork
-    (_blas_survives_fork). A cell's error is its status; any other
-    exception in a share is raised here, and a worker that ends without
-    sending its cells raises ChildProcessError. A repeated (width, stride)
-    pair repeats its cell's row.
+    The builds are dealt round-robin, in plan order, into shares
+    (_util.shares, at most one per build), which run in forked workers
+    (_util.in_shares) with numpy's BLAS on one thread. Workers fit and
+    score, so everything runs in this process, BLAS threads untouched,
+    where numpy's BLAS may not survive a fork (_util.blas_survives_fork). A
+    cell's error is its status; any other exception in a share is raised
+    here, and a worker that ends without sending its cells raises
+    ChildProcessError. A repeated (width, stride) pair repeats its cell's
+    row.
     """
     spec = spec or SplitSpec()
     combos = [(w, s) for w in widths for s in strides]
-    plan = _plan_builds(combos)
-    n = (max(1, min(len(plan), usable_cores()))
-         if can_fork() and _blas_survives_fork() else 1)
-    builds = [(width_s, served) for (width_s, _), served in plan.items()]
-    shares = [builds[i::n] for i in range(n)]
-    # set before the fork, so that every worker inherits the one thread
-    one_blas_thread = blas_threads(1) if n > 1 else contextlib.nullcontext()
-    with one_blas_thread, forked([
-            functools.partial(send_result, functools.partial(
-                _run_share, flows, share, spec))
-            for share in shares[1:]]) as sources:
-        cells = _run_share(flows, shares[0], spec)
-        for share, source in zip(shares[1:], sources):
-            builds = ", ".join(f"{w}/{strides[0]}" for w, strides in share)
-            cells += receive_result(source,
-                                    f"the sweep worker for builds {builds}")
+    builds = [(width_s, served)
+              for (width_s, _), served in _plan_builds(combos).items()]
+    n = shares(len(builds)) if blas_survives_fork() else 1
+
+    def run_share(i: int) -> list[SweepCell]:
+        return [cell for width_s, served in builds[i::n]
+                for cell in _run_build(flows, width_s, served, spec)]
+
+    def sender(i: int) -> str:
+        return "the sweep worker for builds " + ", ".join(
+            f"{width_s}/{served[0]}" for width_s, served in builds[i::n])
+
+    # set before the fork, so that every worker inherits the one thread, and
+    # given back after in_shares has given this thread its CPU mask back: a
+    # pool that OpenBLAS starts while this thread is pinned keeps its one CPU
+    with blas_threads(1) if n > 1 else contextlib.nullcontext():
+        cells = [cell for share in in_shares(run_share, n, sender)
+                 for cell in share]
     done = {(c.width_s, c.stride_s): c for c in cells}
     return SweepResult(cells=[replace(done[ws]) for ws in combos])
 

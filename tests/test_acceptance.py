@@ -274,7 +274,7 @@ def test_criterion_10_cli_reruns_are_byte_identical(corpora, tmp_path):
         for tag in ("a", "b"):
             out = str(tmp_path / f"{name}_{tag}")
             assert main(argv_for(out)) == 0, f"{name} run failed"
-            outs.append(open(out, "rb").read())
+            outs.append(Path(out).read_bytes())
         pairs[name] = outs[0] == outs[1]
 
     run_pair("synth", lambda o: ["synth", "--seed", "5", "-o", o])

@@ -60,7 +60,7 @@ def ws(tmp_path_factory):
 
 
 def test_pipeline_composition_produces_full_grid(ws):
-    lines = open(ws["sweep"]).read().strip().split("\n")
+    lines = Path(ws["sweep"]).read_text().strip().split("\n")
     assert lines[0] == SWEEP_CSV_HEADER
     assert len(lines) == 5, "2 widths x 2 strides"
     for line in lines[1:]:
@@ -68,7 +68,7 @@ def test_pipeline_composition_produces_full_grid(ws):
 
 
 def test_eval_report_is_json(ws):
-    payload = json.loads(open(ws["report"]).read())
+    payload = json.loads(Path(ws["report"]).read_text())
     for key in ("precision", "recall", "f1", "confusion", "config"):
         assert key in payload
     cm = payload["confusion"]
@@ -76,7 +76,7 @@ def test_eval_report_is_json(ws):
 
 
 def test_report_histogram_shape(ws):
-    lines = open(ws["hist"]).read().strip().split("\n")
+    lines = Path(ws["hist"]).read_text().strip().split("\n")
     assert lines[0] == "kind,bin_lo,bin_hi,count"
     assert lines[1].startswith("underflow,")
     assert lines[-1].startswith("overflow,")
@@ -86,7 +86,7 @@ def test_report_histogram_shape(ws):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1.5", "-0.1"])
 def test_report_out_of_range_metric_is_data_error(ws, tmp_path, capsys, value):
-    lines = open(ws["sweep"]).read().strip().split("\n")
+    lines = Path(ws["sweep"]).read_text().strip().split("\n")
     header = lines[0].split(",")
     row = lines[1].split(",")
     row[header.index("test_f1")] = value
@@ -238,7 +238,7 @@ def test_missing_input_is_data_error(tmp_path, capsys):
 
 
 def test_bad_feature_csv_cell_is_data_error(ws, tmp_path, capsys):
-    lines = open(ws["features"]).read().strip().split("\n")
+    lines = Path(ws["features"]).read_text().strip().split("\n")
     # a non-number, and a window start one past the int64 range
     for col, cell in ((3, "abc"), (1, "9223372036854775808")):
         row = lines[1].split(",")
@@ -261,7 +261,7 @@ def test_unknown_positive_class_is_usage_error(ws, tmp_path, capsys):
 
 
 def test_mangled_model_is_data_error(ws, tmp_path, capsys):
-    payload = json.loads(open(ws["model"]).read())
+    payload = json.loads(Path(ws["model"]).read_text())
     # one feature whose four arrays each hold one nested pair: the lengths
     # agree, and a reader that coerces them fails later inside numpy
     nested = json.loads(json.dumps(payload))
@@ -439,7 +439,7 @@ def test_scenarios_isolates_missing_capture(ws, tmp_path):
                f"9={ws['flows']},5={tmp_path / 'gone.csv'},7={latin1}",
                "--width", "189", "--stride", "129", "-o", out])
     assert rc == 0, "per-capture failures do not fail the command"
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert len(lines) == 4
     assert lines[1].startswith("5,") and lines[1].endswith("error:FileNotFoundError")
     assert lines[2].startswith("7,") and lines[2].endswith("error:UnicodeDecodeError")
@@ -448,7 +448,7 @@ def test_scenarios_isolates_missing_capture(ws, tmp_path):
 
 def _not_utf8(path):
     """The file's bytes with a Latin-1 "\xe9" ending its third line."""
-    lines = open(path, "rb").read().split(b"\n")
+    lines = Path(path).read_bytes().split(b"\n")
     lines[2] += b"\xe9"
     return b"\n".join(lines)
 
@@ -483,9 +483,10 @@ def test_featurize_selection_stages(ws, tmp_path):
                "--corr-threshold", "0.95", "--pca-components", "3",
                "--selection-report", report, "-o", pca_out])
     assert rc == 0
-    header = open(pca_out).readline().strip().split(",")
+    with open(pca_out) as fh:
+        header = fh.readline().strip().split(",")
     assert header[3:-1] == ["pc_1", "pc_2", "pc_3"]
-    selection = json.loads(open(report).read())
+    selection = json.loads(Path(report).read_text())
     assert selection["retained"] == ["pc_1", "pc_2", "pc_3"]
     assert any(d["stage"] == "correlation" for d in selection["dropped"])
 
@@ -495,7 +496,7 @@ def test_repeat_command_writes_dispersion(ws, tmp_path):
     rc = main(["repeat", ws["flows"], "--width", "60", "--stride", "60",
                "--runs", "2", "--seed", "1", "-o", out])
     assert rc == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert lines[-1].startswith("range,")
     assert len(lines) == 1 + 2 + 3
 

@@ -1,11 +1,12 @@
 """Feature-matrix container, standardization, and CSV interchange."""
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flowsift import features
+from flowsift import _util, features
 
 from flowsift import (
     DegenerateComputation,
@@ -151,7 +152,7 @@ def test_csv_round_trip_is_write_stable(tmp_path):
     p1, p2 = str(tmp_path / "one.csv"), str(tmp_path / "two.csv")
     write_matrix_csv(p1, m)
     write_matrix_csv(p2, read_matrix_csv(p1))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_csv_rejects_foreign_header(tmp_path):
@@ -421,16 +422,16 @@ def force_write_ranges(monkeypatch, ranges):
     """Make write_matrix_csv cut a matrix of at least 100 rows per range into
     ranges ranges, and count the children it forks; returns a reader of the
     count."""
-    monkeypatch.setattr(features, "usable_cores", lambda: ranges)
+    monkeypatch.setattr(_util, "usable_cores", lambda: ranges)
     monkeypatch.setattr(features, "_MIN_WRITE_ROWS", 100)
-    real = features.forked
+    real = _util.forked
     children = []
 
     def counting(tasks):
         children.append(len(tasks))
         return real(tasks)
 
-    monkeypatch.setattr(features, "forked", counting)
+    monkeypatch.setattr(_util, "forked", counting)
     return lambda: sum(children)
 
 

@@ -33,7 +33,7 @@ from flowsift import (
     write_matrix_csv,
     write_synth,
 )
-from flowsift import ingest
+from flowsift import _util, ingest
 from flowsift.ingest import HEADER_LINE, TIMESTAMP_FORMAT
 
 BOT_ROW = ("2011/08/16 10:01:46.972101,3550.182373,udp,147.32.84.165,1025,"
@@ -423,7 +423,7 @@ def test_read_flows_matches_parse_line_oracle(tmp_path):
 def _force_ranges(monkeypatch, path, n):
     """Make read_flows cut path into n ranges, whatever the host's cores."""
     size = os.path.getsize(path)
-    monkeypatch.setattr(ingest, "usable_cores", lambda: n)
+    monkeypatch.setattr(_util, "usable_cores", lambda: n)
     monkeypatch.setattr(ingest, "_MIN_RANGE_BYTES", size // n)
     with open(path, "rb") as fh:
         assert len(ingest._range_starts(fh)) == n

@@ -2,6 +2,7 @@
 prediction, and model serialization."""
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,7 +395,7 @@ def test_save_load_round_trip(tmp_path):
     model, _ = fit(two_cluster_matrix())
     path = str(tmp_path / "model.txt")
     save_model(path, model)
-    payload = json.loads(open(path).read())
+    payload = json.loads(Path(path).read_text())
     assert payload["schema_version"] == 3
     assert payload["hyperparams"] == {"l2_lambda": 1e-4,
                                       "class_weight_mode": "balanced"}
@@ -417,7 +418,7 @@ def test_save_is_byte_stable(tmp_path):
     p1, p2 = str(tmp_path / "a.txt"), str(tmp_path / "b.txt")
     save_model(p1, model)
     save_model(p2, load_model(p1))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_rejects_truncated_file(tmp_path):

@@ -193,7 +193,7 @@ def test_run_grid_builds_each_width_once_per_undivided_stride(
     strides = [15, 30, 60, 75, 90, 120]
     for cores in ("host", 1):
         if cores == 1:
-            monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: 1)
+            monkeypatch.setattr(flowsift._util, "usable_cores", lambda: 1)
         calls = count_builds(monkeypatch, tmp_path / f"builds-{cores}")
         result = run_grid(corpus, widths=[90, 180], strides=strides)
         assert sorted(calls()) == [(90, 15), (180, 15)]
@@ -243,7 +243,7 @@ def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch,
     host's cores and on one."""
     for cores in ("host", 1):
         if cores == 1:
-            monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: 1)
+            monkeypatch.setattr(flowsift._util, "usable_cores", lambda: 1)
         calls = count_builds(monkeypatch, tmp_path / f"builds-{cores}")
         result = run_grid(corpus, widths=[90, 60, 90],
                           strides=[60, 15, 30, 15])
@@ -261,14 +261,26 @@ def test_run_grid_repeated_geometries_keep_request_order(corpus, monkeypatch,
 
 
 def _forced_cores(monkeypatch, n):
-    monkeypatch.setattr(flowsift.sweep, "usable_cores", lambda: n)
+    monkeypatch.setattr(flowsift._util, "usable_cores", lambda: n)
+
+
+# numpy's BLAS as the probe finds it, or None where it finds none
+BLAS_CALLS = flowsift._util._blas_thread_calls()
+
+
+def _probe_reports(monkeypatch, parallel):
+    """Make the BLAS probe report OpenBLAS's parallel mode parallel, with
+    numpy's own thread-count calls where it has them; None: no probe."""
+    blas = BLAS_CALLS or flowsift._util._Blas(lambda: 1, lambda n: None, 0)
+    probe = None if parallel is None else blas._replace(parallel=parallel)
+    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
 
 
 def _forking_two_shares(monkeypatch):
     """Two cores, and forking whatever numpy's BLAS: the workers of the
     tests that use this stop before they reach BLAS."""
     _forced_cores(monkeypatch, 2)
-    monkeypatch.setattr(flowsift.sweep, "_blas_survives_fork", lambda: True)
+    _probe_reports(monkeypatch, 1)
 
 
 def _assert_no_child_left():
@@ -336,7 +348,8 @@ def test_interrupt_kills_and_reaps_every_worker(corpus, monkeypatch):
 
 def test_run_grid_stays_in_process_without_fork_or_beside_a_thread(
         corpus, monkeypatch):
-    """Also where numpy's BLAS is not one that a forked worker may call."""
+    """Also where numpy's BLAS is not one that a forked worker may call:
+    OpenBLAS on OpenMP, or a BLAS the probe does not find."""
     want = sweep_csv(run_grid(corpus, **TWO_SHARES))
     _forced_cores(monkeypatch, 2)
 
@@ -344,9 +357,10 @@ def test_run_grid_stays_in_process_without_fork_or_beside_a_thread(
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", refuse)
-    with monkeypatch.context() as patch:
-        patch.setattr(flowsift.sweep, "_blas_survives_fork", lambda: False)
-        assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
+    for parallel in (2, None):
+        with monkeypatch.context() as patch:
+            _probe_reports(patch, parallel)
+            assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -374,9 +388,6 @@ def test_sweep_csv_does_not_depend_on_usable_cores(corpus, monkeypatch):
     assert csvs[0] == csvs[1] == csvs[2]
 
 
-# numpy's BLAS thread-count calls, or None where it exports none
-BLAS_CALLS = flowsift._util._blas_thread_calls()
-
 needs_blas_setter = pytest.mark.skipif(
     BLAS_CALLS is None, reason="numpy's BLAS exports no thread-count call")
 
@@ -385,7 +396,7 @@ needs_blas_setter = pytest.mark.skipif(
 def two_blas_threads():
     """numpy's BLAS on two threads for the test, so that a count left at one
     shows; the count it had is set again afterwards. Yields the getter."""
-    get, set_ = BLAS_CALLS
+    get, set_, _ = BLAS_CALLS
     before = get()
     set_(2)
     yield get
@@ -395,7 +406,7 @@ def two_blas_threads():
 def _log_blas_threads(monkeypatch, width_s, log):
     """Append the pid and BLAS thread count of the process that builds each
     geometry of width width_s to the file log."""
-    get, _ = BLAS_CALLS
+    get = BLAS_CALLS.get
 
     def record():
         with open(log, "a", encoding="utf-8") as fh:
@@ -409,7 +420,7 @@ def test_forked_sweep_runs_blas_on_one_thread(corpus, monkeypatch, tmp_path,
                                               two_blas_threads):
     """Both shares of a forked grid, this process's and the worker's, run
     BLAS on one thread; after run_grid the count is what it was before."""
-    if not flowsift.sweep._blas_survives_fork():
+    if not flowsift._util.blas_survives_fork():
         pytest.skip("numpy's BLAS may not be called in a forked worker")
     _forced_cores(monkeypatch, 2)
     log = tmp_path / "threads"
@@ -441,19 +452,39 @@ def test_blas_thread_count_is_given_back_when_a_share_raises(
     assert two_blas_threads() == 2
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of at least two CPUs")
+def test_blas_thread_count_is_given_back_after_the_cpu_mask(monkeypatch):
+    """A forked grid sets one BLAS thread before this thread is pinned and
+    gives the count back after its mask is: a pool that OpenBLAS starts
+    while this thread is pinned keeps its one CPU. Both builds of an empty
+    capture fail, so no share calls BLAS."""
+    masks = []
+    probe = flowsift._util._Blas(
+        lambda: 2, lambda n: masks.append((n, os.sched_getaffinity(0))), 1)
+    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
+    _forced_cores(monkeypatch, 2)
+    before = os.sched_getaffinity(0)
+    result = run_grid(FlowTable.from_records([]), **TWO_SHARES)
+    assert [c.status for c in result.cells] == ["error:EmptyInput"] * 2
+    assert masks == [(1, before), (2, before)]
+
+
 def test_one_share_grid_never_sets_blas_threads(corpus, monkeypatch):
     """On one core, and with one build on two; a forked grid sets one
     thread and then gives the count back."""
     calls = []
-    monkeypatch.setattr(flowsift._util, "_blas_thread_calls",
-                        lambda: (lambda: 2, calls.append))
+    forks = flowsift._util.blas_survives_fork()
+    probe = flowsift._util._Blas(lambda: 2, calls.append, 1 if forks else 2)
+    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
     _forced_cores(monkeypatch, 1)
     run_grid(corpus, **TWO_SHARES)
     _forced_cores(monkeypatch, 2)
     run_grid(corpus, widths=[90], strides=[15, 30])
     assert calls == []
     run_grid(corpus, **TWO_SHARES)
-    assert calls == ([1, 2] if flowsift.sweep._blas_survives_fork() else [])
+    assert calls == ([1, 2] if forks else [])
 
 
 def test_repeat_runs_chronological_is_seed_invariant(corpus):

@@ -1,5 +1,6 @@
 """Synthetic capture generator: determinism, class mixture, and shape."""
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -57,14 +58,14 @@ def test_same_seed_same_bytes(tmp_path):
     n1 = write_synth(p1, tiny_config(seed=9))
     n2 = write_synth(p2, tiny_config(seed=9))
     assert n1 == n2
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_different_seed_different_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_synth(p1, tiny_config(seed=1))
     write_synth(p2, tiny_config(seed=2))
-    assert open(p1, "rb").read() != open(p2, "rb").read()
+    assert Path(p1).read_bytes() != Path(p2).read_bytes()
 
 
 def test_streamed_file_is_the_joined_lines(tmp_path, preset_lines):
@@ -84,7 +85,8 @@ def test_written_file_round_trips_clean(tmp_path):
     assert len(table) == n
     assert stats.skipped == 0
     assert stats.unrecognized_labels == 0
-    first_line = open(path).readline().rstrip("\n")
+    with open(path) as fh:
+        first_line = fh.readline().rstrip("\n")
     assert first_line == HEADER_LINE
 
 

@@ -1,15 +1,19 @@
 """Atomic writes (a failed write leaves the previous file and no temp
-file), the path:line restatement of undecodable input, and where forked
-children run and how they report."""
+file), the path:line restatement of undecodable input, how work is dealt
+into shares, where forked children run and how they report, and the BLAS
+probe that lets a sweep fork."""
 import functools
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from flowsift import FeatureMatrix, write_matrix_csv
+import flowsift._util
+from flowsift import FeatureMatrix, FlowTable, run_grid, write_matrix_csv
 from flowsift._util import (atomic_open, atomic_write_text, forked,
-                            naming_undecodable, receive_result, send_result)
+                            in_shares, naming_undecodable, receive_result,
+                            send_result, shares)
 
 
 def leftovers(directory):
@@ -160,3 +164,107 @@ def test_forked_tasks_run_unpinned_where_affinity_cannot_be_set(
     assert inside == sorted(before)
     assert sent == [(v, sorted(before)) for v in values]
     assert os.sched_getaffinity(0) == before
+
+
+# --- dealing work into shares ------------------------------------------------
+
+@pytest.mark.parametrize("cores,units,smallest,forkable,want", [
+    (1, 100, 1, "yes", 1),
+    (2, 100, 1, "yes", 2),
+    (8, 3, 1, "yes", 3),        # at most one share per unit
+    (2, 0, 1, "yes", 1),
+    (2, 8191, 4096, "yes", 1),  # no share below smallest
+    (2, 8192, 4096, "yes", 2),
+    (8, 5 * 4096 + 1, 4096, "yes", 5),
+    (4, 100, 1, "no fork", 1),
+    (4, 100, 1, "beside a thread", 1),
+])
+def test_shares(monkeypatch, cores, units, smallest, forkable, want):
+    monkeypatch.setattr(flowsift._util, "usable_cores", lambda: cores)
+    if forkable == "no fork":
+        monkeypatch.delattr(os, "fork", raising=False)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    if forkable == "beside a thread":
+        thread.start()
+    try:
+        assert shares(units, smallest) == want
+    finally:
+        stop.set()
+        if thread.is_alive():
+            thread.join(timeout=10)
+
+
+def _share_work(i):
+    """Share i's result: its index and the pid of the process that ran it."""
+    return i, os.getpid()
+
+
+@needs_fork
+def test_in_shares_returns_results_in_share_order():
+    results = in_shares(_share_work, 3, str)
+    assert [i for i, _ in results] == [0, 1, 2]
+    pids = [pid for _, pid in results]
+    assert pids[0] == os.getpid() and len(set(pids)) == 3
+
+
+@needs_fork
+def test_in_shares_raises_a_childs_exception_with_its_type():
+    def work(i):
+        if i == 2:
+            raise LookupError(f"raised in share {i}")
+        return i
+
+    with pytest.raises(LookupError, match="raised in share 2"):
+        in_shares(work, 3, str)
+
+
+@needs_fork
+def test_in_shares_names_the_sender_of_a_child_that_sends_nothing():
+    def work(i):
+        if i == 1:
+            os._exit(3)
+        return i
+
+    with pytest.raises(ChildProcessError,
+                       match="^the writer of share 1 ended without"):
+        in_shares(work, 2, lambda i: f"the writer of share {i}")
+
+
+# --- the BLAS probe ----------------------------------------------------------
+
+@needs_fork
+@pytest.mark.parametrize("parallel,children", [
+    (0, 1), (1, 1), (2, 0), (None, 0)],
+    ids=["sequential", "pthreads", "openmp", "no-probe"])
+def test_blas_probe_decides_whether_a_sweep_forks(monkeypatch, parallel,
+                                                  children):
+    """OpenBLAS's parallel mode (openblas_get_parallel) 0 or 1 lets a
+    two-build grid fork a worker on two cores; OpenMP, or no probe, keeps it
+    in one process. Both builds of an empty capture fail, so no share calls
+    BLAS."""
+    probe = None if parallel is None else flowsift._util._Blas(
+        lambda: 1, lambda n: None, parallel)
+    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
+    monkeypatch.setattr(flowsift._util, "usable_cores", lambda: 2)
+    real = flowsift._util.forked
+    forks = []
+
+    def counting(tasks):
+        forks.append(len(tasks))
+        return real(tasks)
+
+    monkeypatch.setattr(flowsift._util, "forked", counting)
+    result = run_grid(FlowTable.from_records([]), widths=[90, 60],
+                      strides=[15])
+    assert [c.status for c in result.cells] == ["error:EmptyInput"] * 2
+    assert sum(forks) == children
+
+
+def test_blas_probe_reads_the_loaded_library():
+    """numpy's bundled OpenBLAS reports its parallel mode: 0, 1 or 2."""
+    probe = flowsift._util._blas_thread_calls()
+    if probe is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS calls")
+    assert probe.parallel in (0, 1, 2)
+    assert probe.get() >= 1
