@@ -11,9 +11,18 @@ fast with tiny uniform flows, so windowed statistics separate them cleanly.
 Hard mode gives the positive classes the background profile instead, which
 removes the statistical signal while keeping the label mixture, and is used
 to show the pipeline failing honestly on inseparable data.
+
+Generation is column-wise. Each source draws its flows as arrays (the same
+random draws, in the same order, as one row at a time would take), the
+sources' columns are concatenated and sorted once, and the sorted rows are
+formatted a chunk at a time, which write_synth writes as it goes. Rows are
+ordered by start time, then source address, then the source's own emission
+order, so a seed always gives the same bytes.
 """
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +34,9 @@ from .ingest import HEADER_LINE, parse_timestamp, render_timestamp
 _BASE_TIME_US = parse_timestamp("2011/08/16 10:00:00.000000")
 
 _DIST_KINDS = ("exp", "lognormal", "normal")
+
+# flow lines formatted, and written by write_synth, at a time
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,20 @@ class ClassProfile:
     def __post_init__(self):
         if self.n_sources < 0:
             raise BadConfig("n_sources must be >= 0")
+        if not math.isfinite(self.rate_per_s):
+            raise BadConfig(f"rate_per_s must be finite, not {self.rate_per_s}")
         if self.n_sources > 0 and self.rate_per_s <= 0:
             raise BadConfig("rate_per_s must be > 0 for a populated class")
+        parts = self.src_prefix.split(".")
+        if len(parts) not in (2, 3) or not all(parts):
+            raise BadConfig(f"src_prefix {self.src_prefix!r} must have two or "
+                            "three dotted parts")
+        # a source's address is the prefix, then (two parts) i // 250, then
+        # i % 250 + 1: past this many sources an address would repeat
+        capacity = 250 * 256 if len(parts) == 2 else 250
+        if self.n_sources > capacity:
+            raise BadConfig(f"{self.n_sources} sources under {self.src_prefix!r}"
+                            f" would reuse addresses; at most {capacity} fit")
         if self.dur_dist[0] not in _DIST_KINDS:
             raise BadConfig(f"unknown duration distribution {self.dur_dist[0]!r}")
         if self.bpp_dist[0] not in _DIST_KINDS:
@@ -65,8 +89,9 @@ class ClassProfile:
             raise BadConfig("protos and proto_weights must be same nonzero length")
         if self.active_s is not None:
             start, length = self.active_s
-            if start < 0 or length <= 0:
-                raise BadConfig("active_s must be (start >= 0, length > 0)")
+            if not (0 <= start < math.inf and length > 0):
+                raise BadConfig("active_s must be (finite start >= 0, "
+                                "length > 0)")
 
 
 @dataclass(frozen=True)
@@ -79,8 +104,9 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise BadConfig("duration_s must be > 0")
+        if not 0 < self.duration_s < math.inf:
+            raise BadConfig(f"duration_s must be finite and > 0, not "
+                            f"{self.duration_s}")
         if (self.background.n_sources + self.normal.n_sources
                 + self.botnet.n_sources + self.cnc.n_sources) == 0:
             raise BadConfig("at least one class must have sources")
@@ -164,19 +190,22 @@ def _draw(rng: np.random.Generator, dist: tuple, size: int) -> np.ndarray:
     return rng.normal(dist[1], dist[2], size=size)
 
 
-def _source_rows(rng: np.random.Generator, profile: ClassProfile,
-                 src_addr: str, duration: float) -> list[tuple]:
+def _source_draws(rng: np.random.Generator, profile: ClassProfile,
+                  duration: float) -> dict[str, np.ndarray] | None:
+    """One source's flows as columns in emission order, or None when it
+    emits none. "kind" is 2 * protocol index, plus 1 where dTos is
+    dropped."""
     if profile.active_s is not None:
         start, length = profile.active_s
         span = min(length, max(0.0, duration - start))
         if span <= 0:
-            return []
+            return None
         times = start + _arrival_times(rng, profile.rate_per_s, span)
     else:
         times = _arrival_times(rng, profile.rate_per_s, duration)
     n = len(times)
     if n == 0:
-        return []
+        return None
     durs = np.maximum(0.0, _draw(rng, profile.dur_dist, n))
     pkts = rng.geometric(profile.pkts_p, size=n)
     bpp = np.maximum(28.0, _draw(rng, profile.bpp_dist, n))
@@ -193,59 +222,101 @@ def _source_rows(rng: np.random.Generator, profile: ClassProfile,
     dst_a = rng.integers(1, 255, size=n)
     dst_b = rng.integers(1, 255, size=n)
     drop_dtos = rng.random(size=n) < 0.01
-    rows = []
-    for j in range(n):
-        proto = profile.protos[int(proto_idx[j])]
+    return {"t_us": _BASE_TIME_US + np.rint(times * 1e6).astype(np.int64),
+            "dur": durs, "kind": 2 * proto_idx + drop_dtos, "sport": sports,
+            "dport": dports, "dst_a": dst_a, "dst_b": dst_b, "pkts": pkts,
+            "tot_bytes": tot_bytes, "src_bytes": src_bytes}
+
+
+def _source_address(profile: ClassProfile, i: int) -> str:
+    if profile.src_prefix.count(".") == 1:
+        return f"{profile.src_prefix}.{i // 250}.{i % 250 + 1}"
+    return f"{profile.src_prefix}.{i % 250 + 1}"
+
+
+def _kind_fields(profile: ClassProfile, addr: str) -> list[tuple[str, ...]]:
+    """The text fields of one source's flows, indexed by their "kind": the
+    protocol with the address after it, Dir, State through dTos, Label."""
+    fields = []
+    for proto in profile.protos:
         if proto == "udp":
             state, dir_field = "CON", "  <->"
         elif proto == "icmp":
             state, dir_field = "ECO", "   ->"
         else:
             state, dir_field = "FSPA_FSPA", "   ->"
-        t_us = _BASE_TIME_US + int(round(times[j] * 1e6))
-        dtos = "" if drop_dtos[j] else "0"
-        line = ",".join([
-            render_timestamp(t_us),
-            f"{durs[j]:.6f}",
-            proto,
-            src_addr,
-            str(int(sports[j])),
-            dir_field,
-            f"77.75.{dst_a[j]}.{dst_b[j]}",
-            str(int(dports[j])),
-            state,
-            "0",
-            dtos,
-            str(int(pkts[j])),
-            str(int(tot_bytes[j])),
-            str(int(src_bytes[j])),
-            profile.label,
-        ])
-        rows.append((t_us, src_addr, j, line))
-    return rows
+        for dtos in ("0", ""):
+            fields.append((f"{proto},{addr}", dir_field, f"{state},0,{dtos}",
+                           profile.label))
+    return fields
+
+
+def _chunks(cfg: SynthConfig) -> Iterator[list[str]]:
+    """The capture's flow lines, _CHUNK at a time, in order of time, then
+    source address, then the source's own emission order."""
+    rng = np.random.default_rng(cfg.seed)
+    draws: list[dict[str, np.ndarray]] = []
+    addrs: list[str] = []
+    fields: list[tuple[str, ...]] = []
+    for profile in cfg.profiles():
+        for i in range(profile.n_sources):
+            source = _source_draws(rng, profile, cfg.duration_s)
+            if source is None:
+                continue
+            addr = _source_address(profile, i)
+            source["kind"] += len(fields)
+            fields.extend(_kind_fields(profile, addr))
+            addrs.append(addr)
+            draws.append(source)
+    if not draws:
+        return
+    counts = np.array([len(d["t_us"]) for d in draws])
+    # one column at a time, each source's pieces released as they are
+    # copied, so no column is held twice
+    cols = {name: np.concatenate([d.pop(name) for d in draws])
+            for name in list(draws[0])}
+    del draws
+    starts = np.cumsum(counts) - counts
+    j = np.arange(len(cols["t_us"])) - np.repeat(starts, counts)
+    # equal addresses (classes sharing a prefix) tie on rank, as they did
+    # when the rows were sorted by the address text
+    _, src_rank = np.unique(np.array(addrs), return_inverse=True)
+    order = np.lexsort((j, np.repeat(src_rank, counts), cols["t_us"]))
+    del j
+    # each whole second seen so far, rendered once without its ".ffffff"
+    stamps: dict[int, str] = {}
+    for lo in range(0, len(order), _CHUNK):
+        rows = order[lo:lo + _CHUNK]
+        secs, us = divmod(cols["t_us"][rows], 1_000_000)
+        for s in np.unique(secs).tolist():
+            if s not in stamps:
+                stamps[s] = render_timestamp(s * 1_000_000)[:-7]
+        yield [
+            f"{stamps[s]}.{u:06d},{dur:.6f},{proto_src},{sport},{dir_field},"
+            f"77.75.{a}.{b},{dport},{state_tos},{pk},{tb},{sb},{label}"
+            for s, u, dur, (proto_src, dir_field, state_tos, label), sport,
+            dport, a, b, pk, tb, sb in zip(
+                secs.tolist(), us.tolist(), cols["dur"][rows].tolist(),
+                map(fields.__getitem__, cols["kind"][rows].tolist()),
+                *(cols[name][rows].tolist() for name in (
+                    "sport", "dport", "dst_a", "dst_b", "pkts", "tot_bytes",
+                    "src_bytes")))]
 
 
 def synthesize(cfg: SynthConfig) -> list[str]:
-    """All flow lines (no header), sorted by time then source."""
-    rng = np.random.default_rng(cfg.seed)
-    rows: list[tuple] = []
-    for profile in cfg.profiles():
-        for i in range(profile.n_sources):
-            src = f"{profile.src_prefix}.{i // 250}.{i % 250 + 1}" \
-                if profile.src_prefix.count(".") == 1 \
-                else f"{profile.src_prefix}.{i % 250 + 1}"
-            rows.extend(_source_rows(rng, profile, src, cfg.duration_s))
-    rows.sort(key=lambda r: (r[0], r[1], r[2]))
-    return [r[3] for r in rows]
+    """All flow lines (no header), sorted by time, then source address,
+    then the source's own emission order."""
+    return [line for chunk in _chunks(cfg) for line in chunk]
 
 
 def write_synth(path, cfg: SynthConfig) -> int:
-    """Write header plus generated rows; returns the row count."""
-    lines = synthesize(cfg)
+    """Write header plus generated rows; returns the row count. Each chunk
+    of lines is written as it is formatted, so the text is never held
+    whole."""
+    n = 0
     with atomic_open(path) as fh:
         fh.write(HEADER_LINE + "\n")
-        # joined a chunk at a time, so the capture's text is never held whole
-        chunk = 4096
-        for lo in range(0, len(lines), chunk):
-            fh.write("\n".join(lines[lo:lo + chunk]) + "\n")
-    return len(lines)
+        for chunk in _chunks(cfg):
+            fh.write("\n".join(chunk) + "\n")
+            n += len(chunk)
+    return n

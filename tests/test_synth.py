@@ -1,7 +1,9 @@
 """Synthetic capture generator: determinism, class mixture, and shape."""
+import math
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flowsift import (
@@ -18,7 +20,9 @@ from flowsift import (
     synthesize,
     write_synth,
 )
-from flowsift.ingest import HEADER_LINE
+from flowsift import synth
+from flowsift.ingest import HEADER_LINE, render_timestamp
+from flowsift.synth import _BASE_TIME_US, _arrival_times, _draw
 
 PROFILE_KW = dict(
     dur_dist=("exp", 5.0), pkts_p=0.2,
@@ -169,13 +173,46 @@ def test_profile_validation():
         ClassProfile(n_sources=1, rate_per_s=0.1, dports=(80,),
                      label="x", src_prefix="10.0",
                      active_s=(-5.0, 10.0), **PROFILE_KW)
+    for rate in (math.nan, math.inf):
+        with pytest.raises(BadConfig, match="finite"):
+            ClassProfile(n_sources=1, rate_per_s=rate, dports=(80,),
+                         label="x", src_prefix="10.0", **PROFILE_KW)
+    with pytest.raises(BadConfig):
+        ClassProfile(n_sources=1, rate_per_s=0.1, dports=(80,),
+                     label="x", src_prefix="10.0",
+                     active_s=(0.0, math.nan), **PROFILE_KW)
+
+
+@pytest.mark.parametrize("prefix,n_sources,ok", [
+    ("147.32.85", 250, True),
+    ("147.32.85", 251, False),
+    ("10.0", 250 * 256, True),
+    ("10.0", 250 * 256 + 1, False),
+    ("10", 1, False),
+    ("10.0.0.0", 1, False),
+    ("10.", 1, False),
+])
+def test_source_addresses_are_never_reused(prefix, n_sources, ok):
+    """A profile whose prefix cannot give every source its own address is
+    rejected, not generated with repeated addresses."""
+    def make():
+        return ClassProfile(n_sources=n_sources, rate_per_s=0.1, dports=(80,),
+                            label="x", src_prefix=prefix, **PROFILE_KW)
+    if ok:
+        profile = make()
+        addrs = {synth._source_address(profile, i) for i in range(n_sources)}
+        assert len(addrs) == n_sources
+    else:
+        with pytest.raises(BadConfig, match="src_prefix|reuse"):
+            make()
 
 
 def test_config_validation():
     base = tiny_config()
-    with pytest.raises(BadConfig):
-        SynthConfig(duration_s=0.0, background=base.background,
-                    normal=base.normal, botnet=base.botnet, cnc=base.cnc)
+    for duration in (0.0, math.nan, math.inf):
+        with pytest.raises(BadConfig):
+            SynthConfig(duration_s=duration, background=base.background,
+                        normal=base.normal, botnet=base.botnet, cnc=base.cnc)
     empty = replace(base.background, n_sources=0)
     with pytest.raises(BadConfig):
         SynthConfig(duration_s=60.0, background=empty,
@@ -192,3 +229,151 @@ def test_empty_class_allowed():
     lines = synthesize(cfg)
     records = [parse_line(line, i + 1) for i, line in enumerate(lines)]
     assert all(r.label_class != LabelClass.NORMAL for r in records)
+
+
+# ------------------------------------------------- per-row reference generator
+# The generator as it was written one row at a time: every row formatted
+# from numpy scalars and the (time, address, index, line) tuples sorted at
+# the end. The column-wise generator must give exactly its lines.
+
+def _reference_source_rows(rng, profile, src_addr, duration):
+    if profile.active_s is not None:
+        start, length = profile.active_s
+        span = min(length, max(0.0, duration - start))
+        if span <= 0:
+            return []
+        times = start + _arrival_times(rng, profile.rate_per_s, span)
+    else:
+        times = _arrival_times(rng, profile.rate_per_s, duration)
+    n = len(times)
+    if n == 0:
+        return []
+    durs = np.maximum(0.0, _draw(rng, profile.dur_dist, n))
+    pkts = rng.geometric(profile.pkts_p, size=n)
+    bpp = np.maximum(28.0, _draw(rng, profile.bpp_dist, n))
+    tot_bytes = np.maximum(60, np.rint(pkts * bpp).astype(np.int64))
+    frac = rng.uniform(0.3, 0.7, size=n)
+    src_bytes = np.minimum(tot_bytes, np.rint(tot_bytes * frac).astype(np.int64))
+    proto_idx = rng.choice(len(profile.protos), size=n,
+                           p=np.asarray(profile.proto_weights, dtype=float))
+    sports = rng.integers(1024, 65536, size=n)
+    if profile.dports:
+        dports = rng.choice(np.asarray(profile.dports), size=n)
+    else:
+        dports = rng.integers(1024, 65536, size=n)
+    dst_a = rng.integers(1, 255, size=n)
+    dst_b = rng.integers(1, 255, size=n)
+    drop_dtos = rng.random(size=n) < 0.01
+    rows = []
+    for j in range(n):
+        proto = profile.protos[int(proto_idx[j])]
+        if proto == "udp":
+            state, dir_field = "CON", "  <->"
+        elif proto == "icmp":
+            state, dir_field = "ECO", "   ->"
+        else:
+            state, dir_field = "FSPA_FSPA", "   ->"
+        t_us = _BASE_TIME_US + int(round(times[j] * 1e6))
+        dtos = "" if drop_dtos[j] else "0"
+        line = ",".join([
+            render_timestamp(t_us),
+            f"{durs[j]:.6f}",
+            proto,
+            src_addr,
+            str(int(sports[j])),
+            dir_field,
+            f"77.75.{dst_a[j]}.{dst_b[j]}",
+            str(int(dports[j])),
+            state,
+            "0",
+            dtos,
+            str(int(pkts[j])),
+            str(int(tot_bytes[j])),
+            str(int(src_bytes[j])),
+            profile.label,
+        ])
+        rows.append((t_us, src_addr, j, line))
+    return rows
+
+
+def _reference_synthesize(cfg):
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for profile in cfg.profiles():
+        for i in range(profile.n_sources):
+            src = f"{profile.src_prefix}.{i // 250}.{i % 250 + 1}" \
+                if profile.src_prefix.count(".") == 1 \
+                else f"{profile.src_prefix}.{i % 250 + 1}"
+            rows.extend(_reference_source_rows(rng, profile, src,
+                                               cfg.duration_s))
+    rows.sort(key=lambda r: (r[0], r[1], r[2]))
+    return [r[3] for r in rows]
+
+
+def _shared_prefix_config():
+    """Two classes under one prefix, fast enough that flows of equal
+    addresses meet on the same microsecond."""
+    base = tiny_config(seed=5)
+    return SynthConfig(
+        duration_s=100.0,
+        background=replace(base.background, n_sources=0),
+        normal=replace(base.normal, n_sources=2, rate_per_s=150.0,
+                       src_prefix="147.32.85"),
+        botnet=replace(base.botnet, n_sources=2, rate_per_s=150.0),
+        cnc=replace(base.cnc, n_sources=0), seed=5)
+
+
+ORACLE_CONFIGS = {
+    **{f"preset-seed{seed}{'-hard' if hard else ''}":
+       preset_scenario9(seed=seed, hard=hard)
+       for seed in (0, 1, 42) for hard in (False, True)},
+    # 450 s never reaches the C&C burst; 720 s clips it mid-way
+    **{f"preset-{d:.0f}s": replace(preset_scenario9(seed=3), duration_s=d)
+       for d in (450.0, 720.0, 5400.0)},
+    "empty-dports": replace(tiny_config(seed=4), botnet=replace(
+        tiny_config().botnet, dports=())),
+    "unpopulated-class": replace(tiny_config(seed=8), normal=replace(
+        tiny_config().normal, n_sources=0)),
+    "tiny": tiny_config(),
+    "shared-prefix": _shared_prefix_config(),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CONFIGS)
+def test_matches_per_row_reference(name):
+    cfg = ORACLE_CONFIGS[name]
+    assert synthesize(cfg) == _reference_synthesize(cfg)
+
+
+def test_shared_prefix_config_meets_on_a_microsecond():
+    """The shared-prefix oracle case exercises the tie: some flows of two
+    sources with one address start on the same microsecond."""
+    lines = synthesize(_shared_prefix_config())
+    keys = [tuple(line.split(",")[i] for i in (0, 3)) for line in lines]
+    assert len(set(keys)) < len(keys)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_chunked_write_is_the_joined_lines(tmp_path, monkeypatch, chunk):
+    cfg = tiny_config(seed=11)
+    lines = synthesize(cfg)
+    monkeypatch.setattr(synth, "_CHUNK", chunk)
+    path = tmp_path / "flows.csv"
+    assert write_synth(str(path), cfg) == len(lines)
+    assert path.read_bytes() == ("\n".join([HEADER_LINE] + lines)
+                                 + "\n").encode("utf-8")
+
+
+def test_capture_without_flows_writes_the_header_only(tmp_path):
+    """The only populated class is active past the end of the capture."""
+    base = tiny_config()
+    cfg = SynthConfig(
+        duration_s=300.0,
+        background=replace(base.background, n_sources=0),
+        normal=replace(base.normal, n_sources=0),
+        botnet=replace(base.botnet, n_sources=0),
+        cnc=replace(base.cnc, active_s=(400.0, 60.0)))
+    path = tmp_path / "flows.csv"
+    assert synthesize(cfg) == []
+    assert write_synth(str(path), cfg) == 0
+    assert path.read_text(encoding="utf-8") == HEADER_LINE + "\n"
