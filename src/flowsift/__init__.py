@@ -34,8 +34,9 @@ from .sweep import (ScenarioCell, SweepCell, SweepResult, repeat_runs,
                     run_grid, run_single, scenario_compare, sweep_csv,
                     write_repeat_csv, write_scenarios_csv, write_sweep_csv)
 from .synth import ClassProfile, SynthConfig, preset_scenario9, synthesize, write_synth
-from .windows import (AggregateStats, WindowConfig, aggregate_stats,
-                      build_matrix, window_indices)
+from .windows import (AggregateStats, OrderedFlows, WindowConfig,
+                      aggregate_stats, build_matrix, order_flows,
+                      window_indices)
 
 __version__ = "0.1.0"
 

@@ -5,12 +5,13 @@ matrix, runs run_single on it — split, training, evaluation — under the one
 SplitSpec, and lands in one CSV row. A cell whose stride is a multiple of a
 smaller stride of its width takes its windows from that stride's build
 instead of windowing again. Cells are independent, so failures are recorded
-in-place and the rest of the grid still runs. A grid's builds are dealt
-over the usable cores, each share but the first run by a forked worker
-process that sends its cells back; while workers run, each process has a
-core of its own and BLAS runs on one thread. Repeat runs re-execute a
-single cell under consecutive seeds to expose sampling variance; scenario
-comparison runs one fixed cell across several capture files.
+in-place and the rest of the grid still runs. A grid orders its flows once
+for all its builds (windows.order_flows), then deals the builds over the
+usable cores, each share but the first run by a forked worker process that
+sends its cells back; while workers run, each process has a core of its
+own and BLAS runs on one thread. Repeat runs re-execute a single cell
+under consecutive seeds to expose sampling variance; scenario comparison
+runs one fixed cell across several capture files.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from .ingest import FlowTable, read_flows
 from .logreg import fit
 from .metrics import MetricsReport, evaluate
 from .split import SplitSpec, split
-from .windows import WindowConfig, build_matrix, stride_multiple
+from .windows import (OrderedFlows, WindowConfig, build_matrix, order_flows,
+                      stride_multiple)
 
 SWEEP_CSV_HEADER = ("width_s,stride_s,seed,"
                     "train_precision,train_recall,train_f1,"
@@ -139,17 +141,18 @@ def _plan_builds(geometries: list[tuple[int, int]]
     return plan
 
 
-def _run_build(flows: FlowTable, width_s: int, strides: list[int],
-               spec: SplitSpec) -> list[SweepCell]:
-    """Build (width_s, strides[0]) once, then run its cell and the cell of
-    every later stride, each a multiple of strides[0], on rows of that
-    build. The built cell's wall time includes the build; a derived cell's
-    covers its derivation, split, fit and evaluation. A failed build is
-    every served cell's error."""
+def _run_build(flows: FlowTable, orders: list[OrderedFlows], width_s: int,
+               strides: list[int], spec: SplitSpec) -> list[SweepCell]:
+    """Build (width_s, strides[0]) once, from the order it pops off orders,
+    then run its cell and the cell of every later stride, each a multiple
+    of strides[0], on rows of that build. The built cell's wall time
+    includes the build; a derived cell's covers its derivation, split, fit
+    and evaluation. A failed build is every served cell's error."""
     t0 = time.perf_counter()
     try:
         base = build_matrix(flows, WindowConfig(width_s=width_s,
-                                                stride_s=strides[0]))
+                                                stride_s=strides[0]),
+                            order=orders.pop())
     except _CELL_ERRORS as exc:
         return [_run_cell(width_s, s, spec, exc, t0) for s in strides]
     cells = [_run_cell(width_s, strides[0], spec, base, t0)]
@@ -170,7 +173,8 @@ def run_grid(flows: FlowTable,
     """Cartesian sweep in request order: widths outer, strides inner.
 
     Every cell splits under the one spec (chronological by default), seed
-    included, so cells differ only in geometry. Each distinct geometry is
+    included, so cells differ only in geometry. The flows are ordered once
+    (order_flows), before any worker is forked. Each distinct geometry is
     computed once, and each width is built once per stride that no smaller
     requested stride divides: a larger stride is derived from the build of
     its smallest such divisor (stride_multiple), bit for bit. Each build
@@ -191,10 +195,20 @@ def run_grid(flows: FlowTable,
     builds = [(width_s, served)
               for (width_s, _), served in _plan_builds(combos).items()]
     n = shares(len(builds)) if blas_survives_fork() else 1
+    # ordered before the fork, so workers read the order from the pages
+    # they share with this process. held[i] is share i's references to it,
+    # one per build, and each build pops one: a process frees the order
+    # before the fits of its last build. in_shares runs share 0 here once
+    # every worker is forked with its own copy of held
+    order = order_flows(flows)
+    held = [[order] * len(builds[i::n]) for i in range(n)]
+    del order
 
     def run_share(i: int) -> list[SweepCell]:
+        orders = held[i]
+        held.clear()        # the other shares' references, in this process
         return [cell for width_s, served in builds[i::n]
-                for cell in _run_build(flows, width_s, served, spec)]
+                for cell in _run_build(flows, orders, width_s, served, spec)]
 
     def sender(i: int) -> str:
         return "the sweep worker for builds " + ", ".join(

@@ -3,7 +3,9 @@
 Windows are half-open intervals [origin + k*stride, origin + k*stride + width)
 indexed by k >= 0. A flow belongs to every window containing its start time;
 duration never extends membership. Flows sharing a (window, source) pair form
-one group, aggregated into the 21 canonical features.
+one group, aggregated into the 21 canonical features. order_flows does the
+part of that work no geometry changes, once per flow table; build_matrix
+makes one geometry's windows from it.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ DEFAULT_POSITIVE_CLASSES = frozenset({LabelClass.BOTNET, LabelClass.CNC})
 
 _US_PER_S = 1_000_000
 
-# build_matrix packs each flow's rank above the 32-bit flat index of its
-# value among the four attribute rows, so 4 * n must fit in 32 bits
+# order_flows gives each flow one code per attribute in one uint32 space,
+# and an attribute has at most n codes, so 4 * n must fit in 32 bits
 _MAX_FLOWS = 1 << 30
 
 
@@ -97,9 +99,93 @@ def aggregate_stats(values: Iterable[float]) -> AggregateStats:
     )
 
 
+@dataclass(frozen=True)
+class OrderedFlows:
+    """What every window pass over one flow table shares, whatever its
+    geometry: the flows in start-time order and each flow's place in the
+    (group key, value) order of every attribute. order_flows makes it; its
+    arrays are read-only.
+
+    Each flow has one code per attribute, the dense rank of its (group key,
+    value) among the attribute's distinct pairs, offset so that the four
+    attributes share one uint32 code space (at most 4 * _MAX_FLOWS codes).
+    Attribute 0's pairs also carry the positive-label bit. Flows with equal
+    codes hold equal values, so a window's sorted codes give every group's
+    values in (key, value) order, whatever the order of the flows.
+
+    start_time_us   int64 (n,): the start times, ascending
+    codes           uint32 (4, n): the codes of the flows, in time order
+    values          float64 (codes,): each code's value, -0.0 made 0.0
+    key_code        int32 (attribute 0's codes,): each code's index into keys
+    positive        bool (attribute 0's codes,): each code's label bit
+    keys            str: the sorted distinct group keys
+    """
+
+    start_time_us: np.ndarray
+    codes: np.ndarray
+    values: np.ndarray
+    key_code: np.ndarray
+    positive: np.ndarray
+    keys: np.ndarray
+    positive_classes: frozenset[LabelClass]
+    group_by: str
+
+
+def order_flows(flows: FlowTable,
+                positive_classes: frozenset[LabelClass] | set[LabelClass] = DEFAULT_POSITIVE_CLASSES,
+                group_by: str = "src") -> OrderedFlows:
+    """Order flows once for any number of build_matrix calls that share
+    positive_classes and group_by (see build_matrix). An empty table gives
+    an empty order."""
+    if not positive_classes:
+        raise ValueError("positive_classes must be non-empty")
+    if group_by not in ("src", "src_dst"):
+        raise ValueError(f"group_by must be 'src' or 'src_dst', got {group_by!r}")
+    if len(flows) > _MAX_FLOWS:
+        raise ValueError(f"build_matrix takes at most {_MAX_FLOWS} flows, "
+                         f"got {len(flows)}")
+
+    by_time = np.argsort(flows.start_time_us)
+    pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
+    pos = np.isin(flows.label_class, pos_codes)
+    keys, key = _group_keys(flows, group_by)
+    codes = np.empty((4, len(flows)), dtype=np.uint32)
+    values = []
+    base = 0
+    for a, v in enumerate(flows.magnitudes.T):
+        # + 0.0 turns -0.0 into 0.0: the two tie, and share one code
+        distinct, v_rank = np.unique(v + 0.0, return_inverse=True)
+        pair = key * len(distinct)
+        pair += v_rank
+        if a == 0:
+            pair <<= 1
+            pair |= pos
+        pair, code = np.unique(pair, return_inverse=True)
+        codes[a] = code[by_time]
+        codes[a] += base
+        base += len(pair)
+        if a == 0:
+            positive = (pair & 1).astype(bool)
+            pair >>= 1
+            key_code = (pair // len(distinct)).astype(np.int32)
+        values.append(distinct[pair % len(distinct)])
+        del pair, code
+
+    order = OrderedFlows(
+        start_time_us=flows.start_time_us[by_time], codes=codes,
+        values=np.concatenate(values), key_code=key_code, positive=positive,
+        keys=keys, positive_classes=frozenset(positive_classes),
+        group_by=group_by)
+    for arr in (order.start_time_us, codes, order.values, key_code,
+                positive, keys):
+        arr.flags.writeable = False
+    return order
+
+
 def build_matrix(flows: FlowTable, cfg: WindowConfig,
                  positive_classes: frozenset[LabelClass] | set[LabelClass] = DEFAULT_POSITIVE_CLASSES,
-                 group_by: str = "src") -> FeatureMatrix:
+                 group_by: str = "src", *,
+                 order: OrderedFlows | None = None) -> FeatureMatrix:
     """Aggregate flows into the labeled per-(window, source) feature matrix.
 
     group_by: "src" groups by source address (default), "src_dst" by the
@@ -109,57 +195,43 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     any permutation of the input flows. Each window's rows are appended to
     typed buffers that become the output arrays without a copy, so the
     matrix is never held twice.
+
+    order is order_flows(flows, positive_classes, group_by), made here when
+    None; builds of one table at several geometries can share it. An order
+    made for other positive_classes, another group_by or a table of another
+    length raises ValueError.
     """
-    if not positive_classes:
-        raise ValueError("positive_classes must be non-empty")
-    if group_by not in ("src", "src_dst"):
-        raise ValueError(f"group_by must be 'src' or 'src_dst', got {group_by!r}")
+    if order is None:
+        order = order_flows(flows, positive_classes, group_by)
+    elif (order.positive_classes != frozenset(positive_classes)
+          or order.group_by != group_by
+          or len(order.start_time_us) != len(flows)):
+        raise ValueError("order was made for other positive_classes, "
+                         "another group_by or another table")
     if len(flows) == 0:
         raise EmptyInput("build_matrix needs at least one flow")
-    if len(flows) > _MAX_FLOWS:
-        raise ValueError(f"build_matrix takes at most {_MAX_FLOWS} flows, "
-                         f"got {len(flows)}")
 
-    t = flows.start_time_us
-    origin = int(t.min()) if cfg.origin_us is None else cfg.origin_us
-    if int(t.min()) < origin:
-        raise TimeBeforeOrigin(
-            f"flow at {int(t.min())} precedes origin {origin}")
+    t = order.start_time_us
+    first = int(t[0])
+    origin = first if cfg.origin_us is None else cfg.origin_us
+    if first < origin:
+        raise TimeBeforeOrigin(f"flow at {first} precedes origin {origin}")
     w = cfg.width_s * _US_PER_S
     s = cfg.stride_s * _US_PER_S
 
-    # window k holds the flows with k*s <= d < k*s + w: after one sort by
-    # start time, a contiguous slice of every array below
-    by_time = np.argsort(t)
-    d = t[by_time] - origin
-    vals = np.ascontiguousarray(flows.magnitudes[by_time].T)   # (attr, flow)
-    pos_codes = np.asarray(sorted(int(c) for c in positive_classes), dtype=np.int8)
-    pos = np.isin(flows.label_class, pos_codes)[by_time]
-    uniq_keys, key_code = _group_keys(flows, group_by)
-    key_code = key_code[by_time]
-    # each flow's rank in the stable (key, value) order of every attribute,
-    # sorted once over all flows, packed above the flat index a * n + i of
-    # its value in vals: a window's slice is contiguous and its ranks are
-    # distinct, so a plain sort of ranks[a, lo:hi] is exactly that slice's
-    # own stable lexsort, with the flat indices in its low 32 bits
-    n = len(d)
-    ranks = np.empty(vals.shape, dtype=np.int64)
-    for a, v in enumerate(vals):
-        ranks[a, np.lexsort((v, key_code))] = np.arange(n)
-        ranks[a] <<= 32
-        ranks[a] |= np.arange(a * n, (a + 1) * n)
-
+    # window k holds the flows with k*s <= t - origin < k*s + w: in time
+    # order, a contiguous slice of every flow array
     # X, y, window index and key code of every row so far, as typed buffers
     out = (array("d"), array("b"), array("q"), array("q"))
     k = 0
-    while (lo := int(np.searchsorted(d, k * s))) < len(d):
-        hi = int(np.searchsorted(d, k * s + w))
+    while (lo := int(np.searchsorted(t, origin + k * s))) < len(t):
+        hi = int(np.searchsorted(t, origin + k * s + w))
         if lo == hi:
             # the next flow starts at or after k*s + w: jump to the first
             # window that ends after it
-            k = int(d[lo] - w) // s + 1
+            k = (int(t[lo]) - origin - w) // s + 1
             continue
-        parts = _aggregate_window(k, vals, pos, key_code, ranks[:, lo:hi])
+        parts = _aggregate_window(k, order, order.codes[:, lo:hi])
         for buf, part in zip(out, parts):
             # frombytes copies raw bytes, so a part must already have its
             # buffer's dtype: "equiv" casting raises TypeError on any other
@@ -174,7 +246,7 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
         y=y,
         window_index=window_index,
         window_start_us=origin + window_index * s,
-        src_addr=uniq_keys[codes],
+        src_addr=order.keys[codes],
         meta={
             "width_s": cfg.width_s,
             "stride_s": cfg.stride_s,
@@ -222,47 +294,55 @@ def _group_keys(flows: FlowTable, group_by: str
     return uniq_keys, rank[inverse].astype(np.int64, copy=False)
 
 
-def _aggregate_window(k, vals, pos, key_code, ranks):
+def _aggregate_window(k, order, codes):
     """Features (float64), targets (int8), window index and key code (both
     int64) of window k's groups, one row per key code, ascending.
 
-    vals is (attribute, flow) over every flow; pos and key_code are per
-    flow. ranks[a] is the window's slice of attribute a's packed keys: a
-    rank that orders the window's flows by (key code, attribute a) above
-    the flat index of the flow's value in vals.
+    codes is the window's (attribute, flow) slice of order.codes.
     """
-    # sort values within each group so every reduction below is independent
-    # of input flow order, bit for bit
-    flat = np.sort(ranks, axis=1)
-    flat &= 0xFFFFFFFF
-    v_s = vals.ravel().take(flat)
-    order = flat[0]                     # a == 0: the flows' time positions
-    c_s = key_code[order]
-    g_start = np.flatnonzero(np.diff(c_s, prepend=-1))    # codes are >= 0
-    g_len = np.diff(np.append(g_start, len(c_s)))
-    g_end = g_start + g_len - 1
+    # sorted codes put each group's values in order, so every reduction
+    # below is independent of input flow order, bit for bit
+    flat = np.sort(codes, axis=1)
+    v_s = order.values.take(flat)
+    first = flat[0]                     # attribute 0's codes
+    c_s = order.key_code[first]
+    edge = np.empty(len(c_s) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(c_s[1:], c_s[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)       # each group's start, then the end
+    g_start = bounds[:-1]
+    g_len = np.diff(bounds)
 
     sums = np.add.reduceat(v_s, g_start, axis=1)
     means = sums / g_len
-    maxs = v_s[:, g_end]
-    var = np.add.reduceat((v_s - np.repeat(means, g_len, axis=1)) ** 2,
-                          g_start, axis=1) / g_len
+    maxs = v_s.take(bounds[1:] - 1, axis=1)
+    dev = v_s - np.repeat(means, g_len, axis=1)
+    dev *= dev
+    var = np.add.reduceat(dev, g_start, axis=1)
+    var /= g_len
     # sums / n of a constant group can miss its value by an ulp: report the
     # exact zero spread aggregate_stats does
-    var[v_s[:, g_start] == maxs] = 0.0
+    var[v_s.take(g_start, axis=1) == maxs] = 0.0
     mid = g_start + g_len // 2
-    odd = (g_len % 2) == 1
+    upper = v_s.take(mid, axis=1)
     # mid-1 can point into the previous segment for odd groups; np.where
     # discards those lanes, and the index stays in bounds (wraps to -1 at
     # most)
-    meds = np.where(odd, v_s[:, mid], 0.5 * (v_s[:, mid - 1] + v_s[:, mid]))
-    # stats is (attr, group, stat); a row takes each attribute's five
-    # statistics in turn
-    stats = np.stack((sums, means, np.sqrt(var), maxs, meds), axis=-1)
-    X = np.column_stack(
-        (g_len, stats.swapaxes(0, 1).reshape(len(g_start), -1)))
-    y = np.logical_or.reduceat(pos[order], g_start).astype(np.int8)
-    return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
+    meds = np.where(g_len & 1, upper,
+                    0.5 * (v_s.take(mid - 1, axis=1) + upper))
+    X = np.empty((len(g_start), len(FEATURE_NAMES)))
+    X[:, 0] = g_len
+    # a row takes each attribute's five statistics in turn: stats views X's
+    # other columns as (attribute, statistic, group)
+    stats = X[:, 1:].reshape(len(g_start), len(v_s), -1).transpose(1, 2, 0)
+    stats[:, 0] = sums
+    stats[:, 1] = means
+    np.sqrt(var, out=stats[:, 2])
+    stats[:, 3] = maxs
+    stats[:, 4] = meds
+    y = np.logical_or.reduceat(order.positive[first], g_start).astype(np.int8)
+    return (X, y, np.full(len(g_start), k, dtype=np.int64),
+            c_s[g_start].astype(np.int64))
 
 
 def resolve_config(cfg: WindowConfig, flows_min_t_us: int) -> WindowConfig:

@@ -2,6 +2,7 @@
 import os
 import threading
 import time
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -208,6 +209,53 @@ def test_run_grid_builds_each_width_once_per_undivided_stride(
                 f"{cell.width_s}/{cell.stride_s} differs from its own build"
 
 
+def test_run_grid_orders_the_flows_once(corpus, monkeypatch, tmp_path):
+    """Every build of a sweep reads one order made before any worker is
+    forked: the grid's two builds order once, on the host's cores and on
+    one. The count goes through a file, so a worker's ordering counts."""
+    real = flowsift.sweep.order_flows
+    for cores in ("host", 1):
+        if cores == 1:
+            monkeypatch.setattr(flowsift._util, "usable_cores", lambda: 1)
+        log = tmp_path / f"orders-{cores}"
+
+        def counting(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("order\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(flowsift.sweep, "order_flows", counting)
+        result = run_grid(corpus, widths=[90, 180],
+                          strides=[15, 30, 60, 75, 90, 120])
+        assert all(c.status.startswith("ok") for c in result.cells)
+        assert log.read_text(encoding="utf-8") == "order\n"
+
+
+def test_run_grid_frees_the_order_before_the_last_builds_fits(
+        corpus, monkeypatch):
+    """In one process, the order lives while builds remain to be made and
+    is freed once the last is: the fits of that build's cells run
+    without it."""
+    _forced_cores(monkeypatch, 1)
+    made, alive = [], []
+    real_order, real_fit = flowsift.sweep.order_flows, flowsift.sweep.fit
+
+    def order_flows(*args, **kwargs):
+        order = real_order(*args, **kwargs)
+        made.append(weakref.ref(order))
+        return order
+
+    def fit(*args, **kwargs):
+        alive.append(made[0]() is not None)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(flowsift.sweep, "order_flows", order_flows)
+    monkeypatch.setattr(flowsift.sweep, "fit", fit)
+    result = run_grid(corpus, widths=[90, 180], strides=[15, 30])
+    assert [c.status for c in result.cells] == ["ok"] * 4
+    assert alive == [True, True, False, False]
+
+
 def test_run_grid_failed_build_fails_every_cell_it_serves(monkeypatch,
                                                           tmp_path):
     """A build that raises marks its own cell and each derived cell with
@@ -293,10 +341,10 @@ def _build_calling(monkeypatch, width_s, action):
     geometry of width width_s."""
     real = flowsift.sweep.build_matrix
 
-    def build(flows, cfg):
+    def build(flows, cfg, **kwargs):
         if cfg.width_s == width_s:
             action()
-        return real(flows, cfg)
+        return real(flows, cfg, **kwargs)
 
     monkeypatch.setattr(flowsift.sweep, "build_matrix", build)
 

@@ -556,9 +556,10 @@ def test_build_matrix_bit_identical_to_per_window_lexsort(
 
 def test_build_matrix_rejects_more_flows_than_its_keys_can_index(
         monkeypatch):
-    """Each packed key holds a flat index below 4 * n in 32 bits, so a
-    table past the bound is refused rather than aggregated from wrong
-    values. The bound is forced down; no large table is allocated."""
+    """The four attributes' codes share one uint32 space of up to 4 * n
+    codes, so a table past the bound is refused rather than aggregated
+    from wrong values. The bound is forced down; no large table is
+    allocated."""
     table = FlowTable.from_records([flow(t_s=i) for i in range(5)])
     cfg = WindowConfig(width_s=60, stride_s=60)
     monkeypatch.setattr(windows, "_MAX_FLOWS", 5)
@@ -566,6 +567,69 @@ def test_build_matrix_rejects_more_flows_than_its_keys_can_index(
     monkeypatch.setattr(windows, "_MAX_FLOWS", 4)
     with pytest.raises(ValueError, match="at most 4 flows, got 5"):
         build_matrix(table, cfg)
+
+
+def test_build_matrix_aggregates_negative_zero_as_zero():
+    """-0.0 and 0.0 durations tie, so which one a group's max or median
+    shows cannot depend on the order of equal start times: every zero
+    aggregates as 0.0, bit for bit, under any input order."""
+    rng = random.Random(47)
+    flows = [flow(t_s=rng.choice([0.0, 30.0, 30.0, 75.0]), src=f"h{i % 3}",
+                  dur=(-0.0, 0.0)[i % 2], cls=rng.choice(list(LabelClass)))
+             for i in range(60)]
+    cfg = WindowConfig(width_s=60, stride_s=15)
+    m = build_matrix(FlowTable.from_records(flows), cfg)
+    dur = [j for j, name in enumerate(FEATURE_NAMES) if name.startswith("dur")]
+    assert m.n_rows > 0 and not np.signbit(m.X).any()
+    assert m.X[:, dur].tobytes() == bytes(8 * m.n_rows * len(dur))
+    for _ in range(5):
+        rng.shuffle(flows)
+        again = build_matrix(FlowTable.from_records(flows), cfg)
+        assert again.X.tobytes() == m.X.tobytes()
+        assert again.y.tobytes() == m.y.tobytes()
+
+
+def test_ordered_flows_are_read_only():
+    order = windows.order_flows(FlowTable.from_records(
+        [flow(t_s=t, src=s) for t, s in ((3, "b"), (1, "a"), (2, "b"))]))
+    for name in ("start_time_us", "codes", "values", "key_code", "positive",
+                 "keys"):
+        arr = getattr(order, name)
+        assert not arr.flags.writeable, name
+        with pytest.raises(ValueError):
+            arr[...] = arr
+    assert order.start_time_us.tolist() == [1 * US, 2 * US, 3 * US]
+
+
+def test_build_matrix_rejects_an_order_made_for_other_inputs():
+    """An order answers for one table, one set of positive classes and one
+    grouping; build_matrix refuses it for any other."""
+    flows = [flow(t_s=t, src=s, cls=c) for t, s, c in (
+        (0, "a", LabelClass.BOTNET), (5, "b", LabelClass.NORMAL),
+        (9, "a", LabelClass.BACKGROUND))]
+    table = FlowTable.from_records(flows)
+    cfg = WindowConfig(width_s=60, stride_s=60)
+    order = windows.order_flows(table)
+    built = build_matrix(table, cfg, order=order)
+    direct = build_matrix(table, cfg)
+    assert built.X.tobytes() == direct.X.tobytes()
+    assert built.y.tobytes() == direct.y.tobytes()
+    assert built.src_addr.tolist() == direct.src_addr.tolist()
+    assert built.meta == direct.meta
+    for kwargs in (dict(positive_classes={LabelClass.NORMAL}),
+                   dict(group_by="src_dst")):
+        other = windows.order_flows(table, **kwargs)
+        assert (build_matrix(table, cfg, order=other, **kwargs).X.tobytes()
+                == build_matrix(table, cfg, **kwargs).X.tobytes())
+        with pytest.raises(ValueError, match="order was made for"):
+            build_matrix(table, cfg, order=order, **kwargs)
+        with pytest.raises(ValueError, match="order was made for"):
+            build_matrix(table, cfg, order=other)
+    with pytest.raises(ValueError, match="order was made for"):
+        build_matrix(FlowTable.from_records(flows[:2]), cfg, order=order)
+    empty = FlowTable.from_records([])
+    with pytest.raises(EmptyInput):
+        build_matrix(empty, cfg, order=windows.order_flows(empty))
 
 
 @pytest.mark.parametrize("width,stride", [(90, 15), (30, 15), (10, 20)],
