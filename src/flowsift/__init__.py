@@ -6,38 +6,93 @@ feature vector, train a weighted logistic model, and score precision /
 recall / F1 on a leakage-purged chronological split. A sweep harness
 varies window geometry; a synthetic generator provides fast, labeled
 captures for end-to-end checks.
+
+The names below are exported lazily (PEP 562): a module is imported the
+first time one of its names is looked up, so `import flowsift.synth` pays
+for synth and what it imports, not for the whole pipeline. The submodules
+are exported under their own names, except split, which names the function
+flowsift.split.split (see _Package).
 """
-from .errors import (BadBins, BadComponentCount, BadConfig, CorruptModel,
-                     DegenerateComputation, DegenerateRow, DegenerateSplit,
-                     EmptyInput, EmptyValues, FlowsiftError, LengthMismatch,
-                     MalformedRow, NonFiniteLoss, SchemaMismatch,
-                     SchemaVersionMismatch, ShapeMismatch, SingleClassInput,
-                     TimeBeforeOrigin, TooFewRows)
-from .features import (FEATURE_NAMES, FeatureMatrix, StandardizationParams,
-                       read_matrix_csv, standardize_fit, write_matrix_csv)
-from .ingest import (FlowRecord, FlowRow, FlowTable, IngestStats, LabelClass,
-                     LabelDistribution, classify_label, label_distribution,
-                     parse_line, parse_timestamp, read_flows, render_line,
-                     render_timestamp)
-from .logreg import (HyperParams, LogRegModel, TrainReport, class_weights_for,
-                     fit, gradient, load_model, loss, predict_label,
-                     predict_proba, save_model, sigmoid)
-from .metrics import (ConfusionMatrix, F1Consistency, Histogram,
-                      MetricsReport, confusion, evaluate,
-                      f1_consistency_check, histogram,
-                      metrics_from_confusion, write_metrics_report)
-from .select import (CorrelationMatrix, PcaModel, backward_elimination,
-                     correlation_filter, pca_fit, pca_reconstruct,
-                     pca_transform, pearson_matrix, write_selection_report)
-from .split import SplitSpec, split
-from .sweep import (ScenarioCell, SweepCell, SweepResult, repeat_runs,
-                    run_grid, run_single, scenario_compare, sweep_csv,
-                    write_repeat_csv, write_scenarios_csv, write_sweep_csv)
-from .synth import ClassProfile, SynthConfig, preset_scenario9, synthesize, write_synth
-from .windows import (AggregateStats, OrderedFlows, WindowConfig,
-                      aggregate_stats, build_matrix, order_flows,
-                      window_indices)
+from importlib import import_module as _import_module
+from sys import modules as _modules
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "errors": (
+        "BadBins", "BadComponentCount", "BadConfig", "CorruptModel",
+        "DegenerateComputation", "DegenerateRow", "DegenerateSplit",
+        "EmptyInput", "EmptyValues", "FlowsiftError", "LengthMismatch",
+        "MalformedRow", "NonFiniteLoss", "SchemaMismatch",
+        "SchemaVersionMismatch", "ShapeMismatch", "SingleClassInput",
+        "TimeBeforeOrigin", "TooFewRows"),
+    "features": (
+        "FEATURE_NAMES", "FeatureMatrix", "StandardizationParams",
+        "read_matrix_csv", "standardize_fit", "write_matrix_csv"),
+    "ingest": (
+        "FlowRecord", "FlowRow", "FlowTable", "IngestStats", "LabelClass",
+        "LabelDistribution", "classify_label", "label_distribution",
+        "parse_line", "parse_timestamp", "read_flows", "render_line",
+        "render_timestamp"),
+    "logreg": (
+        "HyperParams", "LogRegModel", "TrainReport", "class_weights_for",
+        "fit", "gradient", "load_model", "loss", "predict_label",
+        "predict_proba", "save_model", "sigmoid"),
+    "metrics": (
+        "ConfusionMatrix", "F1Consistency", "Histogram", "MetricsReport",
+        "confusion", "evaluate", "f1_consistency_check", "histogram",
+        "metrics_from_confusion", "write_metrics_report"),
+    "select": (
+        "CorrelationMatrix", "PcaModel", "backward_elimination",
+        "correlation_filter", "pca_fit", "pca_reconstruct", "pca_transform",
+        "pearson_matrix", "write_selection_report"),
+    "split": ("SplitSpec", "split"),
+    "sweep": (
+        "ScenarioCell", "SweepCell", "SweepResult", "repeat_runs",
+        "run_grid", "run_single", "scenario_compare", "sweep_csv",
+        "write_repeat_csv", "write_scenarios_csv", "write_sweep_csv"),
+    "synth": (
+        "ClassProfile", "SynthConfig", "preset_scenario9", "synthesize",
+        "write_synth"),
+    "windows": (
+        "AggregateStats", "OrderedFlows", "WindowConfig", "aggregate_stats",
+        "build_matrix", "order_flows", "window_indices"),
+}
+
+# exported name -> the module that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(set(_HOME) | set(_EXPORTS))
+
+
+def __getattr__(name: str):
+    """Import the module behind an exported name on its first lookup and
+    bind the name here, so later lookups do not come back."""
+    if name in _HOME:
+        value = getattr(_import_module(f".{_HOME[name]}", __name__),
+                        name)
+    elif name in _EXPORTS:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(_ModuleType):
+    """The package's type. The import system binds each submodule to its
+    name here when it first loads it; for split that would hide the
+    exported split function behind the flowsift.split module, so that
+    binding is dropped and the name is left to __getattr__."""
+
+    def __setattr__(self, name, value):
+        if name != "split" or not isinstance(value, _ModuleType):
+            super().__setattr__(name, value)
+
+
+_modules[__name__].__class__ = _Package

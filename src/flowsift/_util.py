@@ -1,13 +1,16 @@
 """Small shared helpers: atomic file writes, number formatting, and every
 decision about parallel work: how many shares to deal it into, running them
 in forked children each on a core of its own, whether those children may
-call numpy's BLAS, and the OpenBLAS thread count."""
+call numpy's BLAS, and the OpenBLAS thread count. write_ranges, the text
+writer of the feature CSV and the synthetic capture, formats its rows in
+forked row ranges through them."""
 from __future__ import annotations
 
 import ctypes
 import functools
 import os
 import pickle
+import shutil
 import signal
 import tempfile
 import threading
@@ -107,6 +110,61 @@ def in_shares(work: Callable[[int], Any], n: int,
         for i, source in enumerate(sources, start=1):
             results.append(receive_result(source, sender(i)))
     return results
+
+
+def write_ranges(path: str, head: str, rows: int, smallest: int,
+                 write: Callable[[TextIO, int, int], None],
+                 what: str) -> None:
+    """Write head, then rows [0, rows) to path atomically (atomic_open);
+    write(fh, lo, hi) formats rows [lo, hi) to fh.
+
+    The rows are cut into one contiguous range per share (shares), none
+    shorter than smallest. This process writes the first range to the
+    temp file; a forked child writes each other range to a part file beside
+    path (in_shares), which this process then appends in order and unlinks,
+    however the write ends. The error raised is that of the earliest range
+    in file order that failed; a child that sends nothing raises
+    ChildProcessError naming "<what> of rows <first>-<last>"."""
+    n = shares(rows, smallest)
+    bounds = [rows * i // n for i in range(n + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    with atomic_open(path) as fh:
+        fh.write(head)
+        parts: list[str] = []
+        try:
+            for _ in ranges[1:]:
+                fd, part = temp_beside(path)
+                os.close(fd)
+                parts.append(part)
+
+            def share(i: int) -> None:
+                if i:
+                    _write_part(parts[i - 1], write, *ranges[i])
+                else:
+                    write(fh, *ranges[0])
+
+            in_shares(share, n, lambda i: f"{what} of rows "
+                                          f"{ranges[i][0]}-{ranges[i][1] - 1}")
+            for part in parts:
+                _append(fh, part)
+        finally:
+            for part in parts:
+                os.unlink(part)
+
+
+def _write_part(part: str, write: Callable[[TextIO, int, int], None],
+                lo: int, hi: int) -> None:
+    """A forked child's share of write_ranges: rows [lo, hi) into the file
+    part."""
+    with open(part, "w", encoding="utf-8", newline="") as fh:
+        write(fh, lo, hi)
+
+
+def _append(fh: TextIO, part: str) -> None:
+    """Copy the bytes of the file part to the end of fh."""
+    fh.flush()
+    with open(part, "rb") as source:
+        shutil.copyfileobj(source, fh.buffer)
 
 
 @contextmanager

@@ -8,17 +8,15 @@ frozen; serialized artifacts depend on it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
-import os
-import shutil
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._util import (atomic_open, in_shares, naming_undecodable, shares,
-                    temp_beside)
+from ._util import naming_undecodable, write_ranges
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -184,9 +182,8 @@ def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 # rows formatted per write: bounds the text held at once to under a megabyte
 _WRITE_CHUNK_ROWS = 4096
-# write_matrix_csv formats one contiguous row range per share, every range
-# but the first in a forked child; no range is shorter than this, one chunk,
-# since a fork costs a few milliseconds
+# the shortest row range that write_matrix_csv gives a share of its own, one
+# chunk, since a fork costs a few milliseconds
 _MIN_WRITE_ROWS = 4096
 
 
@@ -198,44 +195,21 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     window-then-source order). Rows are formatted a chunk at a time and
     streamed to the atomic temp file, so the text is never held whole.
 
-    The rows are cut into one contiguous range per share (_util.shares),
-    none shorter than _MIN_WRITE_ROWS. This process writes the first range
-    to the temp file; a forked child writes each other range to a part file
-    beside path (_util.in_shares), which this process then appends in order
-    and unlinks. The error raised is that of the earliest bad row in file
+    _util.write_ranges writes them: one contiguous range per share, none
+    shorter than _MIN_WRITE_ROWS, every range but the first formatted in a
+    forked child. The error raised is that of the earliest bad row in file
     order.
     """
     row_format = ",".join(["%d", "%d", "%s"] + ["%.9g"] * matrix.n_features
                           + ["%d"]) + "\n"
-    n = shares(matrix.n_rows, _MIN_WRITE_ROWS)
-    bounds = [matrix.n_rows * i // n for i in range(n + 1)]
-    ranges = list(zip(bounds, bounds[1:]))
-    with atomic_open(path) as fh:
-        fh.write(",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
-                 + ",target\n")
-        parts: list[str] = []
-        try:
-            for _ in ranges[1:]:
-                fd, part = temp_beside(path)
-                os.close(fd)
-                parts.append(part)
-
-            def write(i: int) -> None:
-                if i:
-                    _write_part(parts[i - 1], matrix, row_format, *ranges[i])
-                else:
-                    _write_rows(fh, matrix, row_format, *ranges[0])
-
-            in_shares(write, n, lambda i: "the feature-CSV writer of rows "
-                                          f"{ranges[i][0]}-{ranges[i][1] - 1}")
-            for part in parts:
-                _append(fh, part)
-        finally:
-            for part in parts:
-                os.unlink(part)
+    head = (",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
+            + ",target\n")
+    write_ranges(path, head, matrix.n_rows, _MIN_WRITE_ROWS,
+                 functools.partial(_write_rows, matrix, row_format),
+                 "the feature-CSV writer")
 
 
-def _write_rows(fh: TextIO, matrix: FeatureMatrix, row_format: str,
+def _write_rows(matrix: FeatureMatrix, row_format: str, fh: TextIO,
                 lo: int, hi: int) -> None:
     """Format matrix rows [lo, hi) to fh a chunk at a time."""
     for start in range(lo, hi, _WRITE_CHUNK_ROWS):
@@ -246,20 +220,6 @@ def _write_rows(fh: TextIO, matrix: FeatureMatrix, row_format: str,
                    *matrix.X[rows].T.tolist(),
                    matrix.y[rows].tolist()]
         fh.write("".join([row_format % row for row in zip(*columns)]))
-
-
-def _write_part(part: str, matrix: FeatureMatrix, row_format: str,
-                lo: int, hi: int) -> None:
-    """A forked child's work: format rows [lo, hi) into the file part."""
-    with open(part, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, matrix, row_format, lo, hi)
-
-
-def _append(fh: TextIO, part: str) -> None:
-    """Copy the bytes of the file part to the end of fh."""
-    fh.flush()
-    with open(part, "rb") as source:
-        shutil.copyfileobj(source, fh.buffer)
 
 
 def _read_header(fh, path: str) -> list[str]:

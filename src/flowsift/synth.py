@@ -12,22 +12,27 @@ Hard mode gives the positive classes the background profile instead, which
 removes the statistical signal while keeping the label mixture, and is used
 to show the pipeline failing honestly on inseparable data.
 
-Generation is column-wise. Each source draws its flows as arrays (the same
-random draws, in the same order, as one row at a time would take), the
-sources' columns are concatenated and sorted once, and the sorted rows are
-formatted a chunk at a time, which write_synth writes as it goes. Rows are
-ordered by start time, then source address, then the source's own emission
-order, so a seed always gives the same bytes.
+Generation is column-wise, in two steps. The first, in one process, draws
+each source's flows as arrays (the same random draws, in the same order,
+as one row at a time would take), concatenates the sources' columns and
+sorts them once. The second formats any range of the sorted rows a chunk
+at a time; write_synth gives each share of the rows to a forked child of
+its own (_util.write_ranges), and synthesize formats them all in this
+process. Rows are ordered by start time, then source address, then the
+source's own emission order, so a seed always gives the same bytes, at any
+number of shares.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from ._util import atomic_open
+from ._util import write_ranges
 from .errors import BadConfig
 from .ingest import HEADER_LINE, parse_timestamp, render_timestamp
 
@@ -35,7 +40,8 @@ _BASE_TIME_US = parse_timestamp("2011/08/16 10:00:00.000000")
 
 _DIST_KINDS = ("exp", "lognormal", "normal")
 
-# flow lines formatted, and written by write_synth, at a time
+# flow lines formatted, and written by write_synth, at a time; also the
+# shortest row range write_synth forks a child for
 _CHUNK = 4096
 
 
@@ -251,9 +257,17 @@ def _kind_fields(profile: ClassProfile, addr: str) -> list[tuple[str, ...]]:
     return fields
 
 
-def _chunks(cfg: SynthConfig) -> Iterator[list[str]]:
-    """The capture's flow lines, _CHUNK at a time, in order of time, then
-    source address, then the source's own emission order."""
+class _Rows(NamedTuple):
+    """A capture's flows as columns, and the order they are written in."""
+
+    cols: dict[str, np.ndarray]
+    order: np.ndarray               # the flows' column indices in file order
+    fields: list[tuple[str, ...]]   # text fields by "kind" (_kind_fields)
+
+
+def _sorted_rows(cfg: SynthConfig) -> _Rows:
+    """Draw the capture's flows and order them by time, then source
+    address, then the source's own emission order."""
     rng = np.random.default_rng(cfg.seed)
     draws: list[dict[str, np.ndarray]] = []
     addrs: list[str] = []
@@ -269,7 +283,7 @@ def _chunks(cfg: SynthConfig) -> Iterator[list[str]]:
             addrs.append(addr)
             draws.append(source)
     if not draws:
-        return
+        return _Rows({}, np.empty(0, dtype=np.intp), fields)
     counts = np.array([len(d["t_us"]) for d in draws])
     # one column at a time, each source's pieces released as they are
     # copied, so no column is held twice
@@ -282,12 +296,17 @@ def _chunks(cfg: SynthConfig) -> Iterator[list[str]]:
     # when the rows were sorted by the address text
     _, src_rank = np.unique(np.array(addrs), return_inverse=True)
     order = np.lexsort((j, np.repeat(src_rank, counts), cols["t_us"]))
-    del j
+    return _Rows(cols, order, fields)
+
+
+def _lines(rows: _Rows, lo: int, hi: int) -> Iterator[list[str]]:
+    """The flow lines of rows [lo, hi) in file order, _CHUNK at a time."""
+    cols, fields = rows.cols, rows.fields
     # each whole second seen so far, rendered once without its ".ffffff"
     stamps: dict[int, str] = {}
-    for lo in range(0, len(order), _CHUNK):
-        rows = order[lo:lo + _CHUNK]
-        secs, us = divmod(cols["t_us"][rows], 1_000_000)
+    for start in range(lo, hi, _CHUNK):
+        take = rows.order[start:min(start + _CHUNK, hi)]
+        secs, us = divmod(cols["t_us"][take], 1_000_000)
         for s in np.unique(secs).tolist():
             if s not in stamps:
                 stamps[s] = render_timestamp(s * 1_000_000)[:-7]
@@ -296,27 +315,38 @@ def _chunks(cfg: SynthConfig) -> Iterator[list[str]]:
             f"77.75.{a}.{b},{dport},{state_tos},{pk},{tb},{sb},{label}"
             for s, u, dur, (proto_src, dir_field, state_tos, label), sport,
             dport, a, b, pk, tb, sb in zip(
-                secs.tolist(), us.tolist(), cols["dur"][rows].tolist(),
-                map(fields.__getitem__, cols["kind"][rows].tolist()),
-                *(cols[name][rows].tolist() for name in (
+                secs.tolist(), us.tolist(), cols["dur"][take].tolist(),
+                map(fields.__getitem__, cols["kind"][take].tolist()),
+                *(cols[name][take].tolist() for name in (
                     "sport", "dport", "dst_a", "dst_b", "pkts", "tot_bytes",
                     "src_bytes")))]
 
 
+def _write_lines(rows: _Rows, fh: TextIO, lo: int, hi: int) -> None:
+    """Write the lines of rows [lo, hi) to fh, each chunk as it is
+    formatted."""
+    for chunk in _lines(rows, lo, hi):
+        fh.write("\n".join(chunk) + "\n")
+
+
 def synthesize(cfg: SynthConfig) -> list[str]:
     """All flow lines (no header), sorted by time, then source address,
-    then the source's own emission order."""
-    return [line for chunk in _chunks(cfg) for line in chunk]
+    then the source's own emission order. One process formats them all:
+    write_synth's lines, formatted in forked ranges, must equal these."""
+    rows = _sorted_rows(cfg)
+    return [line for chunk in _lines(rows, 0, len(rows.order))
+            for line in chunk]
 
 
 def write_synth(path, cfg: SynthConfig) -> int:
-    """Write header plus generated rows; returns the row count. Each chunk
-    of lines is written as it is formatted, so the text is never held
-    whole."""
-    n = 0
-    with atomic_open(path) as fh:
-        fh.write(HEADER_LINE + "\n")
-        for chunk in _chunks(cfg):
-            fh.write("\n".join(chunk) + "\n")
-            n += len(chunk)
+    """Write header plus generated rows; returns the row count. The rows
+    are drawn and sorted here; _util.write_ranges formats them in one
+    contiguous range per share, none shorter than _CHUNK, every range but
+    the first in a forked child, each chunk written as it is formatted, so
+    the text is never held whole."""
+    rows = _sorted_rows(cfg)
+    n = len(rows.order)
+    write_ranges(path, HEADER_LINE + "\n", n, _CHUNK,
+                 functools.partial(_write_lines, rows),
+                 "the synthetic-capture writer")
     return n

@@ -34,3 +34,20 @@ def affinity_mask_unchanged():
         os.sched_setaffinity(0, before)
         pytest.fail(f"the test left the CPU affinity mask at "
                     f"{sorted(after)}, not {sorted(before)}")
+
+
+@pytest.fixture(autouse=True)
+def no_temp_file_left(request):
+    """Fail a test that leaves a ".tmp-...~" file (_util.temp_beside)
+    anywhere under its tmp_path: the temp file of an atomic write, or a part
+    file of a forked row-range writer, that was neither renamed nor
+    unlinked."""
+    tmp_path = (request.getfixturevalue("tmp_path")
+                if "tmp_path" in request.fixturenames else None)
+    yield
+    if tmp_path is None:
+        return
+    left = sorted(str(p.relative_to(tmp_path))
+                  for p in tmp_path.rglob(".tmp-*~"))
+    if left:
+        pytest.fail(f"the test left temp files behind: {left}")

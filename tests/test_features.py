@@ -507,7 +507,7 @@ def test_failed_forked_write_raises_the_earliest_bad_row(
 def test_forked_writer_that_reports_nothing_is_a_child_process_error(
         tmp_path, monkeypatch):
     force_write_ranges(monkeypatch, 2)
-    monkeypatch.setattr(features, "_write_part", lambda *args: os._exit(3))
+    monkeypatch.setattr(_util, "_write_part", lambda *args: os._exit(3))
     path = str(tmp_path / "m.csv")
     with pytest.raises(ChildProcessError,
                        match="writer of rows 4500-8999 ended"):

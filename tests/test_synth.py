@@ -1,5 +1,6 @@
 """Synthetic capture generator: determinism, class mixture, and shape."""
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from flowsift import (
     synthesize,
     write_synth,
 )
-from flowsift import synth
+from flowsift import _util, synth
 from flowsift.ingest import HEADER_LINE, render_timestamp
 from flowsift.synth import _BASE_TIME_US, _arrival_times, _draw
 
@@ -339,10 +340,42 @@ ORACLE_CONFIGS = {
 }
 
 
+def force_shares(monkeypatch, shares):
+    """Make write_synth cut a capture of at least 100 flows per share into
+    shares row ranges, and count the children it forks; returns a reader
+    of the count."""
+    monkeypatch.setattr(_util, "usable_cores", lambda: shares)
+    monkeypatch.setattr(synth, "_CHUNK", 100)
+    real = _util.forked
+    children = []
+
+    def counting(tasks):
+        children.append(len(tasks))
+        return real(tasks)
+
+    monkeypatch.setattr(_util, "forked", counting)
+    return lambda: sum(children)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
+
+
 @pytest.mark.parametrize("name", ORACLE_CONFIGS)
-def test_matches_per_row_reference(name):
+def test_matches_per_row_reference(tmp_path, monkeypatch, name):
+    """synthesize gives the per-row generator's lines, and write_synth
+    their bytes however many forked shares format them."""
     cfg = ORACLE_CONFIGS[name]
-    assert synthesize(cfg) == _reference_synthesize(cfg)
+    lines = _reference_synthesize(cfg)
+    assert synthesize(cfg) == lines
+    text = ("\n".join([HEADER_LINE] + lines) + "\n").encode("utf-8")
+    for shares in (1, 2, 3) if hasattr(os, "fork") else (1,):
+        with monkeypatch.context() as patch:
+            children = force_shares(patch, shares)
+            path = tmp_path / f"flows-{shares}.csv"
+            assert write_synth(str(path), cfg) == len(lines)
+            assert children() == shares - 1
+        assert path.read_bytes() == text
 
 
 def test_shared_prefix_config_meets_on_a_microsecond():
@@ -377,3 +410,67 @@ def test_capture_without_flows_writes_the_header_only(tmp_path):
     assert synthesize(cfg) == []
     assert write_synth(str(path), cfg) == 0
     assert path.read_text(encoding="utf-8") == HEADER_LINE + "\n"
+
+
+def failing_share(monkeypatch, failures):
+    """Patch the row-range formatter to raise failures[lo], an exception
+    type, for the range that starts at row lo."""
+    real = synth._write_lines
+
+    def write(rows, fh, lo, hi):
+        if lo in failures:
+            raise failures[lo](f"rows {lo}-{hi - 1}")
+        real(rows, fh, lo, hi)
+
+    monkeypatch.setattr(synth, "_write_lines", write)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@needs_fork
+@pytest.mark.parametrize("failures,error", [
+    ({2: ZeroDivisionError}, ZeroDivisionError),
+    ({0: OverflowError}, OverflowError),
+    ({0: OverflowError, 2: ZeroDivisionError}, OverflowError),
+    ({1: KeyError, 2: ZeroDivisionError}, KeyError),
+], ids=["child", "this-range", "this-range-first", "first-child-first"])
+def test_failed_forked_synth_write_raises_the_earliest_range(
+        tmp_path, monkeypatch, failures, error):
+    """Three shares; failures maps a share's index to the exception its
+    range raises. The earliest failed range in file order decides the
+    error, with its own type; the previous file stays, and no temp or part
+    file, and no child, is left."""
+    cfg = tiny_config(seed=12)
+    rows = len(synthesize(cfg))
+    children = force_shares(monkeypatch, 3)
+    failing_share(monkeypatch, {rows * share // 3: exc
+                                for share, exc in failures.items()})
+    path = tmp_path / "flows.csv"
+    path.write_bytes(b"previous\n")
+    with pytest.raises(error):
+        write_synth(str(path), cfg)
+    assert children() == 2
+    assert path.read_bytes() == b"previous\n"
+    assert os.listdir(tmp_path) == ["flows.csv"]
+    assert_no_child_left()
+
+
+@needs_fork
+def test_forked_synth_writer_that_sends_nothing_is_a_child_process_error(
+        tmp_path, monkeypatch):
+    cfg = tiny_config(seed=12)
+    rows = len(synthesize(cfg))
+    force_shares(monkeypatch, 2)
+    real = synth._write_lines
+    monkeypatch.setattr(synth, "_write_lines", lambda r, fh, lo, hi: (
+        os._exit(3) if lo else real(r, fh, lo, hi)))
+    path = tmp_path / "flows.csv"
+    with pytest.raises(ChildProcessError,
+                       match=f"synthetic-capture writer of rows "
+                             f"{rows // 2}-{rows - 1} ended"):
+        write_synth(str(path), cfg)
+    assert os.listdir(tmp_path) == []
+    assert_no_child_left()
