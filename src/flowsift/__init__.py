@@ -10,12 +10,10 @@ captures for end-to-end checks.
 The names below are exported lazily (PEP 562): a module is imported the
 first time one of its names is looked up, so `import flowsift.synth` pays
 for synth and what it imports, not for the whole pipeline. The submodules
-are exported under their own names, except split, which names the function
-flowsift.split.split (see _Package).
+are exported under their own names. split and SplitSpec live in the private
+module _split, so the name split is always the function.
 """
 from importlib import import_module as _import_module
-from sys import modules as _modules
-from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -47,7 +45,7 @@ _EXPORTS = {
         "CorrelationMatrix", "PcaModel", "backward_elimination",
         "correlation_filter", "pca_fit", "pca_reconstruct", "pca_transform",
         "pearson_matrix", "write_selection_report"),
-    "split": ("SplitSpec", "split"),
+    "_split": ("SplitSpec", "split"),
     "sweep": (
         "ScenarioCell", "SweepCell", "SweepResult", "repeat_runs",
         "run_grid", "run_single", "scenario_compare", "sweep_csv",
@@ -62,8 +60,10 @@ _EXPORTS = {
 
 # exported name -> the module that defines it
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+# the submodules exported under their own names: all but the private _split
+_MODULES = {module for module in _EXPORTS if not module.startswith("_")}
 
-__all__ = sorted(set(_HOME) | set(_EXPORTS))
+__all__ = sorted(set(_HOME) | _MODULES)
 
 
 def __getattr__(name: str):
@@ -72,7 +72,7 @@ def __getattr__(name: str):
     if name in _HOME:
         value = getattr(_import_module(f".{_HOME[name]}", __name__),
                         name)
-    elif name in _EXPORTS:
+    elif name in _MODULES:
         value = _import_module(f".{name}", __name__)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -82,17 +82,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(__all__))
-
-
-class _Package(_ModuleType):
-    """The package's type. The import system binds each submodule to its
-    name here when it first loads it; for split that would hide the
-    exported split function behind the flowsift.split module, so that
-    binding is dropped and the name is left to __getattr__."""
-
-    def __setattr__(self, name, value):
-        if name != "split" or not isinstance(value, _ModuleType):
-            super().__setattr__(name, value)
-
-
-_modules[__name__].__class__ = _Package

@@ -30,7 +30,7 @@ from .metrics import (MAX_BINS, evaluate, histogram,
                       write_metrics_report)
 from .select import (backward_elimination, correlation_filter, pca_fit,
                      pca_transform, write_selection_report)
-from .split import SplitSpec
+from ._split import SplitSpec
 from .sweep import (repeat_runs, run_grid, scenario_compare, write_repeat_csv,
                     write_scenarios_csv, write_sweep_csv)
 from .synth import preset_scenario9, write_synth

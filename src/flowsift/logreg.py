@@ -96,6 +96,13 @@ def sigmoid(z):
     return out
 
 
+def _margins(X, weights) -> np.ndarray:
+    """X @ weights, each row's dot product taken on its own. A threaded BLAS
+    matrix-vector product can give a row other bits depending on where the
+    threads cut the rows, so the thread count would reach the model file."""
+    return np.einsum("ij,j->i", X, weights)
+
+
 def _check_shapes(weights, X, y, class_weights):
     if X.ndim != 2:
         raise ShapeMismatch(f"X must be 2-D, got ndim={X.ndim}")
@@ -120,7 +127,8 @@ def loss(weights, bias: float, X, y, class_weights, l2_lambda: float) -> float:
     y = np.asarray(y, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     _check_shapes(weights, X, y, class_weights)
-    return _loss_at(X @ weights + bias, weights, y, class_weights, l2_lambda)
+    return _loss_at(_margins(X, weights) + bias, weights, y, class_weights,
+                    l2_lambda)
 
 
 def _loss_at(z, weights, y, class_weights, l2_lambda: float) -> float:
@@ -138,7 +146,7 @@ def gradient(weights, bias: float, X, y, class_weights,
     y = np.asarray(y, dtype=np.float64)
     class_weights = np.asarray(class_weights, dtype=np.float64)
     _check_shapes(weights, X, y, class_weights)
-    p = sigmoid(X @ weights + bias)
+    p = sigmoid(_margins(X, weights) + bias)
     r = class_weights * (p - y) / class_weights.sum()
     return np.einsum("ij,i->j", X, r) + l2_lambda * weights, float(r.sum())
 
@@ -188,9 +196,10 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
     loss. Stops when the gradient inf-norm falls below _TOL, when an accepted
     step improves the loss by less than _TOL, or when no halved step can
     decrease the loss (numerical floor); _MAX_ITER is only a safety cap,
-    reported as converged=False. The margins Xa @ θ are computed once per
-    iterate: the accepted candidate's margins serve the next iteration's
-    gradient, curvature and loss.
+    reported as converged=False. The margins Xa θ are computed once per
+    iterate, a row at a time (_margins), never as a threaded BLAS product:
+    the accepted candidate's margins serve the next iteration's gradient,
+    curvature and loss.
 
     The model's decision threshold is 0.5.
     """
@@ -206,7 +215,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
     norm_weights = class_weights / class_weights.sum()
 
     theta = np.zeros(matrix.n_features + 1)
-    z = Xa @ theta
+    z = _margins(Xa, theta)
     current = _loss_at(z, theta[:-1], y, class_weights, hp.l2_lambda)
     if not math.isfinite(current):
         raise NonFiniteLoss(f"initial loss is {current}")
@@ -226,7 +235,7 @@ def fit(matrix: FeatureMatrix, hyperparams: HyperParams | None = None
         step = 1.0
         for _ in range(_MAX_BACKTRACKS):
             theta_new = theta - step * direction
-            z_new = Xa @ theta_new
+            z_new = _margins(Xa, theta_new)
             candidate = _loss_at(z_new, theta_new[:-1], y, class_weights,
                                  hp.l2_lambda)
             if math.isfinite(candidate) and candidate <= current:
@@ -275,7 +284,8 @@ def predict_proba(model: LogRegModel, matrix: FeatureMatrix) -> np.ndarray:
     """P(positive) per row; the matrix schema must equal the model's."""
     _check_schema(model, matrix)
     # the standardized X is freed once its margins are taken
-    margins = model.standardization.transform(matrix.X) @ model.weights
+    margins = _margins(model.standardization.transform(matrix.X),
+                       model.weights)
     return sigmoid(margins + model.bias)
 
 

@@ -19,7 +19,7 @@ from .errors import BadComponentCount, SchemaMismatch, TooFewRows
 from .features import FeatureMatrix, weighted_gram
 from .logreg import fit
 from .metrics import evaluate
-from .split import SplitSpec, split
+from ._split import SplitSpec, split
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
 from .logreg import fit
 from .metrics import MetricsReport, evaluate
-from .split import SplitSpec, split
+from ._split import SplitSpec, split
 from .windows import (OrderedFlows, WindowConfig, build_matrix, order_flows,
                       stride_multiple)
 

@@ -348,6 +348,18 @@ for argv in (
 """
 
 
+def _child_digests(script: str, flows, out: Path, **run) -> tuple[dict, str]:
+    """Run script in a child process in the new directory out, on the flow
+    file flows; returns the sha256 of each file it wrote, by name, and its
+    stdout."""
+    out.mkdir()
+    proc = subprocess.run([sys.executable, "-c", script, str(flows)], cwd=out,
+                          capture_output=True, text=True, timeout=300, **run)
+    assert proc.returncode == 0, proc.stderr
+    return ({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in out.iterdir()}, proc.stdout)
+
+
 def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     """The same commands under OPENBLAS_NUM_THREADS=1 and =3 write the same
     bytes: every product over the row axis sums in an order the thread count
@@ -356,19 +368,58 @@ def test_outputs_do_not_depend_on_blas_thread_count(tmp_path):
     flows = tmp_path / "flows.csv"
     cfg = preset_scenario9(seed=42)
     write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))
-    digests = []
-    for threads in ("1", "3"):
-        out = tmp_path / f"threads-{threads}"
-        out.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-c", _PIPELINE_CHILD, str(flows)], cwd=out,
-            env=_child_env(OPENBLAS_NUM_THREADS=threads),
-            capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                        for path in out.iterdir()})
+    digests = [_child_digests(_PIPELINE_CHILD, flows,
+                              tmp_path / f"threads-{threads}",
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads))[0]
+               for threads in ("1", "3")]
     assert len(digests[0]) == 9
     assert digests[0] == digests[1]
+
+
+# runs in a child process, in its output directory, on the flow file named
+# by its one argument: the runbook's 90/15 featurize -> train -> eval
+_MODEL_CHILD = """
+import sys
+from flowsift._util import usable_cores
+from flowsift.cli import main
+flows = sys.argv[1]
+print(usable_cores())
+for argv in (
+    ["featurize", flows, "--width", "90", "--stride", "15", "-o", "f90.csv"],
+    ["train", "f90.csv", "-o", "m90.txt"],
+    ["eval", "f90.csv", "--model", "m90.txt", "-o", "eval90.txt"],
+):
+    if main(argv) != 0:
+        sys.exit(f"{argv} failed")
+"""
+
+
+@pytest.fixture(scope="module")
+def seed1_capture(tmp_path_factory):
+    """The full seed-1 preset capture: its 90/15 matrix has 38,234 rows,
+    enough for OpenBLAS to thread a matrix-vector product over them, which
+    the quarter-length seed-42 capture above is not."""
+    flows = tmp_path_factory.mktemp("seed1") / "flows.csv"
+    write_synth(str(flows), preset_scenario9(seed=1))
+    return flows
+
+
+def _feature_rows(out: Path) -> int:
+    with open(out / "f90.csv", "rb") as fh:
+        return sum(1 for _ in fh) - 1
+
+
+def test_model_does_not_depend_on_blas_thread_count(seed1_capture, tmp_path):
+    """featurize -> train -> eval on 38,234 rows writes the same bytes under
+    one, two and three BLAS threads. The model's last digits differed while
+    fit's margins were one BLAS matrix-vector product."""
+    digests = [_child_digests(_MODEL_CHILD, seed1_capture,
+                              tmp_path / f"threads-{threads}",
+                              env=_child_env(OPENBLAS_NUM_THREADS=threads))[0]
+               for threads in ("1", "2", "3")]
+    assert _feature_rows(tmp_path / "threads-1") == 38_234
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1] == digests[2]
 
 
 # runs in a child process, in its output directory, on the flow file named
@@ -390,6 +441,18 @@ for argv in (
 """
 
 
+def _pinned_and_unpinned(script: str, flows, tmp_path) -> list[dict]:
+    """The files script writes pinned to one CPU, then on every CPU this
+    process may use, by name and sha256."""
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pinned, stdout = _child_digests(
+        script, flows, tmp_path / "pinned", env=_child_env(),
+        preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+    assert stdout == "1\n"
+    return [pinned, _child_digests(script, flows, tmp_path / "unpinned",
+                                   env=_child_env())[0]]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="needs CPU affinity")
 def test_outputs_do_not_depend_on_usable_cores(tmp_path):
@@ -400,21 +463,18 @@ def test_outputs_do_not_depend_on_usable_cores(tmp_path):
     flows = tmp_path / "flows.csv"
     cfg = preset_scenario9(seed=42)
     write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))
-    one_cpu = {min(os.sched_getaffinity(0))}
-    digests = []
-    for name, preexec in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)),
-                          ("unpinned", None)):
-        out = tmp_path / name
-        out.mkdir()
-        proc = subprocess.run(
-            [sys.executable, "-c", _CORES_CHILD, str(flows)], cwd=out,
-            env=_child_env(), preexec_fn=preexec, capture_output=True,
-            text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        if preexec is not None:
-            assert proc.stdout == "1\n"
-        digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                        for path in out.iterdir()})
+    digests = _pinned_and_unpinned(_CORES_CHILD, flows, tmp_path)
+    assert len(digests[0]) == 3
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_model_does_not_depend_on_usable_cores(seed1_capture, tmp_path):
+    """Pinned, OpenBLAS starts one thread; unpinned, one per core. The
+    38,234-row model and its eval report are the same bytes either way."""
+    digests = _pinned_and_unpinned(_MODEL_CHILD, seed1_capture, tmp_path)
+    assert _feature_rows(tmp_path / "pinned") == 38_234
     assert len(digests[0]) == 3
     assert digests[0] == digests[1]
 

@@ -232,8 +232,8 @@ def test_fit_reaches_at_least_the_gradient_descent_loss():
 def reference_newton(matrix, hp):
     """The Newton loop as first written, in the augmented form: Xa is the
     standardized X beside a column of ones, θ = [w, b], and the margins
-    Xa @ θ are recomputed for every gradient and, through the public loss,
-    for every candidate. fit standardizes into Xa in place, computes each
+    Xa θ, one row's einsum at a time as in fit, are recomputed for every
+    gradient and, through the public loss, for every candidate. fit standardizes into Xa in place, computes each
     iterate's margins once and adds the ridge to the Hessian's diagonal; it
     must reach the same iterates bit for bit. The cap and tolerance are fit's
     own constants, read at call time."""
@@ -254,7 +254,7 @@ def reference_newton(matrix, hp):
     converged = False
     tol = flowsift.logreg._TOL
     for _ in range(flowsift.logreg._MAX_ITER):
-        p = sigmoid(Xa @ theta)
+        p = sigmoid(np.einsum("ij,j->i", Xa, theta))
         g = np.einsum("ij,i->j", Xa, norm_weights * (p - y)) + ridge * theta
         if float(np.abs(g).max()) < tol:
             converged = True

@@ -42,6 +42,7 @@ EAGER_ALL = [
 ]
 
 # the submodules exported under their own names; split names the function
+# that the private module _split defines
 MODULES = {"errors", "features", "ingest", "logreg", "metrics", "select",
            "sweep", "synth", "windows"}
 
@@ -64,7 +65,7 @@ def defined_object(name):
     """The object a flowsift module defines under name: the first module
     that binds name to an object it made itself (a constant counts as
     made where it is first bound)."""
-    for module in sorted(MODULES | {"split"}):
+    for module in sorted(MODULES | {"_split"}):
         namespace = vars(importlib.import_module(f"flowsift.{module}"))
         if name in namespace and getattr(namespace[name], "__module__",
                                          namespace["__name__"]) \
@@ -92,25 +93,33 @@ def test_importing_synth_leaves_the_pipeline_unimported():
 
 
 @pytest.mark.parametrize("first", [
-    "import flowsift.split",
+    "import flowsift._split",
     "import flowsift.sweep",
     "from flowsift import SplitSpec",
     "import flowsift; flowsift.split",
 ])
 def test_split_is_the_function_whatever_was_imported_first(first):
-    """The import system binds the flowsift.split module to the package's
-    split attribute when it first loads it; the exported function keeps the
-    name."""
+    """split and SplitSpec live in the private module flowsift._split, so
+    no submodule the import system binds on the package takes the name."""
     out = run_fresh(
         f"{first}\n"
-        "import flowsift.split\n"
+        "import flowsift._split\n"
         "from flowsift import split\n"
-        "import flowsift.split as by_path\n"
         "import sys\n"
-        "module = sys.modules['flowsift.split']\n"
-        "print(split is module.split, flowsift.split is module.split,\n"
-        "      by_path is module.split)")
-    assert out.split() == ["True", "True", "True"]
+        "module = sys.modules['flowsift._split']\n"
+        "print(split is module.split, flowsift.split is module.split)")
+    assert out.split() == ["True", "True"]
+
+
+def test_split_is_not_a_module():
+    out = run_fresh(
+        "try:\n"
+        "    import flowsift.split\n"
+        "except ModuleNotFoundError as exc:\n"
+        "    print(type(exc).__name__, exc.name)\n"
+        "import flowsift\n"
+        "print(flowsift.split is flowsift._split.split)")
+    assert out.split() == ["ModuleNotFoundError", "flowsift.split", "True"]
 
 
 def test_unknown_name_is_an_attribute_error():
