@@ -1,9 +1,11 @@
 """Small shared helpers: atomic file writes, number formatting, and every
 decision about parallel work: how many shares to deal it into, running them
-in forked children each on a core of its own, whether those children may
-call numpy's BLAS, and the OpenBLAS thread count. write_ranges, the text
-writer of the feature CSV and the synthetic capture, formats its rows in
-forked row ranges through them."""
+in forked children each on a core of its own, and whether those children
+may call numpy's BLAS. A forked block must make no BLAS call big enough for
+OpenBLAS to thread: a pool that OpenBLAS starts while a process is pinned
+keeps that one CPU. write_ranges, the text writer of the feature CSV and
+the synthetic capture, formats its rows in forked row ranges through
+them."""
 from __future__ import annotations
 
 import ctypes
@@ -16,8 +18,7 @@ import tempfile
 import threading
 import traceback
 from contextlib import contextmanager
-from typing import (Any, BinaryIO, Callable, Iterator, NamedTuple, Sequence,
-                    TextIO)
+from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 
 @contextmanager
@@ -184,10 +185,11 @@ def forked(tasks: Sequence[Callable[[BinaryIO], None]]
     for the whole block (see _pinned): this thread the first, the child of
     tasks[k] the CPU k + 1 places after it, round the mask. A forked task
     must not fork again: a pinned process sees usable_cores() == 1. A
-    thread started in the block keeps this thread's one CPU after it, and
+    thread started in the block keeps this thread's one CPU after it.
     OpenBLAS restarts its pool, shut down by the fork, at its next parallel
-    call: a caller that calls BLAS in the block runs it on one thread
-    (blas_threads).
+    call, and a pool started while a process is pinned keeps that one CPU:
+    a caller may call BLAS in the block only where no call is big enough
+    for OpenBLAS to thread.
     """
     with _pinned(len(tasks)) as cpus:
         children: list[tuple[int, BinaryIO]] = []
@@ -294,21 +296,12 @@ def receive_result(source: BinaryIO, sender: str) -> Any:
     return result
 
 
-class _Blas(NamedTuple):
-    """numpy's OpenBLAS, as _blas_thread_calls finds it."""
-
-    get: Callable[[], int]          # openblas_get_num_threads
-    set: Callable[[int], None]      # openblas_set_num_threads
-    # openblas_get_parallel(): 0 sequential, 1 pthreads, 2 OpenMP
-    parallel: int
-
-
 @functools.cache
-def _blas_thread_calls() -> _Blas | None:
-    """The thread-count calls and the parallel mode of the OpenBLAS numpy
-    loaded, or None where numpy's BLAS exports no such calls. They are
-    looked up through numpy's linalg extension, whose dependencies include
-    its BLAS: scipy_openblas_*64_ in the wheel's scipy-openblas."""
+def _blas_parallel() -> int | None:
+    """openblas_get_parallel() of the OpenBLAS numpy loaded: 0 sequential,
+    1 pthreads, 2 OpenMP; None where numpy's BLAS exports no such call. It
+    is looked up through numpy's linalg extension, whose dependencies
+    include its BLAS: scipy_openblas_*64_ in the wheel's scipy-openblas."""
     try:
         from numpy.linalg import _umath_linalg
         lib = ctypes.CDLL(_umath_linalg.__file__)
@@ -316,16 +309,12 @@ def _blas_thread_calls() -> _Blas | None:
         return None
     for prefix in ("scipy_", ""):
         for suffix in ("64_", ""):
-            name = f"{prefix}openblas_%s{suffix}"
             try:
-                get, set_, parallel = (lib[name % call] for call in (
-                    "get_num_threads", "set_num_threads", "get_parallel"))
+                get_parallel = lib[f"{prefix}openblas_get_parallel{suffix}"]
             except AttributeError:
                 continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            parallel.argtypes, parallel.restype = [], ctypes.c_int
-            return _Blas(get, set_, parallel())
+            get_parallel.argtypes, get_parallel.restype = [], ctypes.c_int
+            return get_parallel()
     return None
 
 
@@ -336,26 +325,7 @@ def blas_survives_fork() -> bool:
     child that enters a parallel region after the parent's pool has started
     may hang. The probe asks the library loaded at run time, not numpy's
     build metadata."""
-    blas = _blas_thread_calls()
-    return blas is not None and blas.parallel in (0, 1)
-
-
-@contextmanager
-def blas_threads(n: int) -> Iterator[None]:
-    """Run the block with numpy's OpenBLAS on n threads, and give it back
-    its thread count however the block is left. Children forked in the
-    block inherit the count. Changes nothing where no thread-count call is
-    found (_blas_thread_calls)."""
-    blas = _blas_thread_calls()
-    if blas is None:
-        yield
-        return
-    before = blas.get()
-    blas.set(n)
-    try:
-        yield
-    finally:
-        blas.set(before)
+    return _blas_parallel() in (0, 1)
 
 
 def fmt_g9(value: float) -> str:

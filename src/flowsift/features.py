@@ -180,11 +180,10 @@ def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return gram
 
 
-# rows formatted per write: bounds the text held at once to under a megabyte
-_WRITE_CHUNK_ROWS = 4096
-# the shortest row range that write_matrix_csv gives a share of its own, one
-# chunk, since a fork costs a few milliseconds
-_MIN_WRITE_ROWS = 4096
+# rows formatted per write, which bounds the text held at once to under a
+# megabyte; also the shortest row range that write_matrix_csv forks a child
+# for, since a fork costs a few milliseconds
+_CHUNK = 4096
 
 
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
@@ -196,7 +195,7 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
     streamed to the atomic temp file, so the text is never held whole.
 
     _util.write_ranges writes them: one contiguous range per share, none
-    shorter than _MIN_WRITE_ROWS, every range but the first formatted in a
+    shorter than _CHUNK, every range but the first formatted in a
     forked child. The error raised is that of the earliest bad row in file
     order.
     """
@@ -204,7 +203,7 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
                           + ["%d"]) + "\n"
     head = (",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
             + ",target\n")
-    write_ranges(path, head, matrix.n_rows, _MIN_WRITE_ROWS,
+    write_ranges(path, head, matrix.n_rows, _CHUNK,
                  functools.partial(_write_rows, matrix, row_format),
                  "the feature-CSV writer")
 
@@ -212,8 +211,8 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
 def _write_rows(matrix: FeatureMatrix, row_format: str, fh: TextIO,
                 lo: int, hi: int) -> None:
     """Format matrix rows [lo, hi) to fh a chunk at a time."""
-    for start in range(lo, hi, _WRITE_CHUNK_ROWS):
-        rows = slice(start, min(start + _WRITE_CHUNK_ROWS, hi))
+    for start in range(lo, hi, _CHUNK):
+        rows = slice(start, min(start + _CHUNK, hi))
         columns = [matrix.window_index[rows].tolist(),
                    matrix.window_start_us[rows].tolist(),
                    matrix.src_addr[rows].tolist(),

@@ -62,16 +62,10 @@ class LabelClass(enum.IntEnum):
     @property
     def token(self) -> str:
         """Lowercase name used in CLI flags and report files."""
-        return _CLASS_TOKENS[self]
+        return self.name.lower()
 
 
-_CLASS_TOKENS = {
-    LabelClass.BACKGROUND: "background",
-    LabelClass.NORMAL: "normal",
-    LabelClass.BOTNET: "botnet",
-    LabelClass.CNC: "cnc",
-}
-_TOKEN_CLASSES = {v: k for k, v in _CLASS_TOKENS.items()}
+_TOKEN_CLASSES = {c.token: c for c in LabelClass}
 
 
 def class_from_token(token: str) -> LabelClass:

@@ -9,18 +9,18 @@ in-place and the rest of the grid still runs. A grid orders its flows once
 for all its builds (windows.order_flows), then deals the builds over the
 usable cores, each share but the first run by a forked worker process that
 sends its cells back; while workers run, each process has a core of its
-own and BLAS runs on one thread. Repeat runs re-execute a single cell
-under consecutive seeds to expose sampling variance; scenario comparison
-runs one fixed cell across several capture files.
+own, and no cell makes a BLAS call big enough for OpenBLAS to thread.
+Repeat runs re-execute a single cell under consecutive seeds to expose
+sampling variance; scenario comparison runs one fixed cell across several
+capture files.
 """
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
-from ._util import (atomic_write_text, blas_survives_fork, blas_threads,
-                    fmt_g9, in_shares, shares)
+from ._util import (atomic_write_text, blas_survives_fork, fmt_g9,
+                    in_shares, shares)
 from .errors import FlowsiftError
 from .features import FeatureMatrix
 from .ingest import FlowTable, read_flows
@@ -182,13 +182,15 @@ def run_grid(flows: FlowTable,
 
     The builds are dealt round-robin, in plan order, into shares
     (_util.shares, at most one per build), which run in forked workers
-    (_util.in_shares) with numpy's BLAS on one thread. Workers fit and
-    score, so everything runs in this process, BLAS threads untouched,
-    where numpy's BLAS may not survive a fork (_util.blas_survives_fork). A
-    cell's error is its status; any other exception in a share is raised
-    here, and a worker that ends without sending its cells raises
-    ChildProcessError. A repeated (width, stride) pair repeats its cell's
-    row.
+    (_util.in_shares), each process on a CPU of its own. Workers fit and
+    score, so everything runs in this process where numpy's BLAS may not
+    survive a fork (_util.blas_survives_fork). No cell makes a BLAS call
+    big enough for OpenBLAS to thread (margins are taken row by row, Gram
+    sums in 512-row blocks), since a pool that OpenBLAS started while a
+    process is pinned would keep that one CPU. A cell's error is its
+    status; any other exception in a share is raised here, and a worker
+    that ends without sending its cells raises ChildProcessError. A
+    repeated (width, stride) pair repeats its cell's row.
     """
     spec = spec or SplitSpec()
     combos = [(w, s) for w in widths for s in strides]
@@ -214,12 +216,8 @@ def run_grid(flows: FlowTable,
         return "the sweep worker for builds " + ", ".join(
             f"{width_s}/{served[0]}" for width_s, served in builds[i::n])
 
-    # set before the fork, so that every worker inherits the one thread, and
-    # given back after in_shares has given this thread its CPU mask back: a
-    # pool that OpenBLAS starts while this thread is pinned keeps its one CPU
-    with blas_threads(1) if n > 1 else contextlib.nullcontext():
-        cells = [cell for share in in_shares(run_share, n, sender)
-                 for cell in share]
+    cells = [cell for share in in_shares(run_share, n, sender)
+             for cell in share]
     done = {(c.width_s, c.stride_s): c for c in cells}
     return SweepResult(cells=[replace(done[ws]) for ws in combos])
 

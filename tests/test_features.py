@@ -419,11 +419,11 @@ def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):
 # --- the feature-CSV write in forked row ranges ------------------------------
 
 def force_write_ranges(monkeypatch, ranges):
-    """Make write_matrix_csv cut a matrix of at least 100 rows per range into
-    ranges ranges, and count the children it forks; returns a reader of the
-    count."""
+    """Make write_matrix_csv format 700 rows at a time and cut a matrix of
+    at least 700 rows per range into ranges ranges, and count the children
+    it forks; returns a reader of the count."""
     monkeypatch.setattr(_util, "usable_cores", lambda: ranges)
-    monkeypatch.setattr(features, "_MIN_WRITE_ROWS", 100)
+    monkeypatch.setattr(features, "_CHUNK", 700)
     real = _util.forked
     children = []
 
@@ -452,8 +452,8 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 @pytest.mark.parametrize("ranges", [1, 2, 3])
 def test_csv_write_in_forked_ranges_matches_per_cell_writer(
         tmp_path, monkeypatch, ranges):
-    """9,001 rows: every range but the last ends inside a 4,096-row chunk,
-    and range boundaries fall mid-chunk."""
+    """9,001 rows: every range holds several 700-row chunks and ends
+    inside one."""
     children = force_write_ranges(monkeypatch, ranges)
     m = adversarial_matrix(FEATURE_NAMES, 9001, seed=ranges)
     path = str(tmp_path / "m.csv")

@@ -1,7 +1,9 @@
 """Flow-file parsing, label classification, and ingest bookkeeping."""
+import io
 import itertools
 import math
 import os
+import pickle
 import random
 import threading
 import tracemalloc
@@ -34,6 +36,7 @@ from flowsift import (
     write_synth,
 )
 from flowsift import _util, ingest
+from flowsift.cli import main
 from flowsift.ingest import HEADER_LINE, TIMESTAMP_FORMAT
 
 BOT_ROW = ("2011/08/16 10:01:46.972101,3550.182373,udp,147.32.84.165,1025,"
@@ -530,6 +533,43 @@ def test_abort_raises_whichever_bad_line_comes_first(
         with pytest.raises(UnicodeDecodeError) as err:
             read_flows(path, on_error="abort")
         assert str(err.value).endswith(f"line {undecodable})")
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("sent,message", [
+    ("nothing", "ended without sending its rows"),
+    ("part of a column", "ended mid-column")])
+def test_range_parser_that_dies_is_a_child_process_error(
+        tmp_path, monkeypatch, capsys, sent, message):
+    """A range parser that exits before it sends anything, or after its
+    pickled header and half its first column, makes read_flows raise
+    ChildProcessError and featurize exit 2 without writing its output; no
+    child is left."""
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(_mixed_fixture().encode("utf-8"))
+    _force_ranges(monkeypatch, path, 2)
+    real = ingest._serve_range
+
+    def serve(path, lo, hi, abort, sink):
+        if sent == "part of a column":
+            reply = io.BytesIO()
+            real(path, lo, hi, abort, reply)
+            reply.seek(0)
+            sizes = pickle.load(reply)[-1]
+            sink.write(reply.getvalue()[:reply.tell() + sizes[0] // 2])
+            sink.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(ingest, "_serve_range", serve)
+    with pytest.raises(ChildProcessError,
+                       match=f"^an ingest range parser {message}$"):
+        read_flows(path)
+    _assert_no_child_left()
+    out = tmp_path / "features.csv"
+    assert main(["featurize", str(path), "--width", "60", "--stride", "60",
+                 "-o", str(out)]) == 2
+    assert f"an ingest range parser {message}" in capsys.readouterr().err
+    assert not out.exists()
     _assert_no_child_left()
 
 

@@ -18,6 +18,8 @@ from flowsift import (
     WindowConfig,
     build_matrix,
     parse_line,
+    preset_scenario9,
+    read_flows,
     repeat_runs,
     run_grid,
     run_single,
@@ -312,16 +314,10 @@ def _forced_cores(monkeypatch, n):
     monkeypatch.setattr(flowsift._util, "usable_cores", lambda: n)
 
 
-# numpy's BLAS as the probe finds it, or None where it finds none
-BLAS_CALLS = flowsift._util._blas_thread_calls()
-
-
 def _probe_reports(monkeypatch, parallel):
-    """Make the BLAS probe report OpenBLAS's parallel mode parallel, with
-    numpy's own thread-count calls where it has them; None: no probe."""
-    blas = BLAS_CALLS or flowsift._util._Blas(lambda: 1, lambda n: None, 0)
-    probe = None if parallel is None else blas._replace(parallel=parallel)
-    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
+    """Make the BLAS probe report OpenBLAS's parallel mode parallel; None:
+    no probe."""
+    monkeypatch.setattr(flowsift._util, "_blas_parallel", lambda: parallel)
 
 
 def _forking_two_shares(monkeypatch):
@@ -436,103 +432,51 @@ def test_sweep_csv_does_not_depend_on_usable_cores(corpus, monkeypatch):
     assert csvs[0] == csvs[1] == csvs[2]
 
 
-needs_blas_setter = pytest.mark.skipif(
-    BLAS_CALLS is None, reason="numpy's BLAS exports no thread-count call")
-
-
-@pytest.fixture
-def two_blas_threads():
-    """numpy's BLAS on two threads for the test, so that a count left at one
-    shows; the count it had is set again afterwards. Yields the getter."""
-    get, set_, _ = BLAS_CALLS
-    before = get()
-    set_(2)
-    yield get
-    set_(before)
-
-
-def _log_blas_threads(monkeypatch, width_s, log):
-    """Append the pid and BLAS thread count of the process that builds each
-    geometry of width width_s to the file log."""
-    get = BLAS_CALLS.get
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="counts threads in /proc/self/task")
+def test_forked_sweep_starts_no_blas_thread(monkeypatch, tmp_path):
+    """No cell of a forked grid makes a BLAS call big enough for OpenBLAS to
+    thread: a pool started while a process is pinned would keep its one
+    CPU. On the seed-1 full preset (38,234 rows at 90/15), this process runs
+    the 90 cells and the worker the 600 cells; each records its pid and
+    thread count before and after every cell's split, fit and evaluation.
+    The split is stratified, since a chronological one fails the 600 cells.
+    It gives 90/15 and 600/15 over 26,000 training rows each, on which
+    margins taken as one matrix-vector product start the pool in both
+    processes."""
+    if not flowsift._util.blas_survives_fork():
+        pytest.skip("numpy's BLAS may not be called in a forked worker")
+    capture = tmp_path / "flows.csv"
+    write_synth(str(capture), preset_scenario9(seed=1))
+    flows, _ = read_flows(str(capture))
+    grid = dict(widths=[90, 600], strides=[15, 60],
+                spec=SplitSpec(mode="stratified_random"))
+    log = tmp_path / "threads"
+    real = flowsift.sweep.run_single
 
     def record():
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {get()}\n")
+            fh.write(f"{os.getpid()} {len(os.listdir('/proc/self/task'))}\n")
 
-    _build_calling(monkeypatch, width_s, record)
+    def run_single(matrix, spec=None):
+        record()
+        reports = real(matrix, spec)
+        record()
+        return reports
 
-
-@needs_blas_setter
-def test_forked_sweep_runs_blas_on_one_thread(corpus, monkeypatch, tmp_path,
-                                              two_blas_threads):
-    """Both shares of a forked grid, this process's and the worker's, run
-    BLAS on one thread; after run_grid the count is what it was before."""
-    if not flowsift._util.blas_survives_fork():
-        pytest.skip("numpy's BLAS may not be called in a forked worker")
+    monkeypatch.setattr(flowsift.sweep, "run_single", run_single)
     _forced_cores(monkeypatch, 2)
-    log = tmp_path / "threads"
-    for width_s in TWO_SHARES["widths"]:
-        _log_blas_threads(monkeypatch, width_s, log)
-    want = sweep_csv(run_grid(corpus, **TWO_SHARES))
-    assert two_blas_threads() == 2
-    seen = [line.split() for line in log.read_text().splitlines()]
+    want = sweep_csv(run_grid(flows, **grid))
+    seen = [tuple(map(int, line.split()))
+            for line in log.read_text().splitlines()]
     assert len({pid for pid, _ in seen}) == 2, "two processes built"
-    assert [threads for _, threads in seen] == ["1", "1"]
+    here = [threads for pid, threads in seen if pid == os.getpid()]
+    worker = [threads for pid, threads in seen if pid != os.getpid()]
+    assert worker == [1] * 4
+    assert here == [here[0]] * 4
     monkeypatch.undo()
     _forced_cores(monkeypatch, 1)
-    assert sweep_csv(run_grid(corpus, **TWO_SHARES)) == want
-
-
-@needs_blas_setter
-@pytest.mark.parametrize("width_s", [90, 60], ids=["this-share", "worker"])
-def test_blas_thread_count_is_given_back_when_a_share_raises(
-        corpus, monkeypatch, width_s, two_blas_threads):
-    _forking_two_shares(monkeypatch)
-
-    def fail():
-        raise LookupError("raised in a share")
-
-    _build_calling(monkeypatch, width_s, fail)
-    with pytest.raises(LookupError, match="raised in a share"):
-        run_grid(corpus, **TWO_SHARES)
-    _assert_no_child_left()
-    assert two_blas_threads() == 2
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
-                    or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs an affinity mask of at least two CPUs")
-def test_blas_thread_count_is_given_back_after_the_cpu_mask(monkeypatch):
-    """A forked grid sets one BLAS thread before this thread is pinned and
-    gives the count back after its mask is: a pool that OpenBLAS starts
-    while this thread is pinned keeps its one CPU. Both builds of an empty
-    capture fail, so no share calls BLAS."""
-    masks = []
-    probe = flowsift._util._Blas(
-        lambda: 2, lambda n: masks.append((n, os.sched_getaffinity(0))), 1)
-    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
-    _forced_cores(monkeypatch, 2)
-    before = os.sched_getaffinity(0)
-    result = run_grid(FlowTable.from_records([]), **TWO_SHARES)
-    assert [c.status for c in result.cells] == ["error:EmptyInput"] * 2
-    assert masks == [(1, before), (2, before)]
-
-
-def test_one_share_grid_never_sets_blas_threads(corpus, monkeypatch):
-    """On one core, and with one build on two; a forked grid sets one
-    thread and then gives the count back."""
-    calls = []
-    forks = flowsift._util.blas_survives_fork()
-    probe = flowsift._util._Blas(lambda: 2, calls.append, 1 if forks else 2)
-    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
-    _forced_cores(monkeypatch, 1)
-    run_grid(corpus, **TWO_SHARES)
-    _forced_cores(monkeypatch, 2)
-    run_grid(corpus, widths=[90], strides=[15, 30])
-    assert calls == []
-    run_grid(corpus, **TWO_SHARES)
-    assert calls == ([1, 2] if forks else [])
+    assert sweep_csv(run_grid(flows, **grid)) == want
 
 
 def test_repeat_runs_chronological_is_seed_invariant(corpus):

@@ -243,9 +243,7 @@ def test_blas_probe_decides_whether_a_sweep_forks(monkeypatch, parallel,
     two-build grid fork a worker on two cores; OpenMP, or no probe, keeps it
     in one process. Both builds of an empty capture fail, so no share calls
     BLAS."""
-    probe = None if parallel is None else flowsift._util._Blas(
-        lambda: 1, lambda n: None, parallel)
-    monkeypatch.setattr(flowsift._util, "_blas_thread_calls", lambda: probe)
+    monkeypatch.setattr(flowsift._util, "_blas_parallel", lambda: parallel)
     monkeypatch.setattr(flowsift._util, "usable_cores", lambda: 2)
     real = flowsift._util.forked
     forks = []
@@ -263,8 +261,7 @@ def test_blas_probe_decides_whether_a_sweep_forks(monkeypatch, parallel,
 
 def test_blas_probe_reads_the_loaded_library():
     """numpy's bundled OpenBLAS reports its parallel mode: 0, 1 or 2."""
-    probe = flowsift._util._blas_thread_calls()
-    if probe is None:
+    parallel = flowsift._util._blas_parallel()
+    if parallel is None:
         pytest.skip("numpy's BLAS exports no OpenBLAS calls")
-    assert probe.parallel in (0, 1, 2)
-    assert probe.get() >= 1
+    assert parallel in (0, 1, 2)
