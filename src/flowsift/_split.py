@@ -53,7 +53,14 @@ def _check_side(name: str, y: np.ndarray) -> None:
 
 def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, FeatureMatrix]:
     """Partition rows as `spec` directs; raises DegenerateSplit when either
-    side comes out empty or single-class."""
+    side comes out empty or single-class.
+
+    A side whose rows form one run of the matrix is a view of it: the rows
+    of build_matrix, of stride_multiple and of a feature CSV that featurize
+    wrote are in (window start, window, source) order, so a chronological
+    split of them is a leading run and a trailing run. Any other side (the stratified
+    random split, rows out of order) is a copy. Both sides are read-only,
+    so an in-place write raises instead of reaching the matrix."""
     y = np.asarray(matrix.y)
     if matrix.n_rows == 0 or (y == y[0]).all():
         raise DegenerateSplit("matrix must contain both classes")
@@ -63,7 +70,20 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
         train_idx, test_idx = _stratified_random(matrix, spec)
     _check_side("train", y[train_idx])
     _check_side("test", y[test_idx])
-    return matrix.subset(train_idx), matrix.subset(test_idx)
+    sides = matrix.subset(_as_run(train_idx)), matrix.subset(_as_run(test_idx))
+    for side in sides:
+        for arr in (side.X, side.y, side.window_index, side.window_start_us,
+                    side.src_addr):
+            arr.flags.writeable = False
+    return sides
+
+
+def _as_run(idx: np.ndarray) -> slice | np.ndarray:
+    """Sorted distinct row numbers as a slice when they form one run, so
+    that subset takes views; otherwise idx itself."""
+    if idx[-1] - idx[0] + 1 == len(idx):
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def _chronological(matrix: FeatureMatrix,

@@ -64,8 +64,10 @@ class FeatureMatrix:
         return len(self.feature_names)
 
     def subset(self, indices) -> "FeatureMatrix":
-        """Row subset (indices array or boolean mask), metadata preserved."""
-        idx = np.asarray(indices)
+        """Row subset (indices array, boolean mask or slice), metadata
+        preserved. A slice gives views of this matrix's arrays, any other
+        index copies."""
+        idx = indices if isinstance(indices, slice) else np.asarray(indices)
         return FeatureMatrix(
             feature_names=self.feature_names,
             X=self.X[idx],
@@ -180,10 +182,12 @@ def weighted_gram(A: np.ndarray, c: np.ndarray) -> np.ndarray:
     return gram
 
 
-# rows formatted per write, which bounds the text held at once to under a
-# megabyte; also the shortest row range that write_matrix_csv forks a child
-# for, since a fork costs a few milliseconds
-_CHUNK = 4096
+# rows formatted per write: the text, and the per-column lists it is
+# formatted from, are held one chunk at a time
+_FORMAT_ROWS = 512
+# the shortest row range that write_matrix_csv forks a child for, since a
+# fork costs a few milliseconds
+_MIN_RANGE_ROWS = 4096
 
 
 def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
@@ -191,11 +195,11 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
 
     Reals carry 9 significant digits ("%.9g", the same text as fmt_g9). Row
     order is whatever the matrix holds (build_matrix emits the canonical
-    window-then-source order). Rows are formatted a chunk at a time and
-    streamed to the atomic temp file, so the text is never held whole.
+    window-then-source order). Rows are formatted _FORMAT_ROWS at a time
+    and streamed to the atomic temp file, so the text is never held whole.
 
     _util.write_ranges writes them: one contiguous range per share, none
-    shorter than _CHUNK, every range but the first formatted in a
+    shorter than _MIN_RANGE_ROWS, every range but the first formatted in a
     forked child. The error raised is that of the earliest bad row in file
     order.
     """
@@ -203,7 +207,7 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
                           + ["%d"]) + "\n"
     head = (",".join(_META_COLUMNS) + "," + ",".join(matrix.feature_names)
             + ",target\n")
-    write_ranges(path, head, matrix.n_rows, _CHUNK,
+    write_ranges(path, head, matrix.n_rows, _MIN_RANGE_ROWS,
                  functools.partial(_write_rows, matrix, row_format),
                  "the feature-CSV writer")
 
@@ -211,8 +215,8 @@ def write_matrix_csv(path: str, matrix: FeatureMatrix) -> None:
 def _write_rows(matrix: FeatureMatrix, row_format: str, fh: TextIO,
                 lo: int, hi: int) -> None:
     """Format matrix rows [lo, hi) to fh a chunk at a time."""
-    for start in range(lo, hi, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, hi))
+    for start in range(lo, hi, _FORMAT_ROWS):
+        rows = slice(start, min(start + _FORMAT_ROWS, hi))
         columns = [matrix.window_index[rows].tolist(),
                    matrix.window_start_us[rows].tolist(),
                    matrix.src_addr[rows].tolist(),

@@ -24,32 +24,23 @@ import functools
 import math
 import os
 import pickle
-import re
 from array import array
 from dataclasses import astuple, dataclass
-from datetime import datetime, timedelta
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+# HEADER_LINE, TIMESTAMP_FORMAT, parse_timestamp and render_timestamp are
+# this module's names too, defined where synth can import them without it
+from ._timestamps import (HEADER_LINE, TIMESTAMP_FORMAT, canonical_us,
+                          parse_timestamp, render_timestamp)
 from ._util import forked, naming_undecodable, shares
 from .errors import MalformedRow
 
-TIMESTAMP_FORMAT = "%Y/%m/%d %H:%M:%S.%f"
 HEADER_PREFIX = "StartTime"
 N_FIELDS = 15
 # a botnet label containing this substring is C&C traffic
 CNC_TOKEN = "cc"
-
-# All timestamps are naive; they are anchored to a fixed epoch so parsing never
-# depends on the host timezone.
-_EPOCH = datetime(1970, 1, 1)
-_US = timedelta(microseconds=1)
-# TIMESTAMP_FORMAT's canonical spelling up to the dot of its six-digit
-# fraction; any other token strptime accepts (one-digit fields, short
-# fractions, non-ASCII digits) takes the slow path
-_CANONICAL_SECOND = re.compile(r"\d{4}/\d\d/\d\d \d\d:\d\d:\d\d\.", re.ASCII)
-
 
 class LabelClass(enum.IntEnum):
     """The four traffic classes every raw label maps onto."""
@@ -128,46 +119,6 @@ def _classify(label_raw: str) -> tuple[LabelClass, bool]:
     return LabelClass.BACKGROUND, False
 
 
-def parse_timestamp(token: str) -> int:
-    """Parse "YYYY/MM/DD HH:MM:SS.ffffff" to microseconds since the epoch.
-
-    Accepts and rejects exactly the tokens datetime.strptime does with
-    TIMESTAMP_FORMAT; the canonical spelling skips strptime, and a bad
-    token raises ValueError.
-    """
-    try:
-        return _canonical_us(token)
-    except ValueError:
-        pass        # not canonical, or no such date or time: strptime decides
-    dt = datetime.strptime(token, TIMESTAMP_FORMAT)
-    return (dt - _EPOCH) // _US
-
-
-def _canonical_us(token: str) -> int:
-    """parse_timestamp of a token in the canonical spelling; ValueError for
-    any other token and for a date or time that does not exist."""
-    fraction = token[20:]
-    if not (len(token) == 26 and token.isascii() and fraction.isdigit()):
-        raise ValueError(f"not a canonical timestamp: {token!r}")
-    return _second_us(token[:20]) + int(fraction)
-
-
-@functools.lru_cache(maxsize=4096)
-def _second_us(stamp: str) -> int:
-    """Microseconds from the epoch to a canonical "YYYY/MM/DD HH:MM:SS.";
-    ValueError for any other string. Flows come in time order, so
-    consecutive rows mostly share the second."""
-    if not _CANONICAL_SECOND.fullmatch(stamp):
-        raise ValueError(f"not a canonical timestamp: {stamp!r}")
-    second = datetime(int(stamp[:4]), int(stamp[5:7]), int(stamp[8:10]),
-                      int(stamp[11:13]), int(stamp[14:16]), int(stamp[17:19]))
-    return (second - _EPOCH) // _US
-
-
-def render_timestamp(start_time_us: int) -> str:
-    return (_EPOCH + start_time_us * _US).strftime(TIMESTAMP_FORMAT)
-
-
 def _parse_port(token: str, line_no: int, name: str) -> int | None:
     if token == "":
         return None
@@ -239,7 +190,7 @@ def _typed_fields(fields: list[str], line_no: int) -> tuple:
         s_tos, d_tos = int(fields[9]), int(fields[10])
         tot_pkts, tot_bytes = int(fields[11]), int(fields[12])
         src_bytes = int(fields[13])
-        start_time_us = _canonical_us(fields[0])
+        start_time_us = canonical_us(fields[0])
     except ValueError:
         pass
     else:
@@ -329,10 +280,6 @@ def render_line(rec: FlowRecord) -> str:
         str(rec.src_bytes),
         rec.label_raw,
     ])
-
-
-HEADER_LINE = ("StartTime,Dur,Proto,SrcAddr,Sport,Dir,DstAddr,Dport,State,"
-               "sTos,dTos,TotPkts,TotBytes,SrcBytes,Label")
 
 
 @dataclass

@@ -280,12 +280,24 @@ def _check_schema(model: LogRegModel, matrix: FeatureMatrix) -> None:
             f"matrix has {list(matrix.feature_names)}")
 
 
+# rows predict_proba standardizes at a time: the scored matrix is never
+# held a second time, standardized, whatever its size
+_SCORE_BLOCK_ROWS = 4096
+
+
 def predict_proba(model: LogRegModel, matrix: FeatureMatrix) -> np.ndarray:
-    """P(positive) per row; the matrix schema must equal the model's."""
+    """P(positive) per row; the matrix schema must equal the model's.
+
+    The rows are standardized and their margins taken _SCORE_BLOCK_ROWS at
+    a time, into one vector of margins. Each row's margin is its own dot
+    product (_margins), so the blocks give the bits of one pass over all
+    rows."""
     _check_schema(model, matrix)
-    # the standardized X is freed once its margins are taken
-    margins = _margins(model.standardization.transform(matrix.X),
-                       model.weights)
+    margins = np.empty(matrix.n_rows)
+    for lo in range(0, matrix.n_rows, _SCORE_BLOCK_ROWS):
+        rows = slice(lo, lo + _SCORE_BLOCK_ROWS)
+        margins[rows] = _margins(
+            model.standardization.transform(matrix.X[rows]), model.weights)
     return sigmoid(margins + model.bias)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._util import write_ranges
 from .errors import BadConfig
-from .ingest import HEADER_LINE, parse_timestamp, render_timestamp
+from ._timestamps import HEADER_LINE, parse_timestamp, render_timestamp
 
 _BASE_TIME_US = parse_timestamp("2011/08/16 10:00:00.000000")
 

@@ -420,10 +420,11 @@ def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):
 
 def force_write_ranges(monkeypatch, ranges):
     """Make write_matrix_csv format 700 rows at a time and cut a matrix of
-    at least 700 rows per range into ranges ranges, and count the children
-    it forks; returns a reader of the count."""
+    at least 2,000 rows per range into ranges ranges, and count the
+    children it forks; returns a reader of the count."""
     monkeypatch.setattr(_util, "usable_cores", lambda: ranges)
-    monkeypatch.setattr(features, "_CHUNK", 700)
+    monkeypatch.setattr(features, "_FORMAT_ROWS", 700)
+    monkeypatch.setattr(features, "_MIN_RANGE_ROWS", 2000)
     real = _util.forked
     children = []
 

@@ -19,6 +19,7 @@ from flowsift import (
     IngestStats,
     LabelClass,
     MalformedRow,
+    SplitSpec,
     WindowConfig,
     build_matrix,
     classify_label,
@@ -32,10 +33,11 @@ from flowsift import (
     read_matrix_csv,
     render_line,
     render_timestamp,
+    run_single,
     write_matrix_csv,
     write_synth,
 )
-from flowsift import _util, ingest
+from flowsift import _util, ingest, logreg
 from flowsift.cli import main
 from flowsift.ingest import HEADER_LINE, TIMESTAMP_FORMAT
 
@@ -701,13 +703,29 @@ def test_read_matrix_csv_holds_the_matrix_once(capture_700s, tmp_path):
     assert fit(m) == fit(contiguous), "the view fits to the same bits"
 
 
-def test_predict_proba_holds_one_standardized_copy_of_x(capture_700s):
-    """predict_proba subtracts the means into one new array and divides it
-    in place, and frees it once the margins are taken. It peaked at 2.01x X
-    when the division made a second X-sized array."""
+def test_predict_proba_standardizes_one_block_at_a_time(capture_700s):
+    """predict_proba standardizes _SCORE_BLOCK_ROWS rows at a time and
+    writes their margins into one n-length vector; the rest of its peak is
+    the sigmoid's n-length temporaries. It peaked at 1.05x X (here more than
+    twice the bound) when it standardized every row into one new array."""
     table, _ = read_flows(capture_700s)
     m = build_matrix(table, WindowConfig(width_s=90, stride_s=15))
     model, _ = fit(m)
     proba, peak = _traced_peak(lambda: predict_proba(model, m))
     assert len(proba) == m.n_rows > 10_000
-    assert peak <= 1.2 * m.X.nbytes
+    block = logreg._SCORE_BLOCK_ROWS * m.n_features * m.X.itemsize
+    assert peak <= block + 8 * proba.nbytes
+
+
+def test_run_single_holds_no_copy_of_its_matrix(capture_700s):
+    """A chronological split of a built matrix is two views of it, and
+    scoring takes a block at a time, so a cell's peak is the fit's working
+    copy of the train side (0.3 x 22/21 of X here) and n-length vectors. It
+    peaked at 1.86x X when the split copied both sides and predict_proba
+    standardized the whole test side."""
+    table, _ = read_flows(capture_700s)
+    m = build_matrix(table, WindowConfig(width_s=90, stride_s=15))
+    (train, test), peak = _traced_peak(
+        lambda: run_single(m, SplitSpec(train_fraction=0.3)))
+    assert train.confusion.total + test.confusion.total > 10_000
+    assert peak <= 0.6 * m.X.nbytes

@@ -517,3 +517,20 @@ def test_load_rejects_unknown_schema_version(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaVersionMismatch):
             load_model(str(path))
+
+
+@pytest.mark.parametrize("blocks,extra", [(1, 1), (2, 3)],
+                         ids=["block+1", "2*block+3"])
+def test_predict_proba_in_blocks_matches_one_pass(blocks, extra):
+    """Scoring a block at a time gives the bits of standardizing every row
+    at once and taking the margins of the whole array."""
+    n = blocks * flowsift.logreg._SCORE_BLOCK_ROWS + extra
+    rng = np.random.default_rng(n)
+    X = (rng.normal(size=(n, 4)) * [1.0, 1e3, 1e-3, 1e6]
+         + [0.0, 5.0, -3.0, 1e4])
+    y = (X[:, 0] + rng.normal(size=n) > 0.5).astype(np.int8)
+    m = matrix_of(X, y)
+    model, _ = fit(m)
+    one_pass = sigmoid(flowsift.logreg._margins(
+        model.standardization.transform(X), model.weights) + model.bias)
+    assert predict_proba(model, m).tobytes() == one_pass.tobytes()

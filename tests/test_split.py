@@ -5,7 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from flowsift import DegenerateSplit, FeatureMatrix, SplitSpec, split
+from flowsift import (DegenerateSplit, FeatureMatrix, SplitSpec, WindowConfig,
+                      build_matrix, preset_scenario9, read_flows, split,
+                      write_synth)
+from flowsift._split import _chronological
 
 US = 1_000_000
 
@@ -153,3 +156,45 @@ def test_chronological_purge_gap_enforced():
     purge = 20
     train, test = split(m, SplitSpec(purge_gap_s=purge))
     assert test.window_start_us.min() >= train.window_start_us.max() + purge * US
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """The 90/15 build of a 10-minute preset capture."""
+    path = str(tmp_path_factory.mktemp("capture") / "capture.csv")
+    write_synth(path, replace(preset_scenario9(seed=1), duration_s=600.0))
+    table, _ = read_flows(path)
+    return build_matrix(table, WindowConfig(width_s=90, stride_s=15))
+
+
+ROW_FIELDS = ("X", "y", "window_index", "window_start_us", "src_addr")
+
+
+@pytest.mark.parametrize("fraction", [0.3, 0.7])
+def test_chronological_split_of_a_built_matrix_is_two_views(built, fraction):
+    """build_matrix's rows are in (window start, window, source) order, so
+    each chronological side is one run of them: a read-only view of the
+    matrix that equals the copy subset gathers of the same rows."""
+    spec = SplitSpec(train_fraction=fraction)
+    sides = split(built, spec)
+    for side, idx in zip(sides, _chronological(built, spec)):
+        copy = built.subset(idx)
+        for name in ROW_FIELDS:
+            got, base = getattr(side, name), getattr(built, name)
+            assert np.shares_memory(got, base), name
+            assert not got.flags.writeable, name
+            assert got.dtype == base.dtype, name
+            assert np.array_equal(got, getattr(copy, name)), name
+        assert side.feature_names == built.feature_names
+        assert side.meta == built.meta and side.meta is not built.meta
+    with pytest.raises(ValueError, match="read-only"):
+        sides[0].X[0, 0] += 1.0
+    assert built.X.flags.writeable
+
+
+def test_stratified_random_split_gathers_read_only_copies(built):
+    for side in split(built, SplitSpec(mode="stratified_random", seed=1)):
+        for name in ROW_FIELDS:
+            got = getattr(side, name)
+            assert not np.shares_memory(got, getattr(built, name)), name
+            assert not got.flags.writeable, name

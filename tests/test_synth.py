@@ -1,6 +1,8 @@
 """Synthetic capture generator: determinism, class mixture, and shape."""
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -474,3 +476,18 @@ def test_forked_synth_writer_that_sends_nothing_is_a_child_process_error(
         write_synth(str(path), cfg)
     assert os.listdir(tmp_path) == []
     assert_no_child_left()
+
+
+def test_importing_synth_leaves_the_parser_unimported():
+    """synth shares the timestamp and header-line code with ingest through
+    the private _timestamps, so generating a capture imports no parser."""
+    src = str(Path(synth.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, flowsift.synth\n"
+         "print(' '.join(m for m in sys.modules if m.startswith('flowsift')))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    assert "flowsift.synth" in out and "flowsift._timestamps" in out
+    assert "flowsift.ingest" not in out
