@@ -1,11 +1,8 @@
 """Small shared helpers: atomic file writes, number formatting, and every
 decision about parallel work: how many shares to deal it into, running them
-in forked children each on a core of its own, and whether those children
-may call numpy's BLAS. A forked block must make no BLAS call big enough for
-OpenBLAS to thread: a pool that OpenBLAS starts while a process is pinned
-keeps that one CPU. write_ranges, the text writer of the feature CSV and
-the synthetic capture, formats its rows in forked row ranges through
-them."""
+in forked children, and whether those children may call numpy's BLAS.
+write_ranges, the text writer of the feature CSV and the synthetic capture,
+formats its rows in forked row ranges through them."""
 from __future__ import annotations
 
 import ctypes
@@ -181,85 +178,43 @@ def forked(tasks: Sequence[Callable[[BinaryIO], None]]
     block is left, every child is killed, its pipe closed and the child
     reaped. Callers size tasks with shares.
 
-    Where the calling thread may run on several CPUs, each process gets one
-    for the whole block (see _pinned): this thread the first, the child of
-    tasks[k] the CPU k + 1 places after it, round the mask. A forked task
-    must not fork again: a pinned process sees usable_cores() == 1. A
-    thread started in the block keeps this thread's one CPU after it.
+    Every process runs on the whole affinity mask. A forked task must not
+    fork again: shares already gave the block one process per usable core.
     OpenBLAS restarts its pool, shut down by the fork, at its next parallel
-    call, and a pool started while a process is pinned keeps that one CPU:
-    a caller may call BLAS in the block only where no call is big enough
-    for OpenBLAS to thread.
+    call. A caller that calls BLAS in the block keeps every call too small
+    for OpenBLAS to thread, since a threaded call there would only
+    oversubscribe the cores.
     """
-    with _pinned(len(tasks)) as cpus:
-        children: list[tuple[int, BinaryIO]] = []
-        try:
-            for place, task in enumerate(tasks, start=1):
-                read_end, write_end = os.pipe()
-                # the parent closes each write end before the next fork, so
-                # no child holds another's pipe open past that child's exit
-                with open(write_end, "wb") as sink:
-                    source = open(read_end, "rb")
-                    try:
-                        pid = os.fork()
-                    except OSError:
-                        source.close()
-                        raise
-                    if pid == 0:
-                        _child(task, sink, cpus[place % len(cpus)] if cpus
-                               else None)
-                children.append((pid, source))
-            yield [source for _, source in children]
-        finally:
-            for pid, source in children:
-                # killed before its pipe closes, a child never reports the
-                # broken pipe; the kill is a no-op on one that has exited
-                os.kill(pid, signal.SIGKILL)
-                source.close()
-                os.waitpid(pid, 0)
-
-
-@contextmanager
-def _pinned(tasks: int) -> Iterator[list[int]]:
-    """Pin the calling thread to the first CPU of its affinity mask for the
-    block and yield the mask's CPUs in order; the mask is given back however
-    the block is left. Yields [] and pins nothing where there is no task,
-    the mask holds one CPU or the platform cannot pin.
-
-    A child that keeps its parent's whole mask often stays on the parent's
-    CPU for a burst as short as a runbook-sized ingest range, so the two
-    run one after the other; pinned, they run side by side."""
-    cpus = (sorted(os.sched_getaffinity(0))
-            if tasks and hasattr(os, "sched_getaffinity") else [])
-    if len(cpus) < 2 or not _set_affinity(cpus[:1]):
-        yield []
-        return
+    children: list[tuple[int, BinaryIO]] = []
     try:
-        yield cpus
+        for task in tasks:
+            read_end, write_end = os.pipe()
+            # the parent closes each write end before the next fork, so no
+            # child holds another's pipe open past that child's exit
+            with open(write_end, "wb") as sink:
+                source = open(read_end, "rb")
+                try:
+                    pid = os.fork()
+                except OSError:
+                    source.close()
+                    raise
+                if pid == 0:
+                    _child(task, sink)
+            children.append((pid, source))
+        yield [source for _, source in children]
     finally:
-        _set_affinity(cpus)
+        for pid, source in children:
+            # killed before its pipe closes, a child never reports the
+            # broken pipe; the kill is a no-op on one that has exited
+            os.kill(pid, signal.SIGKILL)
+            source.close()
+            os.waitpid(pid, 0)
 
 
-def _set_affinity(cpus: Sequence[int]) -> bool:
-    """Restrict the calling thread to cpus; False where the platform has no
-    affinity call or refuses it."""
-    if not hasattr(os, "sched_setaffinity"):
-        return False
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
-
-
-def _child(task: Callable[[BinaryIO], None], sink: BinaryIO,
-           cpu: int | None) -> None:
-    """A forked child's whole life: move to cpu, if any, run task on sink,
-    then exit."""
+def _child(task: Callable[[BinaryIO], None], sink: BinaryIO) -> None:
+    """A forked child's whole life: run task on sink, then exit."""
     status = 1
     try:
-        if cpu is not None:
-            _set_affinity([cpu])
         task(sink)
         sink.flush()
         status = 0

@@ -29,6 +29,14 @@ class CorrelationMatrix:
     constant_flags: np.ndarray
 
 
+def _covariance(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The column means of X and its population covariance matrix, summed
+    in weighted_gram's fixed row order."""
+    n = X.shape[0]
+    mean = X.mean(axis=0)
+    return mean, weighted_gram(X - mean, np.full(n, 1.0 / n))
+
+
 def pearson_matrix(matrix: FeatureMatrix) -> CorrelationMatrix:
     """Pairwise Pearson coefficients between feature columns.
 
@@ -39,9 +47,8 @@ def pearson_matrix(matrix: FeatureMatrix) -> CorrelationMatrix:
     if matrix.n_rows < 2:
         raise TooFewRows("pearson_matrix needs at least 2 rows")
     X = matrix.X
-    n = X.shape[0]
     constant = X.min(axis=0) == X.max(axis=0)
-    cov = weighted_gram(X - X.mean(axis=0), np.full(n, 1.0 / n))
+    _, cov = _covariance(X)
     std = np.sqrt(np.diag(cov).clip(min=0.0))
     denom = np.outer(std, std)
     live = ~constant
@@ -156,9 +163,7 @@ def pca_fit(matrix: FeatureMatrix, n_components: int) -> PcaModel:
     if not 1 <= n_components <= dim:
         raise BadComponentCount(
             f"n_components must be in 1..{dim}, got {n_components}")
-    X = matrix.X
-    mean = X.mean(axis=0)
-    cov = weighted_gram(X - mean, np.full(X.shape[0], 1.0 / X.shape[0]))
+    mean, cov = _covariance(matrix.X)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1][:n_components]
     components = eigvecs[:, order].T.copy()

@@ -8,8 +8,8 @@ instead of windowing again. Cells are independent, so failures are recorded
 in-place and the rest of the grid still runs. A grid orders its flows once
 for all its builds (windows.order_flows), then deals the builds over the
 usable cores, each share but the first run by a forked worker process that
-sends its cells back; while workers run, each process has a core of its
-own, and no cell makes a BLAS call big enough for OpenBLAS to thread.
+sends its cells back; no cell makes a BLAS call big enough for OpenBLAS to
+thread, so the processes do not oversubscribe the cores.
 Repeat runs re-execute a single cell under consecutive seeds to expose
 sampling variance; scenario comparison runs one fixed cell across several
 capture files.
@@ -101,6 +101,13 @@ def run_single(matrix: FeatureMatrix, spec: SplitSpec | None = None
 _CELL_ERRORS = (OSError, UnicodeDecodeError, FlowsiftError)
 
 
+def _ok_status(width_s: int, stride_s: int) -> str:
+    """The status of a cell that ran: "ok:stride_gap" where its stride
+    leaves gaps between windows, else "ok"."""
+    gap = WindowConfig(width_s=width_s, stride_s=stride_s).coverage_gap
+    return "ok:stride_gap" if gap else "ok"
+
+
 def _run_cell(width_s: int, stride_s: int, spec: SplitSpec,
               matrix: FeatureMatrix | Exception, t0: float) -> SweepCell:
     """Score one cell's matrix with run_single and record the outcome.
@@ -114,8 +121,7 @@ def _run_cell(width_s: int, stride_s: int, spec: SplitSpec,
     except _CELL_ERRORS as exc:
         cell.status = f"error:{type(exc).__name__}"
     else:
-        if WindowConfig(width_s=width_s, stride_s=stride_s).coverage_gap:
-            cell.status = "ok:stride_gap"
+        cell.status = _ok_status(width_s, stride_s)
     cell.wall_time_s = time.perf_counter() - t0
     return cell
 
@@ -182,13 +188,13 @@ def run_grid(flows: FlowTable,
 
     The builds are dealt round-robin, in plan order, into shares
     (_util.shares, at most one per build), which run in forked workers
-    (_util.in_shares), each process on a CPU of its own. Workers fit and
-    score, so everything runs in this process where numpy's BLAS may not
-    survive a fork (_util.blas_survives_fork). No cell makes a BLAS call
-    big enough for OpenBLAS to thread (margins are taken row by row, Gram
-    sums in 512-row blocks), since a pool that OpenBLAS started while a
-    process is pinned would keep that one CPU. A cell's error is its
-    status; any other exception in a share is raised here, and a worker
+    (_util.in_shares). Workers fit and score, so everything runs in this
+    process where numpy's BLAS may not survive a fork
+    (_util.blas_survives_fork). No cell makes a BLAS call big enough for
+    OpenBLAS to thread: margins are taken row by row, so that they do not
+    depend on the thread count, and Gram sums in 512-row blocks; a threaded
+    call in a worker would only oversubscribe the cores. A cell's error is
+    its status; any other exception in a share is raised here, and a worker
     that ends without sending its cells raises ChildProcessError. A
     repeated (width, stride) pair repeats its cell's row.
     """
@@ -239,9 +245,9 @@ def repeat_runs(flows: FlowTable,
     if runs < 2:
         raise ValueError(f"runs must be >= 2, got {runs}")
     spec = spec or SplitSpec(mode="stratified_random")
-    cfg = WindowConfig(width_s=width_s, stride_s=stride_s)
-    matrix = build_matrix(flows, cfg)
-    status = "ok:stride_gap" if cfg.coverage_gap else "ok"
+    matrix = build_matrix(flows, WindowConfig(width_s=width_s,
+                                              stride_s=stride_s))
+    status = _ok_status(width_s, stride_s)
     out: list[SweepCell] = []
     for seed in range(spec.seed, spec.seed + runs):
         t0 = time.perf_counter()

@@ -20,23 +20,6 @@ def no_child_process_left():
 
 
 @pytest.fixture(autouse=True)
-def affinity_mask_unchanged():
-    """Fail a test that leaves this process's CPU affinity mask changed: a
-    forked block that pinned this process and did not give the mask back.
-    The mask is given back first, so that later tests run on every CPU."""
-    if not hasattr(os, "sched_getaffinity"):
-        yield
-        return
-    before = os.sched_getaffinity(0)
-    yield
-    after = os.sched_getaffinity(0)
-    if after != before:
-        os.sched_setaffinity(0, before)
-        pytest.fail(f"the test left the CPU affinity mask at "
-                    f"{sorted(after)}, not {sorted(before)}")
-
-
-@pytest.fixture(autouse=True)
 def no_temp_file_left(request):
     """Fail a test that leaves a ".tmp-...~" file (_util.temp_beside)
     anywhere under its tmp_path: the temp file of an atomic write, or a part

@@ -436,10 +436,11 @@ def test_sweep_csv_does_not_depend_on_usable_cores(corpus, monkeypatch):
                     reason="counts threads in /proc/self/task")
 def test_forked_sweep_starts_no_blas_thread(monkeypatch, tmp_path):
     """No cell of a forked grid makes a BLAS call big enough for OpenBLAS to
-    thread: a pool started while a process is pinned would keep its one
-    CPU. On the seed-1 full preset (38,234 rows at 90/15), this process runs
-    the 90 cells and the worker the 600 cells; each records its pid and
-    thread count before and after every cell's split, fit and evaluation.
+    thread: beside the other process of the grid, a pool would only
+    oversubscribe the cores. On the seed-1 full preset (38,234 rows at
+    90/15), this process runs the 90 cells and the worker the 600 cells;
+    each records its pid and thread count before and after every cell's
+    split, fit and evaluation.
     The split is stratified, since a chronological one fails the 600 cells.
     It gives 90/15 and 600/15 over 26,000 training rows each, on which
     margins taken as one matrix-vector product start the pool in both
@@ -485,6 +486,16 @@ def test_repeat_runs_chronological_is_seed_invariant(corpus):
     for key, stats in dispersion.items():
         assert stats["range"] == 0.0, \
             f"{key} varied across seeds under a chronological split"
+
+
+@pytest.mark.parametrize("width,stride", [(30, 90), (60, 60)])
+def test_repeat_runs_status_is_the_sweep_cells(corpus, width, stride):
+    """A repeated cell carries the status its sweep cell has: ok, or
+    ok:stride_gap where the stride leaves gaps between windows."""
+    runs, _ = repeat_runs(corpus, width, stride, runs=2, spec=SplitSpec())
+    sweep_cell, = run_grid(corpus, widths=[width], strides=[stride]).cells
+    assert [r.status for r in runs] == [sweep_cell.status] * 2
+    assert sweep_cell.status == ("ok:stride_gap" if stride > width else "ok")
 
 
 def test_repeat_runs_dispersion_arithmetic(corpus):

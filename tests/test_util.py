@@ -1,9 +1,10 @@
 """Atomic writes (a failed write leaves the previous file and no temp
 file), the path:line restatement of undecodable input, how work is dealt
-into shares, where forked children run and how they report, and the BLAS
-probe that lets a sweep fork."""
-import functools
+into shares, how forked children end and report, and the BLAS probe that
+lets a sweep fork."""
 import os
+import pickle
+import signal
 import threading
 
 import numpy as np
@@ -12,8 +13,7 @@ import pytest
 import flowsift._util
 from flowsift import FeatureMatrix, FlowTable, run_grid, write_matrix_csv
 from flowsift._util import (atomic_open, atomic_write_text, forked,
-                            in_shares, naming_undecodable, receive_result,
-                            send_result, shares)
+                            in_shares, naming_undecodable, shares)
 
 
 def leftovers(directory):
@@ -85,85 +85,31 @@ def test_undecodable_error_names_the_line_past_the_first_chunk(tmp_path):
         f"invalid continuation byte ({path}, line 5000)")
 
 
-# --- placement: each forked process on a core of its own --------------------
+# --- the forked block's lifecycle -------------------------------------------
 
-def _report(value, sink):
-    """A forked task: send value and the child's CPU mask."""
-    send_result(lambda: (value, sorted(os.sched_getaffinity(0))), sink)
-
-
-def _run_forked(values):
-    """Run one _report task per value; return this process's mask inside
-    the block and what each child sent."""
-    with forked([functools.partial(_report, v) for v in values]) as sources:
-        inside = sorted(os.sched_getaffinity(0))
-        return inside, [receive_result(s, f"task {v}")
-                        for v, s in zip(values, sources)]
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="needs os.fork")
 
 
-needs_fork = pytest.mark.skipif(
-    not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")),
-    reason="needs os.fork and CPU affinity")
-needs_two_cpus = pytest.mark.skipif(
-    not hasattr(os, "sched_setaffinity")
-    or len(os.sched_getaffinity(0)) < 2,
-    reason="needs an affinity mask of at least two CPUs")
+def _send_pid_and_wait(sink):
+    """A forked task that sends its pid and never ends on its own."""
+    sink.write(b"%d\n" % os.getpid())
+    sink.flush()
+    signal.pause()
 
 
-@needs_two_cpus
-def test_forked_block_gives_each_process_a_cpu():
-    """This process holds the first CPU of its mask for the block; the child
-    of task k holds the CPU k + 1 places after it, round the mask, so three
-    tasks on two CPUs put the second on this process's CPU. The mask is
-    given back after the block."""
-    before = os.sched_getaffinity(0)
-    cpus = sorted(before)
-    values = ["a", "b", "c"]
-    inside, sent = _run_forked(values)
-    assert inside == cpus[:1]
-    assert sent == [(v, [cpus[k % len(cpus)]])
-                    for k, v in enumerate(values, start=1)]
-    assert os.sched_getaffinity(0) == before
-
-
-@needs_two_cpus
-def test_forked_block_gives_the_mask_back_on_interrupt():
-    before = os.sched_getaffinity(0)
+@needs_fork
+def test_forked_block_kills_and_reaps_every_child_on_interrupt():
+    """An interrupt in the block kills every child, though its task would
+    never end, and reaps it before the interrupt reaches the caller."""
     with pytest.raises(KeyboardInterrupt):
-        with forked([functools.partial(_report, "a")]):
-            assert len(os.sched_getaffinity(0)) == 1
+        with forked([_send_pid_and_wait] * 2) as sources:
+            pids = [int(source.readline()) for source in sources]
             raise KeyboardInterrupt
-    assert os.sched_getaffinity(0) == before
-
-
-@needs_fork
-def test_forked_block_without_tasks_pins_nothing():
-    before = os.sched_getaffinity(0)
-    with forked([]) as sources:
-        assert sources == []
-        assert os.sched_getaffinity(0) == before
-
-
-def _refuse(pid, cpus):
-    raise OSError(22, "Invalid argument")
-
-
-@needs_fork
-@pytest.mark.parametrize("platform", ["refuses", "cannot"])
-def test_forked_tasks_run_unpinned_where_affinity_cannot_be_set(
-        monkeypatch, platform):
-    """Where sched_setaffinity raises OSError, or does not exist, the tasks
-    still run and send what they send when pinned; the mask is unchanged."""
-    before = os.sched_getaffinity(0)
-    values = ["a", "b", "c"]
-    if platform == "refuses":
-        monkeypatch.setattr(os, "sched_setaffinity", _refuse, raising=False)
-    else:
-        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    inside, sent = _run_forked(values)
-    assert inside == sorted(before)
-    assert sent == [(v, sorted(before)) for v in values]
-    assert os.sched_getaffinity(0) == before
+    assert len(set(pids)) == 2 and os.getpid() not in pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 # --- dealing work into shares ------------------------------------------------
@@ -219,6 +165,15 @@ def test_in_shares_raises_a_childs_exception_with_its_type():
         in_shares(work, 3, str)
 
 
+def _send_half_and_exit(work, sink):
+    """A child's reply (send_result) cut short: the first half of its
+    pickled result, then an exit."""
+    data = pickle.dumps(work(), pickle.HIGHEST_PROTOCOL)
+    sink.write(data[:len(data) // 2])
+    sink.flush()
+    os._exit(3)
+
+
 @needs_fork
 def test_in_shares_names_the_sender_of_a_child_that_sends_nothing():
     def work(i):
@@ -229,6 +184,18 @@ def test_in_shares_names_the_sender_of_a_child_that_sends_nothing():
     with pytest.raises(ChildProcessError,
                        match="^the writer of share 1 ended without"):
         in_shares(work, 2, lambda i: f"the writer of share {i}")
+
+
+@needs_fork
+def test_in_shares_names_the_sender_of_a_child_that_sends_part_of_its_result(
+        monkeypatch):
+    """A reply cut off mid-pickle (UnpicklingError or EOFError on the
+    reading side) is a child that ended without sending its result."""
+    monkeypatch.setattr(flowsift._util, "send_result", _send_half_and_exit)
+    with pytest.raises(ChildProcessError,
+                       match="^the writer of share 1 ended without"):
+        in_shares(lambda i: list(range(i * 1000)), 2,
+                  lambda i: f"the writer of share {i}")
 
 
 # --- the BLAS probe ----------------------------------------------------------
