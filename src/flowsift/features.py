@@ -9,7 +9,6 @@ frozen; serialized artifacts depend on it.
 from __future__ import annotations
 
 import functools
-import itertools
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence, TextIO
@@ -253,41 +252,34 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
 
 
 def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
-    """np.loadtxt over the numeric columns and one split per line for
-    src_addr; None when the file has no rows, a cell loadtxt rejects, a row
-    of the wrong width, a non-finite feature or a target other than 0 or 1."""
+    """One np.loadtxt over the rows; None when the file has no rows, a cell
+    loadtxt rejects, a row of the wrong width, a non-finite feature or a
+    target other than 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         cols = _read_header(fh, path)
-        src: list[str] = []
-
-        def rows():
-            # the lines the per-line parser reads, checked for width here
-            # because loadtxt with usecols accepts a row with extra cells
-            for line in fh:
-                if line == "\n":
-                    continue
-                if line.count(",") != len(cols) - 1:
-                    raise ValueError("row width differs from the header")
-                src.append(line.split(",", 3)[2])
-                yield line
-
+        # loadtxt warns on a body with no rows, so the per-line reader takes
+        # one that starts with no row in its first 4,096 characters; a pipe
+        # cannot be peeked at and goes to loadtxt as it is
+        if fh.seekable():
+            body = fh.tell()
+            if not fh.read(4096).strip("\n"):
+                return None
+            fh.seek(body)
         dtype = np.dtype([("window_index", np.int64),
                           ("window_start_us", np.int64),
+                          ("src_addr", object),
                           ("X", np.float64, (len(cols) - 4,)),
                           ("target", np.int64)])
-        lines = rows()
         try:
-            # loadtxt warns on an empty input; that file needs no bulk parse
-            first = next(lines, None)
-            if first is None:
-                return None
-            table = np.loadtxt(itertools.chain([first], lines), dtype=dtype,
-                               delimiter=",", comments=None,
-                               usecols=[0, 1, *range(3, len(cols))], ndmin=1)
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                               ndmin=1)
         except ValueError:
             return None
+    src_addr = table["src_addr"].astype(str)
     # X and the row identities stay views of the table: copying them out
-    # would hold the matrix twice at the peak
+    # would hold the matrix twice at the peak. The table lives on as their
+    # base, so it must not keep a str per row as well
+    table["src_addr"] = None
     X = table["X"]
     y = table["target"]
     if not (np.isfinite(X).all() and ((y == 0) | (y == 1)).all()):
@@ -298,7 +290,7 @@ def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
         y=y.astype(np.int8),
         window_index=table["window_index"],
         window_start_us=table["window_start_us"],
-        src_addr=np.array(src),
+        src_addr=src_addr,
     )
 
 

@@ -419,7 +419,8 @@ class _Range(NamedTuple):
 def _parse_range(fh: BinaryIO, budget: int | None, abort: bool,
                  header: bool) -> _Range:
     """Parse the rows of the next budget bytes of fh (up to EOF when None);
-    header says the range starts the file, whose line 1 may be a header.
+    header says the range starts the file, whose line 1 may open with a
+    byte-order mark, which is dropped, and may be a header.
 
     The row loop appends each accepted row's values straight into typed
     buffers, validating through _split_fields and _typed_fields like
@@ -433,6 +434,8 @@ def _parse_range(fh: BinaryIO, budget: int | None, abort: bool,
     error = None
     try:
         for lines in _text_blocks(fh, budget):
+            if header and not line_no and lines and lines[0][:1] == "\ufeff":
+                lines[0] = lines[0][1:]
             for line in lines:
                 line_no += 1
                 if not line.strip() or (line_no == 1 and header and

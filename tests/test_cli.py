@@ -479,6 +479,42 @@ def test_model_does_not_depend_on_usable_cores(seed1_capture, tmp_path):
     assert digests[0] == digests[1]
 
 
+def _run_cli(argv, cwd, stdin=None) -> bytes:
+    """python -m flowsift argv in cwd, with stdin's bytes on a pipe when
+    given; returns its stdout."""
+    proc = subprocess.run([sys.executable, "-m", "flowsift", *argv], cwd=cwd,
+                          input=stdin,
+                          stdin=None if stdin is not None else subprocess.DEVNULL,
+                          capture_output=True, env=_child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="needs /dev/stdin")
+def test_input_on_a_pipe_reads_like_the_file(tmp_path):
+    """A pipe's size reads as 0, so ingest parses it in one range, and it
+    cannot seek; stats, featurize and train on /dev/stdin print and write
+    what they do on the file."""
+    flows = tmp_path / "flows.csv"
+    cfg = preset_scenario9(seed=42)
+    write_synth(str(flows), replace(cfg, duration_s=cfg.duration_s / 4))
+    data = flows.read_bytes()
+    outputs = []
+    for piped in (False, True):
+        source = "/dev/stdin" if piped else str(flows)
+        stdin = data if piped else None
+        stats = _run_cli(["stats", "--json", source], tmp_path, stdin)
+        _run_cli(["featurize", source, "--width", "90", "--stride", "15",
+                  "-o", "f90.csv"], tmp_path, stdin)
+        features = (tmp_path / "f90.csv").read_bytes()
+        _run_cli(["train", "/dev/stdin" if piped else "f90.csv",
+                  "-o", "m.txt"], tmp_path, features if piped else None)
+        outputs.append((stats, features, (tmp_path / "m.txt").read_bytes()))
+    assert json.loads(outputs[0][0])["total"] > 0
+    assert outputs[0] == outputs[1]
+
+
 def test_single_class_training_is_degenerate(tmp_path, capsys):
     flows = tmp_path / "flows.csv"
     write_flow_file(flows, [BACKGROUND_ROW.format(i=i) for i in (1, 2, 3)])

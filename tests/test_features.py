@@ -389,6 +389,12 @@ READER_CASES = {
     "missing-column": _FIRST + "1,1000000,h,2.0\n",
     "extra-column-first": "0,0,h,1.0,0,9\n1,1000000,h,2.0,1,7\n",
     "spaced-src": _FIRST + "1,1000000, h h ,2.0,1\n",
+    # src_addr's width and dtype come from its longest cell
+    "src-dst-key": _FIRST + "1,1000000,147.32.84.165>147.32.80.9,2.0,1\n",
+    "ipv6-src": _FIRST + "1,1000000,fe80::250:56ff:fec0:8,2.0,1\n",
+    "non-ascii-src": _FIRST + "1,1000000,hôte-ü>ж,2.0,1\n",
+    "mixed-length-src": _FIRST + "1,1000000,10.0.0.1,2.0,1\n"
+                        "2,2000000,a,3.0,0\n2,2000000,,4.0,1\n",
 }
 
 

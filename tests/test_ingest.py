@@ -439,10 +439,11 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _assert_reads_like_oracle(path):
+def _assert_reads_like_oracle(path, plain=None):
     """Both policies of read_flows agree with the parse_line oracle and
-    leave no child process behind."""
-    records, want_stats, first_bad = _oracle(path)
+    leave no child process behind. The oracle reads plain instead, when
+    given: path's text without its byte-order mark."""
+    records, want_stats, first_bad = _oracle(plain or path)
     want_stats.unrecognized_labels = 1          # "mystery-label"
     table, stats = read_flows(path, on_error="skip")
     _assert_no_child_left()
@@ -487,6 +488,55 @@ def test_read_flows_cut_after_any_kind_of_line(tmp_path, monkeypatch,
         assert ingest._range_starts(fh) == [0, *sorted(
             ends[index[k]] for k in landing if k != "last")]
     _assert_reads_like_oracle(path)
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+@pytest.mark.parametrize("ranges", range(1, 8))
+def test_read_flows_drops_a_leading_byte_order_mark(tmp_path, monkeypatch,
+                                                    ranges):
+    """A capture saved as UTF-8 with a byte-order mark reads as the same
+    capture without one: its header is still a header."""
+    plain = tmp_path / "mixed.csv"
+    plain.write_bytes(_mixed_fixture().encode("utf-8"))
+    path = tmp_path / "marked.csv"
+    path.write_bytes(BOM + plain.read_bytes())
+    _force_ranges(monkeypatch, path, ranges)
+    _assert_reads_like_oracle(path, plain)
+
+
+def test_byte_order_mark_before_a_headerless_first_row(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(BOT_ROW + "\n" + BOT_ROW + "\n")
+    path = tmp_path / "marked.csv"
+    path.write_bytes(BOM + plain.read_bytes())
+    table, stats = read_flows(path, on_error="abort")
+    want_table, want_stats = read_flows(plain)
+    assert stats == want_stats and stats.parsed == 2
+    _assert_same_table(table, want_table)
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["one-range", "cut-before"])
+def test_byte_order_mark_on_a_later_line_is_malformed(tmp_path, monkeypatch,
+                                                      cut):
+    """Only line 1 may open with the mark, also when a range other than the
+    first starts at the marked line."""
+    data = "".join(line + "\n" for line in [
+        HEADER_LINE, BOT_ROW, "\ufeff" + BOT_ROW, BOT_ROW]).encode("utf-8")
+    path = tmp_path / "marked.csv"
+    path.write_bytes(data)
+    start = data.index(BOM)
+    if cut:
+        monkeypatch.setattr(ingest, "_cut_targets", lambda size: [start - 1])
+        with open(path, "rb") as fh:
+            assert ingest._range_starts(fh) == [0, start]
+    table, stats = read_flows(path)
+    assert (len(table), stats.total_rows, stats.skipped) == (2, 3, 1)
+    with pytest.raises(MalformedRow) as err:
+        read_flows(path, on_error="abort")
+    assert err.value.line_no == 3
+    _assert_no_child_left()
 
 
 def _rows_file(path, n_rows, malformed=None, undecodable=None):
