@@ -9,6 +9,7 @@ frozen; serialized artifacts depend on it.
 from __future__ import annotations
 
 import functools
+import warnings
 from array import array
 from dataclasses import dataclass, field, replace
 from typing import Sequence, TextIO
@@ -257,24 +258,24 @@ def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
     target other than 0 or 1."""
     with open(path, "r", encoding="utf-8") as fh:
         cols = _read_header(fh, path)
-        # loadtxt warns on a body with no rows, so the per-line reader takes
-        # one that starts with no row in its first 4,096 characters; a pipe
-        # cannot be peeked at and goes to loadtxt as it is
-        if fh.seekable():
-            body = fh.tell()
-            if not fh.read(4096).strip("\n"):
-                return None
-            fh.seek(body)
         dtype = np.dtype([("window_index", np.int64),
                           ("window_start_us", np.int64),
                           ("src_addr", object),
                           ("X", np.float64, (len(cols) - 4,)),
                           ("target", np.int64)])
         try:
-            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
-                               ndmin=1)
+            # a body with no rows is the per-line reader's, without the
+            # warning loadtxt gives it
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data",
+                    UserWarning)
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                   comments=None, ndmin=1)
         except ValueError:
             return None
+    if not len(table):
+        return None
     src_addr = table["src_addr"].astype(str)
     # X and the row identities stay views of the table: copying them out
     # would hold the matrix twice at the peak. The table lives on as their

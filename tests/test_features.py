@@ -1,6 +1,7 @@
 """Feature-matrix container, standardization, and CSV interchange."""
 import os
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,33 @@ def test_csv_reader_matches_per_line_oracle(tmp_path, name):
         assert _read_matrix_csv_bulk(str(path)) is None
     else:
         assert_same_matrix(got, want)
+
+
+@pytest.mark.parametrize("body", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_bulk_read_of_a_body_without_rows_warns_nothing(tmp_path, source,
+                                                        body):
+    """A body with no rows is left to the per-line reader, from a file or a
+    pipe alike, without the warning np.loadtxt gives an empty input."""
+    data = (_HEADER + body).encode("utf-8")
+    if source == "file":
+        path = tmp_path / "empty.csv"
+        path.write_bytes(data)
+        path = str(path)
+    else:
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("needs /dev/fd")
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_matrix_csv_bulk(path) is None
+    finally:
+        if source == "pipe":
+            os.close(read_end)
 
 
 def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):

@@ -1,16 +1,17 @@
 """Time a change against its parent on the benchmark, in alternated pairs.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload runbook
-        [--pairs 10] [--seconds 8] [--first-seed 1]
+        [--pairs 10]
 
 DIR is a checkout of the repository (a clone or an unpacked archive). Pair i
-runs BENCHMARK.json's command with --workload W --seed (first seed + i)
---seconds S --trace 0 once in each checkout, the parent first in even pairs
-and the change first in odd ones, so that neither side always runs on a
-host that the other has just warmed. Both sides run with
-PYTHONDONTWRITEBYTECODE=1 and one empty PYTHONPYCACHEPREFIX, so that
-neither loads a bytecode cache: a cache that one side has and the other
-lacks moves peak RSS by a few percent.
+(1..pairs) runs BENCHMARK.json's command with --workload W --seed i
+--seconds run_seconds --trace 0 once in each checkout, run_seconds being
+BENCHMARK.json's run length, the parent first in odd pairs and the change
+first in even ones, so that neither side always runs on a host that the
+other has just warmed. Both sides run with PYTHONDONTWRITEBYTECODE=1 and
+one empty PYTHONPYCACHEPREFIX, so that neither loads a bytecode cache: a
+cache that one side has and the other lacks moves peak RSS by a few
+percent.
 
 Prints one JSON object: for each end-to-end metric of the change's
 BENCHMARK.json, both sides' median and quartiles, the number of pairs in
@@ -88,26 +89,24 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=8.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     checkouts = {"parent": args.parent, "change": args.change}
+    seconds = bench["run_seconds"]
     pairs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as cache:
         env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                    PYTHONPYCACHEPREFIX=cache)
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = SIDES if i % 2 == 0 else SIDES[::-1]
+        for seed in range(1, args.pairs + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(checkouts[side], bench["command"],
-                                      args.workload, seed, args.seconds, env)
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side} done",
+                                      args.workload, seed, seconds, env)
+                print(f"pair {seed}/{args.pairs} {side} done",
                       file=sys.stderr)
             pairs.append(pair)
-    print(json.dumps({"workload": args.workload, "seconds": args.seconds,
+    print(json.dumps({"workload": args.workload, "seconds": seconds,
                       "summary": summarize(pairs, bench["end_to_end"]),
                       "runs": pairs}, indent=1))
     return 0
