@@ -65,7 +65,8 @@ def main():
     view = matrix.select(shown)
     for i in range(matrix.n_rows):
         vals = "  ".join(f"{name}={v:g}" for name, v in zip(shown, view.X[i]))
-        print(f"  window {matrix.window_index[i]:2d}  {matrix.src_addr[i]:12s} "
+        key = matrix.keys[matrix.key_code[i]]
+        print(f"  window {matrix.window_index[i]:2d}  {key:12s} "
               f"y={int(matrix.y[i])}  {vals}")
 
 

@@ -57,10 +57,11 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
 
     A side whose rows form one run of the matrix is a view of it: the rows
     of build_matrix, of stride_multiple and of a feature CSV that featurize
-    wrote are in (window start, window, source) order, so a chronological
-    split of them is a leading run and a trailing run. Any other side (the stratified
-    random split, rows out of order) is a copy. Both sides are read-only,
-    so an in-place write raises instead of reaching the matrix."""
+    wrote are in (window start, window, key) order, so a chronological
+    split of them is a leading run and a trailing run, found without a
+    sort. Any other side (the stratified random split, rows out of order)
+    is a copy. Both sides are read-only, so an in-place write raises
+    instead of reaching the matrix; they share the matrix's keys."""
     y = np.asarray(matrix.y)
     if matrix.n_rows == 0 or (y == y[0]).all():
         raise DegenerateSplit("matrix must contain both classes")
@@ -73,21 +74,37 @@ def split(matrix: FeatureMatrix, spec: SplitSpec) -> tuple[FeatureMatrix, Featur
     sides = matrix.subset(_as_run(train_idx)), matrix.subset(_as_run(test_idx))
     for side in sides:
         for arr in (side.X, side.y, side.window_index, side.window_start_us,
-                    side.src_addr):
+                    side.key_code):
             arr.flags.writeable = False
     return sides
 
 
-def _as_run(idx: np.ndarray) -> slice | np.ndarray:
+def _as_run(idx: slice | np.ndarray) -> slice | np.ndarray:
     """Sorted distinct row numbers as a slice when they form one run, so
     that subset takes views; otherwise idx itself."""
-    if idx[-1] - idx[0] + 1 == len(idx):
-        return slice(int(idx[0]), int(idx[-1]) + 1)
-    return idx
+    if isinstance(idx, slice) or idx[-1] - idx[0] + 1 != len(idx):
+        return idx
+    return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
-def _chronological(matrix: FeatureMatrix,
-                   spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+def _in_order(matrix: FeatureMatrix) -> bool:
+    """Whether each row is at or after the one before it in (window start,
+    window, key code) order, the order a chronological split takes."""
+    starts, windows, codes = (matrix.window_start_us, matrix.window_index,
+                              matrix.key_code)
+    # built from the last column in: each row's step is in order when its
+    # own column rises, or holds and the columns after it are in order
+    ok = codes[1:] >= codes[:-1]
+    for col in (windows, starts):
+        ok &= col[1:] == col[:-1]
+        ok |= col[1:] > col[:-1]
+    return bool(ok.all())
+
+
+def _chronological(matrix: FeatureMatrix, spec: SplitSpec
+                   ) -> tuple[slice | np.ndarray, slice | np.ndarray]:
+    """Train and test rows: slices of the matrix when its rows are already
+    in order, else sorted row numbers."""
     purge_s = spec.purge_gap_s
     if purge_s is None:
         purge_s = matrix.meta.get("width_s")
@@ -95,22 +112,24 @@ def _chronological(matrix: FeatureMatrix,
             raise ValueError(
                 "purge_gap_s is unset and the matrix carries no width_s "
                 "metadata; pass an explicit purge gap")
-    starts = matrix.window_start_us
-    order = np.lexsort((matrix.src_addr, matrix.window_index, starts))
-    k = int(len(order) * spec.train_fraction)
-    if k == 0 or k == len(order):
+    n = matrix.n_rows
+    k = int(n * spec.train_fraction)
+    if k == 0 or k == n:
         raise DegenerateSplit(
             f"train_fraction {spec.train_fraction} leaves an empty partition "
-            f"for {len(order)} rows")
-    train_idx = order[:k]
-    candidates = order[k:]
-    cut_time = int(starts[candidates[0]])
-    keep = starts[candidates] >= cut_time + purge_s * _US_PER_S
-    test_idx = candidates[keep]
-    if len(test_idx) == 0:
+            f"for {n} rows")
+    starts = matrix.window_start_us
+    order = None if _in_order(matrix) else np.lexsort(
+        (matrix.key_code, matrix.window_index, starts))
+    candidates = starts[k:] if order is None else starts[order[k:]]
+    keep = candidates >= int(candidates[0]) + purge_s * _US_PER_S
+    if not keep.any():
         raise DegenerateSplit(
             f"purge gap of {purge_s}s consumed the whole test partition")
-    return np.sort(train_idx), np.sort(test_idx)
+    if order is None:
+        # candidates ascend, so the purged rows are a leading run of them
+        return slice(0, k), slice(n - int(np.count_nonzero(keep)), n)
+    return np.sort(order[:k]), np.sort(order[k:][keep])
 
 
 def _stratified_random(matrix: FeatureMatrix,

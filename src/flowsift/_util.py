@@ -70,8 +70,13 @@ def naming_undecodable(path: str) -> Iterator[None]:
                 except UnicodeDecodeError as first:
                     exc, where = first, f"{path}, line {line_no}"
                     break
-        raise UnicodeDecodeError(exc.encoding, exc.object, exc.start,
-                                 exc.end, f"{exc.reason} ({where})") from None
+        raise undecodable(exc, where) from None
+
+
+def undecodable(exc: UnicodeDecodeError, where: str) -> UnicodeDecodeError:
+    """exc with where, a path and maybe its line, appended to its reason."""
+    return UnicodeDecodeError(exc.encoding, exc.object, exc.start, exc.end,
+                              f"{exc.reason} ({where})")
 
 
 def usable_cores() -> int:

@@ -9,10 +9,14 @@ frozen; serialized artifacts depend on it.
 from __future__ import annotations
 
 import functools
+import io
+import shutil
+import tempfile
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -33,8 +37,12 @@ class FeatureMatrix:
     """Dense per-(window, source) feature rows with binary targets.
 
     X is (n_rows, n_features) float64 aligned to feature_names; y is the
-    binary target vector. window_index/window_start_us/src_addr identify each
-    row. meta echoes how the matrix was built (width_s, stride_s, origin_us,
+    binary target vector. window_index, window_start_us and the group key
+    identify each row. The key is held once per distinct value: key_code
+    (int32, one per row) indexes keys, the distinct group keys (str),
+    strictly ascending, so that code order is key order. Row subsets,
+    column projections and split sides share keys rather than copy it. meta
+    echoes how the matrix was built (width_s, stride_s, origin_us,
     positive_classes, group_by) when known.
     """
 
@@ -43,7 +51,8 @@ class FeatureMatrix:
     y: np.ndarray
     window_index: np.ndarray
     window_start_us: np.ndarray
-    src_addr: np.ndarray
+    key_code: np.ndarray
+    keys: np.ndarray
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -51,9 +60,17 @@ class FeatureMatrix:
         n = self.X.shape[0]
         if self.X.ndim != 2 or self.X.shape[1] != len(self.feature_names):
             raise ValueError("X shape does not match feature_names")
-        for arr in (self.y, self.window_index, self.window_start_us, self.src_addr):
+        for arr in (self.y, self.window_index, self.window_start_us,
+                    self.key_code):
             if len(arr) != n:
                 raise ValueError("row-aligned arrays disagree in length")
+        if self.key_code.dtype != np.int32:
+            raise ValueError("key_code must be int32")
+        if not (self.keys[1:] > self.keys[:-1]).all():
+            raise ValueError("keys must be strictly ascending")
+        if n and not (0 <= self.key_code.min()
+                      and self.key_code.max() < len(self.keys)):
+            raise ValueError("key_code indexes past keys")
 
     @property
     def n_rows(self) -> int:
@@ -74,7 +91,8 @@ class FeatureMatrix:
             y=self.y[idx],
             window_index=self.window_index[idx],
             window_start_us=self.window_start_us[idx],
-            src_addr=self.src_addr[idx],
+            key_code=self.key_code[idx],
+            keys=self.keys,
             meta=dict(self.meta),
         )
 
@@ -90,10 +108,11 @@ class FeatureMatrix:
 
     @classmethod
     def from_arrays(cls, feature_names: Sequence[str], X, y,
-                    window_index=None, window_start_us=None, src_addr=None,
+                    window_index=None, window_start_us=None, key=None,
                     meta: dict | None = None) -> "FeatureMatrix":
-        """Build a matrix from plain arrays; row identities default to a
-        synthetic one-window-per-row layout (useful in tests)."""
+        """Build a matrix from plain arrays, key holding each row's group
+        key; row identities default to a synthetic one-window-per-row
+        layout (useful in tests)."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
@@ -103,15 +122,19 @@ class FeatureMatrix:
             window_index = np.arange(n, dtype=np.int64)
         if window_start_us is None:
             window_start_us = np.asarray(window_index, dtype=np.int64) * 1_000_000
-        if src_addr is None:
-            src_addr = np.array([f"10.0.0.{i % 250}" for i in range(n)])
+        if key is None:
+            key = [f"10.0.0.{i % 250}" for i in range(n)]
+        keys, key_code = np.unique(np.asarray(key, dtype=str),
+                                   return_inverse=True)
+        keys.flags.writeable = False
         return cls(
             feature_names=tuple(feature_names),
             X=X,
             y=y,
             window_index=np.asarray(window_index, dtype=np.int64),
             window_start_us=np.asarray(window_start_us, dtype=np.int64),
-            src_addr=np.asarray(src_addr),
+            key_code=key_code.astype(np.int32),
+            keys=keys,
             meta=dict(meta or {}),
         )
 
@@ -219,7 +242,7 @@ def _write_rows(matrix: FeatureMatrix, row_format: str, fh: TextIO,
         rows = slice(start, min(start + _FORMAT_ROWS, hi))
         columns = [matrix.window_index[rows].tolist(),
                    matrix.window_start_us[rows].tolist(),
-                   matrix.src_addr[rows].tolist(),
+                   matrix.keys[matrix.key_code[rows]].tolist(),
                    *matrix.X[rows].T.tolist(),
                    matrix.y[rows].tolist()]
         fh.write("".join([row_format % row for row in zip(*columns)]))
@@ -246,101 +269,142 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
     The numbers are parsed in bulk; a file the bulk parse does not vouch for
     is read again line by line, which either raises the path:line error or
     accepts what the bulk parse is stricter about ("1_0", non-ASCII digits).
+    path is opened once; an input that cannot seek, such as a pipe, is
+    copied to an anonymous temporary file first, so that the second read
+    sees the same text. Neither parse holds a string per row: each row's key
+    is coded as the rows are read, and only the distinct keys are sorted.
     """
-    with naming_undecodable(path):
-        matrix = _read_matrix_csv_bulk(path)
-        return matrix if matrix is not None else _read_matrix_csv_lines(path)
+    with naming_undecodable(path), _rewindable(path) as fh:
+        matrix = _read_matrix_csv_bulk(fh, path)
+        if matrix is None:
+            fh.seek(0)
+            matrix = _read_matrix_csv_lines(fh, path)
+        return matrix
 
 
-def _read_matrix_csv_bulk(path: str) -> FeatureMatrix | None:
-    """One np.loadtxt over the rows; None when the file has no rows, a cell
-    loadtxt rejects, a row of the wrong width, a non-finite feature or a
-    target other than 0 or 1."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cols = _read_header(fh, path)
-        dtype = np.dtype([("window_index", np.int64),
-                          ("window_start_us", np.int64),
-                          ("src_addr", object),
-                          ("X", np.float64, (len(cols) - 4,)),
-                          ("target", np.int64)])
-        try:
-            # a body with no rows is the per-line reader's, without the
-            # warning loadtxt gives it
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data",
-                    UserWarning)
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                                   comments=None, ndmin=1)
-        except ValueError:
-            return None
+@contextmanager
+def _rewindable(path: str) -> Iterator[TextIO]:
+    """path open as UTF-8 text on a handle that can seek back to its start."""
+    with open(path, "rb") as raw:
+        if raw.seekable():
+            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
+                yield fh
+            return
+        # copied as bytes, not held in memory: a capture-size CSV is
+        # hundreds of MB
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(raw, spool)
+            spool.seek(0)
+            with io.TextIOWrapper(spool, encoding="utf-8") as fh:
+                yield fh
+
+
+def _sort_keys(first_seen: dict[str, int], key_code: np.ndarray
+               ) -> np.ndarray:
+    """The sorted distinct keys of first_seen, each key's code in first-seen
+    order, read-only; key_code, such codes, is recoded in place to index
+    them."""
+    keys, rank = np.unique(np.array(list(first_seen), dtype=str),
+                           return_inverse=True)
+    key_code[...] = rank.astype(np.int32)[key_code]
+    keys.flags.writeable = False
+    return keys
+
+
+def _read_matrix_csv_bulk(fh: TextIO, path: str) -> FeatureMatrix | None:
+    """One np.loadtxt over the rows of fh, open at its start; None when the
+    file has no rows, a cell loadtxt rejects, a row of the wrong width, a
+    non-finite feature or a target other than 0 or 1."""
+    cols = _read_header(fh, path)
+    dtype = np.dtype([("window_index", np.int64),
+                      ("window_start_us", np.int64),
+                      ("key_code", np.int32),
+                      ("X", np.float64, (len(cols) - 4,)),
+                      ("target", np.int64)])
+    first_seen: dict[str, int] = {}
+    try:
+        # a body with no rows is the per-line reader's, without the
+        # warning loadtxt gives it
+        with warnings.catch_warnings():
+            warnings.filterwarnings(
+                "ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", comments=None, ndmin=1,
+                converters={2: lambda key: first_seen.setdefault(
+                    key, len(first_seen))})
+    except ValueError:
+        return None
     if not len(table):
         return None
-    src_addr = table["src_addr"].astype(str)
     # X and the row identities stay views of the table: copying them out
-    # would hold the matrix twice at the peak. The table lives on as their
-    # base, so it must not keep a str per row as well
-    table["src_addr"] = None
+    # would hold the matrix twice at the peak
     X = table["X"]
     y = table["target"]
     if not (np.isfinite(X).all() and ((y == 0) | (y == 1)).all()):
         return None
+    key_code = table["key_code"]
+    keys = _sort_keys(first_seen, key_code)
     return FeatureMatrix(
         feature_names=tuple(cols[3:-1]),
         X=X,
         y=y.astype(np.int8),
         window_index=table["window_index"],
         window_start_us=table["window_start_us"],
-        src_addr=src_addr,
+        key_code=key_code,
+        keys=keys,
     )
 
 
-def _read_matrix_csv_lines(path: str) -> FeatureMatrix:
-    """The per-line parser: the error path of read_matrix_csv."""
-    with open(path, "r", encoding="utf-8") as fh:
-        cols = _read_header(fh, path)
-        names = tuple(cols[3:-1])
-        win, start, src, feats, targets = [], [], [], [], []
-        # a typed array: a list of int objects among the parsed floats grows
-        # peak RSS by ~13 MB on a 38k-row file
-        line_nos = array("q")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cells = line.split(",")
-            if len(cells) != len(cols):
+def _read_matrix_csv_lines(fh: TextIO, path: str) -> FeatureMatrix:
+    """The per-line parser of fh, open at its start: the error path of
+    read_matrix_csv."""
+    cols = _read_header(fh, path)
+    names = tuple(cols[3:-1])
+    win, start, feats, targets = [], [], [], []
+    first_seen: dict[str, int] = {}
+    # typed arrays: a list of int objects among the parsed floats grows
+    # peak RSS by ~13 MB on a 38k-row file
+    key_code, line_nos = array("i"), array("q")
+    for line_no, line in enumerate(fh, start=2):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(cols):
+            raise SchemaMismatch(
+                f"{path}:{line_no}: expected {len(cols)} columns, "
+                f"got {len(cells)}")
+        try:
+            index, start_us = int(cells[0]), int(cells[1])
+            feats.append([float(v) for v in cells[3:-1]])
+            target = int(cells[-1])
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
+        for name, value in zip(_META_COLUMNS, (index, start_us)):
+            if value not in _INT64:
                 raise SchemaMismatch(
-                    f"{path}:{line_no}: expected {len(cols)} columns, "
-                    f"got {len(cells)}")
-            try:
-                index, start_us = int(cells[0]), int(cells[1])
-                feats.append([float(v) for v in cells[3:-1]])
-                target = int(cells[-1])
-            except ValueError as exc:
-                raise SchemaMismatch(f"{path}:{line_no}: {exc}") from None
-            for name, value in zip(_META_COLUMNS, (index, start_us)):
-                if value not in _INT64:
-                    raise SchemaMismatch(
-                        f"{path}:{line_no}: {name} {value} is outside int64")
-            if target not in (0, 1):
-                raise SchemaMismatch(
-                    f"{path}:{line_no}: target must be 0 or 1, got {target}")
-            win.append(index)
-            start.append(start_us)
-            src.append(cells[2])
-            targets.append(target)
-            line_nos.append(line_no)
+                    f"{path}:{line_no}: {name} {value} is outside int64")
+        if target not in (0, 1):
+            raise SchemaMismatch(
+                f"{path}:{line_no}: target must be 0 or 1, got {target}")
+        win.append(index)
+        start.append(start_us)
+        key_code.append(first_seen.setdefault(cells[2], len(first_seen)))
+        targets.append(target)
+        line_nos.append(line_no)
     X = np.array(feats, dtype=np.float64).reshape(len(feats), len(names))
     bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
     if bad.size:
         raise SchemaMismatch(
             f"{path}:{line_nos[bad[0]]}: feature value is not finite")
+    key_code = np.asarray(key_code, dtype=np.int32)
+    keys = _sort_keys(first_seen, key_code)
     return FeatureMatrix(
         feature_names=names,
         X=X,
         y=np.array(targets, dtype=np.int8),
         window_index=np.array(win, dtype=np.int64),
         window_start_us=np.array(start, dtype=np.int64),
-        src_addr=np.array(src),
+        key_code=key_code,
+        keys=keys,
     )

@@ -34,7 +34,7 @@ import numpy as np
 # this module's names too, defined where synth can import them without it
 from ._timestamps import (HEADER_LINE, TIMESTAMP_FORMAT, canonical_us,
                           parse_timestamp, render_timestamp)
-from ._util import forked, naming_undecodable, shares
+from ._util import forked, shares, undecodable
 from .errors import MalformedRow
 
 HEADER_PREFIX = "StartTime"
@@ -407,7 +407,8 @@ class _Range(NamedTuple):
     """One byte range's parse. columns are typed buffers in FlowTable field
     order; their address codes index addresses, the range's own first-seen
     order. error is the range's first MalformedRow (numbered within the
-    range) or UnicodeDecodeError; the range stops there."""
+    range) or UnicodeDecodeError (of the line that does not decode, which
+    is line lines + 1 of the range); the range stops there."""
 
     columns: tuple
     addresses: dict[str, int]
@@ -484,8 +485,9 @@ def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
     Blocks are cut after a b"\\n" and decoded as text mode decodes a file:
     UTF-8, with "\\r\\n" and a lone "\\r" ending a line as "\\n" does. A block
     that does not decode yields its lines before the first bad one and then
-    raises the UnicodeDecodeError, so a malformed row above a bad byte is
-    still found first.
+    raises the UnicodeDecodeError of that line's bytes alone, up to and
+    including its b"\\n", so a malformed row above a bad byte is still found
+    first.
     """
     carry = b""
     while True:
@@ -505,8 +507,13 @@ def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
             text = str(memoryview(data)[:end], "utf-8")
         except UnicodeDecodeError as exc:
             good = data.rfind(b"\n", 0, exc.start) + 1
+            stop = data.find(b"\n", exc.start, end) + 1 or end
             yield _split_lines(str(memoryview(data)[:good], "utf-8"))
-            raise
+            # no invalid sequence spans a b"\n": the line's own decode
+            # fails at the same byte, for the same reason
+            raise UnicodeDecodeError(exc.encoding, data[good:stop],
+                                     exc.start - good, exc.end - good,
+                                     exc.reason) from None
         yield _split_lines(text)
 
 
@@ -585,8 +592,13 @@ def _receive(source: BinaryIO, columns: tuple, codes: dict[str, int]
     return stats, lines, error
 
 
-def _raise_error(error: Exception | None, line_offset: int) -> None:
-    """Raise a range's error, if any, numbered within the file."""
+def _raise_error(path: str, error: Exception | None, line_offset: int,
+                 lines: int) -> None:
+    """Raise the error, if any, of a range that starts after line_offset
+    lines of path and stopped after lines lines, numbered within the file.
+    A decode error names path and its line."""
+    if isinstance(error, UnicodeDecodeError):
+        raise undecodable(error, f"{path}, line {line_offset + lines + 1}")
     if isinstance(error, MalformedRow) and line_offset:
         raise MalformedRow(error.line_no + line_offset, error.reason)
     if error is not None:
@@ -605,12 +617,12 @@ def _read_ranges(path: str, fh: BinaryIO, starts: list[int], abort: bool
         stats, lines, error = first.stats, first.lines, first.error
         line_offset = 0
         for source in sources:
-            _raise_error(error, line_offset)
+            _raise_error(path, error, line_offset, lines)
             line_offset += lines
             more, lines, error = _receive(source, columns, codes)
             stats = IngestStats(*(a + b for a, b in zip(astuple(stats),
                                                         astuple(more))))
-        _raise_error(error, line_offset)
+        _raise_error(path, error, line_offset, lines)
     return _table(columns, codes), stats
 
 
@@ -621,7 +633,9 @@ def read_flows(path: str, on_error: str = "skip"
     The table holds exactly the rows parse_line accepts. on_error: "skip"
     counts malformed rows and moves on; "abort" re-raises the first
     MalformedRow. In either mode the first line that is not UTF-8 raises
-    UnicodeDecodeError, unless abort mode meets a malformed row above it.
+    UnicodeDecodeError, naming path and that line, unless abort mode meets
+    a malformed row above it. The line is counted as the rows are read,
+    so a pipe's error names it as a file's does.
 
     The file is parsed in byte ranges, one per usable core, each but the
     first in a forked child process (see _cut_targets); the table, the
@@ -629,7 +643,7 @@ def read_flows(path: str, on_error: str = "skip"
     """
     if on_error not in ("skip", "abort"):
         raise ValueError(f"on_error must be 'skip' or 'abort', got {on_error!r}")
-    with naming_undecodable(path), open(path, "rb") as fh:
+    with open(path, "rb") as fh:
         return _read_ranges(path, fh, _range_starts(fh), on_error == "abort")
 
 

@@ -187,7 +187,8 @@ def pca_transform(matrix: FeatureMatrix, model: PcaModel) -> FeatureMatrix:
         y=matrix.y,
         window_index=matrix.window_index,
         window_start_us=matrix.window_start_us,
-        src_addr=matrix.src_addr,
+        key_code=matrix.key_code,
+        keys=matrix.keys,
         meta=dict(matrix.meta),
     )
     return out

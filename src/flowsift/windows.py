@@ -192,9 +192,10 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     (source, destination) pair, keyed "src>dst". The row target is 1 iff the
     group contains at least one flow of a positive class. Rows come out
     sorted by (window_index, group key); the result is bit-identical under
-    any permutation of the input flows. Each window's rows are appended to
-    typed buffers that become the output arrays without a copy, so the
-    matrix is never held twice.
+    any permutation of the input flows. The matrix's keys are order.keys,
+    every key of the table, whether or not a window holds it. Each window's
+    rows are appended to typed buffers that become the output arrays
+    without a copy, so the matrix is never held twice.
 
     order is order_flows(flows, positive_classes, group_by), made here when
     None; builds of one table at several geometries can share it. An order
@@ -222,7 +223,7 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
     # window k holds the flows with k*s <= t - origin < k*s + w: in time
     # order, a contiguous slice of every flow array
     # X, y, window index and key code of every row so far, as typed buffers
-    out = (array("d"), array("b"), array("q"), array("q"))
+    out = (array("d"), array("b"), array("q"), array("i"))
     k = 0
     while (lo := int(np.searchsorted(t, origin + k * s))) < len(t):
         hi = int(np.searchsorted(t, origin + k * s + w))
@@ -239,14 +240,15 @@ def build_matrix(flows: FlowTable, cfg: WindowConfig,
             buf.frombytes(memoryview(part).cast("B"))
         k += 1
 
-    X, y, window_index, codes = map(np.asarray, out)
+    X, y, window_index, key_code = map(np.asarray, out)
     return FeatureMatrix(
         feature_names=FEATURE_NAMES,
         X=X.reshape(-1, len(FEATURE_NAMES)),
         y=y,
         window_index=window_index,
         window_start_us=origin + window_index * s,
-        src_addr=order.keys[codes],
+        key_code=key_code,
+        keys=order.keys,
         meta={
             "width_s": cfg.width_s,
             "stride_s": cfg.stride_s,
@@ -295,8 +297,8 @@ def _group_keys(flows: FlowTable, group_by: str
 
 
 def _aggregate_window(k, order, codes):
-    """Features (float64), targets (int8), window index and key code (both
-    int64) of window k's groups, one row per key code, ascending.
+    """Features (float64), targets (int8), window index (int64) and key
+    code (int32) of window k's groups, one row per key code, ascending.
 
     codes is the window's (attribute, flow) slice of order.codes.
     """
@@ -341,8 +343,7 @@ def _aggregate_window(k, order, codes):
     stats[:, 3] = maxs
     stats[:, 4] = meds
     y = np.logical_or.reduceat(order.positive[first], g_start).astype(np.int8)
-    return (X, y, np.full(len(g_start), k, dtype=np.int64),
-            c_s[g_start].astype(np.int64))
+    return X, y, np.full(len(g_start), k, dtype=np.int64), c_s[g_start]
 
 
 def resolve_config(cfg: WindowConfig, flows_min_t_us: int) -> WindowConfig:

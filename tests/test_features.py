@@ -13,7 +13,12 @@ from flowsift import (
     DegenerateComputation,
     EmptyInput,
     FeatureMatrix,
+    FlowRecord,
+    FlowTable,
+    LabelClass,
     SchemaMismatch,
+    WindowConfig,
+    build_matrix,
     read_matrix_csv,
     standardize_fit,
     write_matrix_csv,
@@ -141,7 +146,8 @@ def test_csv_round_trip(tmp_path):
     assert back.feature_names == m.feature_names
     assert back.y.tolist() == m.y.tolist()
     assert back.window_index.tolist() == m.window_index.tolist()
-    assert list(back.src_addr) == list(m.src_addr)
+    assert back.keys.tolist() == m.keys.tolist()
+    assert back.key_code.tolist() == m.key_code.tolist()
     # values survive at the 9-significant-digit precision of the format
     assert np.allclose(back.X, m.X, rtol=1e-8, atol=0)
 
@@ -200,6 +206,62 @@ def test_csv_accepts_arbitrary_feature_schema(tmp_path):
     assert m.X.tolist() == [[0.25, -1.5]]
 
 
+# --- group keys: one int32 code per row into a sorted key table ------------
+
+def assert_codes_into_distinct_keys(m):
+    assert m.key_code.dtype == np.int32
+    assert m.keys.tolist() == sorted(set(m.keys.tolist()))
+    # every key is some row's
+    assert np.unique(m.key_code).tolist() == list(range(len(m.keys)))
+
+
+def test_matrices_carry_int32_codes_into_their_distinct_keys(tmp_path):
+    sources = ["10.0.0.9", "10.0.0.10", "a>b", "10.0.0.9", "fe80::1", "b"]
+    flows = FlowTable.from_records(
+        FlowRecord(start_time_us=i * 7_000_000, dur=1.0, proto="tcp",
+                   src_addr=src, sport=1024, dir="->", dst_addr="10.0.0.2",
+                   dport=80, state="S", s_tos=0, d_tos=0, tot_pkts=2,
+                   tot_bytes=100 + i, src_bytes=50, label_raw="x",
+                   label_class=LabelClass.BOTNET if i % 2
+                   else LabelClass.BACKGROUND)
+        for i, src in enumerate(sources * 3))
+    built = build_matrix(flows, WindowConfig(width_s=60, stride_s=60))
+    assert_codes_into_distinct_keys(built)
+    assert built.keys.tolist() == sorted(set(sources))
+    path = str(tmp_path / "m.csv")
+    write_matrix_csv(path, built)
+    back = read_matrix_csv(path)
+    assert_codes_into_distinct_keys(back)
+    assert back.keys.tolist() == built.keys.tolist()
+    assert back.key_code.tolist() == built.key_code.tolist()
+    made = FeatureMatrix.from_arrays(("a",), np.zeros((6, 1)), np.zeros(6),
+                                     key=sources)
+    assert_codes_into_distinct_keys(made)
+    assert made.keys[made.key_code].tolist() == sources
+    for side in (made.subset([0, 3]), made.subset(slice(1, 3)),
+                 made.select(["a"])):
+        assert side.keys is made.keys
+
+
+@pytest.mark.parametrize("keys,key_code,dtype,error", [
+    (["b", "a"], [0, 1], np.int32, "strictly ascending"),
+    (["a", "a"], [0, 1], np.int32, "strictly ascending"),
+    (["a", "b"], [0, 2], np.int32, "indexes past keys"),
+    (["a", "b"], [-1, 1], np.int32, "indexes past keys"),
+    ([], [0, 0], np.int32, "indexes past keys"),
+    (["a", "b"], [0, 1], np.int64, "must be int32"),
+])
+def test_matrix_rejects_a_key_table_its_codes_cannot_index(
+        keys, key_code, dtype, error):
+    with pytest.raises(ValueError, match=error):
+        FeatureMatrix(feature_names=("a",), X=np.zeros((2, 1)),
+                      y=np.zeros(2, dtype=np.int8),
+                      window_index=np.zeros(2, dtype=np.int64),
+                      window_start_us=np.zeros(2, dtype=np.int64),
+                      key_code=np.array(key_code, dtype=dtype),
+                      keys=np.array(keys, dtype=str))
+
+
 # --- bulk CSV write and read against the per-cell originals -----------------
 
 def reference_csv_text(matrix):
@@ -209,7 +271,7 @@ def reference_csv_text(matrix):
     for i in range(matrix.n_rows):
         cells = [str(int(matrix.window_index[i])),
                  str(int(matrix.window_start_us[i])),
-                 str(matrix.src_addr[i])]
+                 str(matrix.keys[matrix.key_code[i]])]
         cells.extend(fmt_g9(v) for v in matrix.X[i])
         cells.append(str(int(matrix.y[i])))
         lines.append(",".join(cells))
@@ -225,7 +287,7 @@ def oracle_read(path):
         if tuple(cols[:3]) != _META_COLUMNS or cols[-1] != "target" or len(cols) < 5:
             raise SchemaMismatch(f"unexpected feature-CSV header in {path}")
         names = tuple(cols[3:-1])
-        win, start, src, feats, targets, line_nos = [], [], [], [], [], []
+        win, start, key, feats, targets, line_nos = [], [], [], [], [], []
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -251,7 +313,7 @@ def oracle_read(path):
                     f"{path}:{line_no}: target must be 0 or 1, got {target}")
             win.append(index)
             start.append(start_us)
-            src.append(cells[2])
+            key.append(cells[2])
             targets.append(target)
             line_nos.append(line_no)
     X = np.array(feats, dtype=np.float64).reshape(len(feats), len(names))
@@ -259,14 +321,22 @@ def oracle_read(path):
     if bad.size:
         raise SchemaMismatch(
             f"{path}:{line_nos[bad[0]]}: feature value is not finite")
+    keys, key_code = np.unique(np.array(key, dtype=str), return_inverse=True)
     return FeatureMatrix(
         feature_names=names,
         X=X,
         y=np.array(targets, dtype=np.int8),
         window_index=np.array(win, dtype=np.int64),
         window_start_us=np.array(start, dtype=np.int64),
-        src_addr=np.array(src),
+        key_code=key_code.astype(np.int32),
+        keys=keys,
     )
+
+
+def bulk_read(path):
+    """_read_matrix_csv_bulk's verdict on the file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _read_matrix_csv_bulk(fh, path)
 
 
 def outcome(read, path):
@@ -287,7 +357,8 @@ def column_stats(X):
 
 def assert_same_matrix(got, want):
     assert got.feature_names == want.feature_names
-    for attr in ("X", "y", "window_index", "window_start_us", "src_addr"):
+    for attr in ("X", "y", "window_index", "window_start_us", "key_code",
+                 "keys"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and a.shape == b.shape, attr
         assert a.tobytes() == b.tobytes(), attr
@@ -317,7 +388,7 @@ def adversarial_matrix(names, n_rows, seed):
         names, X, rng.integers(0, 2, n_rows),
         window_index=rng.integers(0, 2 ** 40, n_rows),
         window_start_us=starts,
-        src_addr=[f"147.32.{i % 7}.{i % 251}" for i in range(n_rows)])
+        key=[f"147.32.{i % 7}.{i % 251}" for i in range(n_rows)])
 
 
 @pytest.mark.parametrize("names,n_rows", [
@@ -335,7 +406,7 @@ def test_csv_write_matches_per_cell_writer(tmp_path, names, n_rows):
         assert fh.read() == reference_csv_text(m).encode("utf-8")
     if n_rows:
         # the bulk reader vouches for the writer's own output
-        assert_same_matrix(_read_matrix_csv_bulk(path), oracle_read(path))
+        assert_same_matrix(bulk_read(path), oracle_read(path))
 
 
 def test_csv_write_matches_per_cell_writer_without_features(tmp_path):
@@ -390,7 +461,7 @@ READER_CASES = {
     "missing-column": _FIRST + "1,1000000,h,2.0\n",
     "extra-column-first": "0,0,h,1.0,0,9\n1,1000000,h,2.0,1,7\n",
     "spaced-src": _FIRST + "1,1000000, h h ,2.0,1\n",
-    # src_addr's width and dtype come from its longest cell
+    # the key table's width and dtype come from its longest key
     "src-dst-key": _FIRST + "1,1000000,147.32.84.165>147.32.80.9,2.0,1\n",
     "ipv6-src": _FIRST + "1,1000000,fe80::250:56ff:fec0:8,2.0,1\n",
     "non-ascii-src": _FIRST + "1,1000000,hôte-ü>ж,2.0,1\n",
@@ -410,7 +481,7 @@ def test_csv_reader_matches_per_line_oracle(tmp_path, name):
         # every rejected file is a data error naming its line
         assert want[0] is SchemaMismatch and f"{path}:" in want[1]
         # the bulk path must never accept a file the per-line parser rejects
-        assert _read_matrix_csv_bulk(str(path)) is None
+        assert bulk_read(str(path)) is None
     else:
         assert_same_matrix(got, want)
 
@@ -436,10 +507,34 @@ def test_bulk_read_of_a_body_without_rows_warns_nothing(tmp_path, source,
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _read_matrix_csv_bulk(path) is None
+            assert bulk_read(path) is None
     finally:
         if source == "pipe":
             os.close(read_end)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("name", list(READER_CASES))
+def test_csv_reader_on_a_pipe_matches_the_file(tmp_path, name):
+    """A pipe cannot be read twice, yet the per-line reader must see what
+    the bulk parse rejected: the same body through a pipe gives the file's
+    matrix, or its error with the same line and reason."""
+    data = (_HEADER + READER_CASES[name]).encode("utf-8")
+    path = tmp_path / "edited.csv"
+    path.write_bytes(data)
+    want = outcome(read_matrix_csv, str(path))
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        pipe = f"/dev/fd/{read_end}"
+        got = outcome(read_matrix_csv, pipe)
+    finally:
+        os.close(read_end)
+    if isinstance(want, tuple):
+        assert got == (want[0], want[1].replace(str(path), pipe))
+    else:
+        assert_same_matrix(got, want)
 
 
 def test_csv_reader_matches_oracle_on_multi_feature_schema(tmp_path):
@@ -510,7 +605,8 @@ def bad_cells_matrix(n, bad):
                          y=np.zeros(n, dtype=np.int8),
                          window_index=window_index,
                          window_start_us=np.zeros(n, dtype=np.int64),
-                         src_addr=np.array(["h"] * n))
+                         key_code=np.zeros(n, dtype=np.int32),
+                         keys=np.array(["h"]))
 
 
 @needs_fork
@@ -553,14 +649,14 @@ def test_forked_writer_that_reports_nothing_is_a_child_process_error(
 
 
 class _Interrupting:
-    """A src_addr cell whose formatting is interrupted."""
+    """A group key whose formatting is interrupted."""
 
     def __str__(self):
         raise KeyboardInterrupt
 
 
 class _Stalling:
-    """A src_addr cell that takes a minute to format."""
+    """A group key that takes a minute to format."""
 
     def __str__(self):
         time.sleep(60)
@@ -575,8 +671,10 @@ def test_interrupted_forked_write_leaves_nothing_behind(tmp_path,
     part file, child or changed CPU mask is left."""
     force_write_ranges(monkeypatch, 2)
     m = bad_cells_matrix(9_000, {})
-    m.src_addr = m.src_addr.astype(object)
-    m.src_addr[0], m.src_addr[-1] = _Interrupting(), _Stalling()
+    # the first row's key and the last row's, planted after construction,
+    # which would reject a key table it cannot order
+    m.key_code[0], m.key_code[-1] = 1, 2
+    m.keys = np.array(["h", _Interrupting(), _Stalling()], dtype=object)
     path = str(tmp_path / "m.csv")
     atomic_write_text(path, "previous\n")
     t0 = time.perf_counter()

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from flowsift import (DegenerateSplit, FeatureMatrix, SplitSpec, WindowConfig,
-                      build_matrix, preset_scenario9, read_flows, split,
-                      write_synth)
-from flowsift._split import _chronological
+                      build_matrix, preset_scenario9, read_flows,
+                      read_matrix_csv, split, write_matrix_csv, write_synth)
+from flowsift._split import _chronological, _in_order
 
 US = 1_000_000
 
@@ -23,7 +23,7 @@ def windowed_matrix(n=10, y=None, width_s=None, start_step_s=1):
         np.asarray(y, dtype=np.int8),
         window_index=np.arange(n),
         window_start_us=np.arange(n) * start_step_s * US,
-        src_addr=np.array(["h"] * n),
+        key=["h"] * n,
         meta=meta,
     )
 
@@ -123,7 +123,7 @@ def test_split_partitions_are_disjoint_and_complete():
             ("v",), rng.normal(size=(n, 1)), y,
             window_index=np.arange(n),
             window_start_us=np.sort(rng.integers(0, 500, n)) * US,
-            src_addr=np.array([f"h{i % 3}" for i in range(n)]),
+            key=[f"h{i % 3}" for i in range(n)],
         )
         for spec in (SplitSpec(purge_gap_s=0),
                      SplitSpec(mode="stratified_random", seed=seed)):
@@ -132,10 +132,10 @@ def test_split_partitions_are_disjoint_and_complete():
             except DegenerateSplit:
                 continue
             train_ids = set(zip(train.window_index.tolist(),
-                                train.src_addr.tolist(),
+                                train.keys[train.key_code].tolist(),
                                 train.X[:, 0].tolist()))
             test_ids = set(zip(test.window_index.tolist(),
-                               test.src_addr.tolist(),
+                               test.keys[test.key_code].tolist(),
                                test.X[:, 0].tolist()))
             assert not train_ids & test_ids
             assert train.n_rows + test.n_rows <= n
@@ -152,7 +152,7 @@ def test_chronological_purge_gap_enforced():
     m = FeatureMatrix.from_arrays(
         ("v",), rng.normal(size=(50, 1)), y,
         window_index=np.arange(50), window_start_us=starts,
-        src_addr=np.array(["h"] * 50))
+        key=["h"] * 50)
     purge = 20
     train, test = split(m, SplitSpec(purge_gap_s=purge))
     assert test.window_start_us.min() >= train.window_start_us.max() + purge * US
@@ -167,7 +167,7 @@ def built(tmp_path_factory):
     return build_matrix(table, WindowConfig(width_s=90, stride_s=15))
 
 
-ROW_FIELDS = ("X", "y", "window_index", "window_start_us", "src_addr")
+ROW_FIELDS = ("X", "y", "window_index", "window_start_us", "key_code")
 
 
 @pytest.mark.parametrize("fraction", [0.3, 0.7])
@@ -178,7 +178,7 @@ def test_chronological_split_of_a_built_matrix_is_two_views(built, fraction):
     spec = SplitSpec(train_fraction=fraction)
     sides = split(built, spec)
     for side, idx in zip(sides, _chronological(built, spec)):
-        copy = built.subset(idx)
+        copy = built.subset(np.arange(built.n_rows)[idx])
         for name in ROW_FIELDS:
             got, base = getattr(side, name), getattr(built, name)
             assert np.shares_memory(got, base), name
@@ -186,6 +186,7 @@ def test_chronological_split_of_a_built_matrix_is_two_views(built, fraction):
             assert got.dtype == base.dtype, name
             assert np.array_equal(got, getattr(copy, name)), name
         assert side.feature_names == built.feature_names
+        assert side.keys is built.keys
         assert side.meta == built.meta and side.meta is not built.meta
     with pytest.raises(ValueError, match="read-only"):
         sides[0].X[0, 0] += 1.0
@@ -198,3 +199,84 @@ def test_stratified_random_split_gathers_read_only_copies(built):
             got = getattr(side, name)
             assert not np.shares_memory(got, getattr(built, name)), name
             assert not got.flags.writeable, name
+
+
+def lexsorted_sides(matrix, spec):
+    """The chronological split's row numbers as a lexsort of every row on
+    the key text gives them: the split before it checked the row order."""
+    starts = matrix.window_start_us
+    order = np.lexsort((matrix.keys[matrix.key_code], matrix.window_index,
+                        starts))
+    k = int(len(order) * spec.train_fraction)
+    candidates = order[k:]
+    purge_s = matrix.meta["width_s"] if spec.purge_gap_s is None \
+        else spec.purge_gap_s
+    keep = starts[candidates] >= int(starts[candidates[0]]) + purge_s * US
+    return np.sort(order[:k]), np.sort(candidates[keep])
+
+
+def assert_same_rows(got, want):
+    for name in ROW_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("spec", [
+    SplitSpec(train_fraction=0.3, purge_gap_s=90),
+    SplitSpec(train_fraction=0.7, purge_gap_s=90),
+    SplitSpec(purge_gap_s=0),
+    SplitSpec(train_fraction=0.3, purge_gap_s=300),
+], ids=["0.3", "0.7", "no-purge", "long-purge"])
+def test_chronological_split_of_ordered_rows_sorts_nothing(built, tmp_path,
+                                                           spec):
+    """The rows of a build, and of the feature CSV written from it, are
+    already in split order: both sides come out as runs, without a sort,
+    and hold the rows a sort of every row gives."""
+    path = str(tmp_path / "features.csv")
+    write_matrix_csv(path, built)
+    for matrix in (built, read_matrix_csv(path)):
+        assert _in_order(matrix)
+        runs = _chronological(matrix, spec)
+        assert all(isinstance(run, slice) for run in runs)
+        for side, idx in zip(split(matrix, spec),
+                             lexsorted_sides(matrix, spec)):
+            assert_same_rows(side, matrix.subset(idx))
+
+
+def test_chronological_split_of_shuffled_rows_matches_ordered_rows(built):
+    """Rows out of order are sorted first: each side holds the same rows as
+    the ordered matrix's, in the shuffled matrix's row order."""
+    shuffled = built.subset(
+        np.random.default_rng(3).permutation(built.n_rows))
+    assert not _in_order(shuffled)
+    for spec in (SplitSpec(train_fraction=0.3), SplitSpec(purge_gap_s=0)):
+        for got, idx, want in zip(split(shuffled, spec),
+                                  lexsorted_sides(shuffled, spec),
+                                  split(built, spec)):
+            assert_same_rows(got, shuffled.subset(idx))
+            assert got.keys is built.keys
+            order = np.lexsort((got.key_code, got.window_index,
+                                got.window_start_us))
+            assert_same_rows(got.subset(order), want)
+
+
+@pytest.mark.parametrize("starts,windows,codes,ordered", [
+    ([0, 0, 1], [0, 0, 1], [0, 1, 0], True),
+    ([0, 0, 0], [0, 0, 0], [1, 1, 1], True),
+    ([0, 1, 1], [5, 0, 0], [9, 0, 0], True),
+    ([1, 0, 2], [0, 1, 2], [0, 0, 0], False),
+    ([0, 0, 1], [1, 0, 2], [0, 0, 0], False),
+    ([0, 0, 1], [0, 0, 1], [1, 0, 0], False),
+    ([0], [0], [0], True),
+], ids=["ordered", "ties", "later-start-wins", "start-falls",
+        "window-falls", "key-falls", "one-row"])
+def test_in_order_compares_start_then_window_then_key(starts, windows, codes,
+                                                      ordered):
+    n = len(starts)
+    m = FeatureMatrix(feature_names=("v",), X=np.zeros((n, 1)),
+                      y=np.zeros(n, dtype=np.int8),
+                      window_index=np.array(windows, dtype=np.int64),
+                      window_start_us=np.array(starts, dtype=np.int64) * US,
+                      key_code=np.array(codes, dtype=np.int32),
+                      keys=np.array([f"h{i}" for i in range(10)]))
+    assert _in_order(m) is ordered

@@ -48,8 +48,8 @@ END_TO_END = [
 ]
 
 
-def _result(job_s, f1):
-    return {"correct": True, "attempted": 3, "failed": 0,
+def _result(job_s, f1, failed=0):
+    return {"correct": True, "attempted": 3, "failed": failed,
             "metrics": {"job_s": {"value": job_s, "unit": "s"},
                         "f1": {"value": f1, "unit": "ratio"}}}
 
@@ -85,3 +85,54 @@ def test_bench_pairs_summary_on_canned_results():
     assert summary["f1"]["change"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
     assert not summary["job_s"]["beyond_bound"]
     assert summary["job_s"]["change_better_pairs"] == 1
+
+
+def _pairs(parent_job_s, change_job_s, change_failed=0):
+    return [{"seed": i, "parent": _result(p, 0.5),
+             "change": _result(c, 0.5, change_failed if i == 1 else 0)}
+            for i, (p, c) in enumerate(zip(parent_job_s, change_job_s),
+                                       start=1)]
+
+
+def test_bench_pairs_resolves_a_gain_as_the_simplicity_review_does():
+    """A gain is resolved when the change is better in at least 9 of 10
+    pairs run and its median beats the parent's by more than the parent's
+    interquartile distance, with no more failed operations."""
+    summarize = _load_tool("bench_pairs").summarize
+    # parent 1.0..1.9 s: quartiles 1.225 and 1.675, median 1.45
+    parent = [1.0 + i / 10 for i in range(10)]
+    faster = [p - 0.5 for p in parent]
+    summary = summarize(_pairs(parent, faster), END_TO_END)
+    assert summary["job_s"]["change_better_pairs"] == 10
+    assert summary["job_s"]["gain_resolved"]
+    # equal f1 in every pair: no gain
+    assert not summary["f1"]["gain_resolved"]
+    # better in 9 of 10, the tenth a tie: resolved
+    tie = faster[:9] + [parent[9]]
+    assert summarize(_pairs(parent, tie), END_TO_END)["job_s"]["gain_resolved"]
+    # better in 8 of 10: not resolved, however large the median gain
+    eight = faster[:8] + parent[8:]
+    assert not summarize(_pairs(parent, eight),
+                         END_TO_END)["job_s"]["gain_resolved"]
+    # better in every pair, by less than the parent's quartile distance
+    slight = [p - 0.4 for p in parent]
+    assert not summarize(_pairs(parent, slight),
+                         END_TO_END)["job_s"]["gain_resolved"]
+    # a failed operation the parent did not have
+    assert not summarize(_pairs(parent, faster, change_failed=1),
+                         END_TO_END)["job_s"]["gain_resolved"]
+    # a failed run is a failure too, and its pair counts for neither side
+    pairs = _pairs(parent, faster)
+    pairs[0]["change"] = {"returncode": 1, "stderr": "failed"}
+    summary = summarize(pairs, END_TO_END)
+    assert summary["job_s"]["pairs"] == 9
+    assert summary["job_s"]["change_better_pairs"] == 9
+    assert not summary["job_s"]["gain_resolved"]
+    pairs[0]["parent"] = {"returncode": 1, "stderr": "failed"}
+    assert summarize(pairs, END_TO_END)["job_s"]["gain_resolved"]
+    pairs[1]["parent"] = pairs[1]["change"] = pairs[0]["change"]
+    assert not summarize(pairs, END_TO_END)["job_s"]["gain_resolved"]
+    # higher is better: f1 up by more than the parent's spread
+    pairs = [{"seed": i, "parent": _result(1.0, 0.5 + i / 100),
+              "change": _result(1.0, 0.8)} for i in range(10)]
+    assert summarize(pairs, END_TO_END)["f1"]["gain_resolved"]

@@ -60,7 +60,8 @@ def test_failed_matrix_write_keeps_previous_file(tmp_path):
     m = FeatureMatrix(feature_names=("a",), X=np.zeros((n, 1)),
                       y=np.zeros(n, dtype=np.int8), window_index=window_index,
                       window_start_us=np.zeros(n, dtype=np.int64),
-                      src_addr=np.array(["h"] * n))
+                      key_code=np.zeros(n, dtype=np.int32),
+                      keys=np.array(["h"]))
     with pytest.raises(ValueError):
         write_matrix_csv(path, m)
     with open(path, "rb") as fh:

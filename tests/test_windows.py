@@ -162,7 +162,7 @@ def test_build_matrix_target_rule():
              flow(t_s=3, src="c", cls=LabelClass.CNC)]
     m = build_matrix(FlowTable.from_records(flows),
                      WindowConfig(width_s=60, stride_s=60))
-    by_src = {m.src_addr[i]: int(m.y[i]) for i in range(m.n_rows)}
+    by_src = {m.keys[m.key_code[i]]: int(m.y[i]) for i in range(m.n_rows)}
     assert by_src == {"a": 0, "b": 1, "c": 1}
 
 
@@ -172,7 +172,7 @@ def test_build_matrix_positive_classes_override():
     m = build_matrix(FlowTable.from_records(flows),
                      WindowConfig(width_s=60, stride_s=60),
                      positive_classes={LabelClass.NORMAL})
-    by_src = {m.src_addr[i]: int(m.y[i]) for i in range(m.n_rows)}
+    by_src = {m.keys[m.key_code[i]]: int(m.y[i]) for i in range(m.n_rows)}
     assert by_src == {"a": 1, "b": 0}
 
 
@@ -208,7 +208,8 @@ def test_build_matrix_row_invariants_random():
         values = dict(zip(m.feature_names, m.X[i]))
         n = values["flow_count"]
         assert n >= 1, "empty groups must never materialize"
-        classes = groups[(int(m.window_index[i]), str(m.src_addr[i]))]
+        classes = groups[(int(m.window_index[i]),
+                          str(m.keys[m.key_code[i]]))]
         assert n == len(classes)
         assert int(m.y[i]) == int(
             LabelClass.BOTNET in classes or LabelClass.CNC in classes)
@@ -253,7 +254,8 @@ def assert_permutation_invariant(flows, cfg, rng):
         assert np.array_equal(base.X, again.X), "features must be bit-identical"
         assert np.array_equal(base.y, again.y)
         assert np.array_equal(base.window_index, again.window_index)
-        assert list(base.src_addr) == list(again.src_addr)
+        assert base.keys.tolist() == again.keys.tolist()
+        assert base.key_code.tolist() == again.key_code.tolist()
 
 
 def test_build_matrix_permutation_invariance():
@@ -286,7 +288,7 @@ def test_build_matrix_canonical_row_order():
              flow(t_s=5, src="bbb")]
     m = build_matrix(FlowTable.from_records(flows),
                      WindowConfig(width_s=60, stride_s=60))
-    got = list(zip(m.window_index.tolist(), m.src_addr.tolist()))
+    got = list(zip(m.window_index.tolist(), m.keys[m.key_code].tolist()))
     assert got == [(0, "bbb"), (1, "aaa"), (1, "bbb")]
 
 
@@ -303,10 +305,11 @@ def test_build_matrix_gap_flows_dropped():
     empty = build_matrix(table, WindowConfig(width_s=10, stride_s=30,
                                              origin_us=-12 * US))
     assert empty.X.shape == (0, len(FEATURE_NAMES))
-    assert empty.src_addr.shape == (0,)
+    assert empty.key_code.shape == (0,)
     for got in (m, empty):
         assert got.X.dtype == np.float64 and got.X.flags.c_contiguous
         assert got.y.dtype == np.int8
+        assert got.key_code.dtype == np.int32
         assert got.window_index.dtype == got.window_start_us.dtype == np.int64
 
 
@@ -346,7 +349,8 @@ def test_build_matrix_src_dst_keys_sort_and_merge_as_strings():
     m = build_matrix(FlowTable.from_records(flows),
                      WindowConfig(width_s=60, stride_s=60),
                      group_by="src_dst")
-    assert m.src_addr.tolist() == ["10.0.0.10>y", "10.0.0.1>x", "a>b>c"]
+    assert m.keys[m.key_code].tolist() == ["10.0.0.10>y", "10.0.0.1>x",
+                                           "a>b>c"]
     assert m.X[:, 0].tolist() == [1.0, 1.0, 2.0]
 
 
@@ -409,7 +413,7 @@ def test_build_matrix_matches_aggregate_stats(width, stride, lead_s, ties,
         key = f.src_addr if group_by == "src" else f"{f.src_addr}>{f.dst_addr}"
         for k in window_indices(f.start_time_us, brute):
             groups.setdefault((k, key), []).append(f)
-    rows = list(zip(m.window_index.tolist(), m.src_addr.tolist()))
+    rows = list(zip(m.window_index.tolist(), m.keys[m.key_code].tolist()))
     assert rows == sorted(groups), "one row per group, in (window, key) order"
     if lead_s is not None:
         assert min(m.window_index) > 0, "leading windows hold no flow"
@@ -442,7 +446,7 @@ def test_build_matrix_skips_a_century_of_empty_windows():
     last = late_s * US // s
     assert m.window_index.tolist() == [0] + list(range(last - 5, last + 1))
     assert m.window_start_us.tolist() == [k * s for k in m.window_index.tolist()]
-    assert m.src_addr.tolist() == ["a"] + ["b"] * 6
+    assert m.keys[m.key_code].tolist() == ["a"] + ["b"] * 6
     assert elapsed < 1.0, f"build took {elapsed:.2f}s"
 
 
@@ -457,7 +461,7 @@ def test_build_matrix_constant_group_std_is_exactly_zero():
              for i in range(n)]
     m = build_matrix(FlowTable.from_records(flows),
                      WindowConfig(width_s=60, stride_s=60))
-    assert m.src_addr.tolist() == ["a", "b", "c"]
+    assert m.keys[m.key_code].tolist() == ["a", "b", "c"]
     for attr in ("dur", "tot_pkts", "tot_bytes", "src_bytes"):
         std = m.X[:, FEATURE_NAMES.index(f"{attr}_std")]
         assert std.tolist() == [0.0, 0.0, 0.0], f"{attr}_std: {std}"
@@ -551,7 +555,7 @@ def test_build_matrix_bit_identical_to_per_window_lexsort(
     assert np.array_equal(m.X, X), "features must match bit for bit"
     assert np.array_equal(m.y, y)
     assert np.array_equal(m.window_index, win)
-    assert m.src_addr.tolist() == key.tolist()
+    assert m.keys[m.key_code].tolist() == key.tolist()
 
 
 def test_build_matrix_rejects_more_flows_than_its_keys_can_index(
@@ -614,7 +618,8 @@ def test_build_matrix_rejects_an_order_made_for_other_inputs():
     direct = build_matrix(table, cfg)
     assert built.X.tobytes() == direct.X.tobytes()
     assert built.y.tobytes() == direct.y.tobytes()
-    assert built.src_addr.tolist() == direct.src_addr.tolist()
+    assert built.keys.tolist() == direct.keys.tolist()
+    assert built.key_code.tolist() == direct.key_code.tolist()
     assert built.meta == direct.meta
     for kwargs in (dict(positive_classes={LabelClass.NORMAL}),
                    dict(group_by="src_dst")):
@@ -675,8 +680,9 @@ def test_stride_multiple_bit_identical_to_direct_build(
         assert derived.y.dtype == direct.y.dtype
         assert np.array_equal(derived.window_index, direct.window_index)
         assert np.array_equal(derived.window_start_us, direct.window_start_us)
-        assert derived.src_addr.dtype == direct.src_addr.dtype
-        assert np.array_equal(derived.src_addr, direct.src_addr)
+        for name in ("key_code", "keys"):
+            got, want = getattr(derived, name), getattr(direct, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         assert derived.meta == direct.meta
     assert base.meta["stride_s"] == stride, "the base matrix is not changed"
 

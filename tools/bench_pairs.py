@@ -16,10 +16,14 @@ percent.
 Prints one JSON object: for each end-to-end metric of the change's
 BENCHMARK.json, both sides' median and quartiles, the number of pairs in
 which the change is better, how much worse the change's median is than the
-parent's as a fraction of the parent's (negative when better) and whether
-that exceeds the metric's bound; then every run's raw result. A run that
-fails keeps its exit code and stderr tail in the raw results, and its pair
-is left out of the summary.
+parent's as a fraction of the parent's (negative when better), whether
+that exceeds the metric's bound, and whether a gain is resolved; then every
+run's raw result. A gain is resolved when the change is better in at least
+nine tenths of all pairs run (ties and pairs with a failed run count for
+neither side), its median is better than the parent's by more than the
+distance between the parent's quartiles, and no more of its operations
+fail than the parent's. A run that fails keeps its exit code and stderr
+tail in the raw results, and its pair is left out of the medians.
 """
 from __future__ import annotations
 
@@ -54,10 +58,19 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def _failures(pairs: list[dict], side: str) -> int:
+    """side's failed runs and the failed operations its other runs
+    report."""
+    return sum(p[side].get("failed", 0) if "metrics" in p[side] else 1
+               for p in pairs)
+
+
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric of end_to_end (BENCHMARK.json's entries), over the pairs
-    in which both sides produced a result."""
+    in which both sides produced a result; gain_resolved reads all pairs
+    run."""
     done = [p for p in pairs if all("metrics" in p[side] for side in SIDES)]
+    fewer_failures = _failures(pairs, "change") <= _failures(pairs, "parent")
     summary = {}
     for metric in end_to_end:
         name, sign = metric["name"], 1 if metric["better"] == "lower" else -1
@@ -79,6 +92,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             worse_by = 0.0 if change == parent else sign * float("inf")
         entry["worse_by"] = worse_by
         entry["beyond_bound"] = worse_by > metric["bound"]
+        entry["gain_resolved"] = (
+            10 * entry["change_better_pairs"] >= 9 * len(pairs)
+            and sign * (parent - change)
+            > entry["parent"]["q3"] - entry["parent"]["q1"]
+            and fewer_failures)
         summary[name] = entry
     return summary
 
