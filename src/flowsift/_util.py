@@ -1,4 +1,5 @@
-"""Small shared helpers: atomic file writes, number formatting, and every
+"""Small shared helpers: atomic file writes, the one reader of text
+inputs other than the capture (text_input), number formatting, and every
 decision about parallel work: how many shares to deal it into, running them
 in forked children, and whether those children may call numpy's BLAS.
 write_ranges, the text writer of the feature CSV and the synthetic capture,
@@ -7,6 +8,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import io
 import os
 import pickle
 import shutil
@@ -14,7 +16,7 @@ import signal
 import tempfile
 import threading
 import traceback
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from typing import Any, BinaryIO, Callable, Iterator, Sequence, TextIO
 
 
@@ -50,27 +52,49 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 @contextmanager
-def naming_undecodable(path: str) -> Iterator[None]:
-    """Re-raise a UnicodeDecodeError from reading path as UTF-8 text with
-    the path and the 1-based line of the file's first byte that is not
-    UTF-8. The text reader reports an offset within its decode chunk; the
-    line is found by reading the file again as bytes, on this error path
-    only. The error keeps its type, so callers that record it by name see no
+def text_input(path: str) -> Iterator[TextIO]:
+    """path, opened once, as UTF-8 text on a handle that can seek back to
+    its start: an input that cannot seek, such as a pipe, is first copied
+    as bytes to an anonymous temporary file.
+
+    A UnicodeDecodeError that leaves the block is raised again with path
+    and the 1-based line of the input's first byte that is not UTF-8, as
+    the text reader reports only an offset within its decode chunk. The
+    line is found by decoding the same bytes again line by line, on this
+    error path only, so a pipe's error names its line as a file's does.
+    The error keeps its type, so callers that record it by name see no
     change."""
-    try:
-        yield
-    except UnicodeDecodeError as exc:
-        where = path
-        with open(path, "rb") as fh:
-            # no multi-byte UTF-8 sequence contains b"\n": line by line is
-            # the same decode as the whole file
-            for line_no, raw in enumerate(fh, start=1):
+    with ExitStack() as stack:
+        raw = stack.enter_context(open(path, "rb"))
+        if not raw.seekable():
+            # copied as bytes, not held in memory: a capture-size CSV is
+            # hundreds of MB
+            spool = stack.enter_context(tempfile.TemporaryFile())
+            shutil.copyfileobj(raw, spool)
+            raw = spool
+            raw.seek(0)
+        # detached, not closed, on leaving: closing it would close raw
+        # before the error path reads raw again
+        text = io.TextIOWrapper(raw, encoding="utf-8")
+        try:
+            yield text
+        except UnicodeDecodeError as exc:
+            where = path
+            raw.seek(0)
+            # no multi-byte UTF-8 sequence contains b"\n" or b"\r": line by
+            # line, each line ending as in text mode, is the same decode as
+            # the whole input
+            lines = (line for chunk in raw
+                     for line in chunk.splitlines(keepends=True))
+            for line_no, line in enumerate(lines, start=1):
                 try:
-                    raw.decode("utf-8")
+                    line.decode("utf-8")
                 except UnicodeDecodeError as first:
                     exc, where = first, f"{path}, line {line_no}"
                     break
-        raise undecodable(exc, where) from None
+            raise undecodable(exc, where) from None
+        finally:
+            text.detach()
 
 
 def undecodable(exc: UnicodeDecodeError, where: str) -> UnicodeDecodeError:

@@ -21,7 +21,7 @@ import json
 import math
 import sys
 
-from ._util import atomic_write_text, fmt_g9, naming_undecodable
+from ._util import atomic_write_text, fmt_g9, text_input
 from .errors import EmptyValues, FlowsiftError, SchemaMismatch
 from .features import read_matrix_csv, write_matrix_csv
 from .ingest import LabelClass, class_from_token, label_distribution, read_flows
@@ -246,8 +246,7 @@ def _is_data_row(row: dict) -> bool:
 def _cmd_report(args) -> int:
     column = f"{args.partition}_{args.histogram}"
     # decoded whole first: the ValueError below would catch a decode error
-    with naming_undecodable(args.sweep_csv), \
-            open(args.sweep_csv, newline="", encoding="utf-8") as fh:
+    with text_input(args.sweep_csv) as fh:
         reader = csv.DictReader(fh.readlines())
     if reader.fieldnames is None or column not in reader.fieldnames:
         raise SchemaMismatch(f"{args.sweep_csv} has no column {column!r}")

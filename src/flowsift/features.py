@@ -9,18 +9,14 @@ frozen; serialized artifacts depend on it.
 from __future__ import annotations
 
 import functools
-import io
-import shutil
-import tempfile
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from ._util import naming_undecodable, write_ranges
+from ._util import text_input, write_ranges
 from .errors import DegenerateComputation, EmptyInput, SchemaMismatch
 
 BASE_ATTRS = ("dur", "tot_pkts", "tot_bytes", "src_bytes")
@@ -269,34 +265,17 @@ def read_matrix_csv(path: str) -> FeatureMatrix:
     The numbers are parsed in bulk; a file the bulk parse does not vouch for
     is read again line by line, which either raises the path:line error or
     accepts what the bulk parse is stricter about ("1_0", non-ASCII digits).
-    path is opened once; an input that cannot seek, such as a pipe, is
-    copied to an anonymous temporary file first, so that the second read
-    sees the same text. Neither parse holds a string per row: each row's key
-    is coded as the rows are read, and only the distinct keys are sorted.
+    path is opened once through _util.text_input, whose handle seeks back
+    to its start on a pipe too, so that the second read sees the same text.
+    Neither parse holds a string per row: each row's key is coded as the
+    rows are read, and only the distinct keys are sorted.
     """
-    with naming_undecodable(path), _rewindable(path) as fh:
+    with text_input(path) as fh:
         matrix = _read_matrix_csv_bulk(fh, path)
         if matrix is None:
             fh.seek(0)
             matrix = _read_matrix_csv_lines(fh, path)
         return matrix
-
-
-@contextmanager
-def _rewindable(path: str) -> Iterator[TextIO]:
-    """path open as UTF-8 text on a handle that can seek back to its start."""
-    with open(path, "rb") as raw:
-        if raw.seekable():
-            with io.TextIOWrapper(raw, encoding="utf-8") as fh:
-                yield fh
-            return
-        # copied as bytes, not held in memory: a capture-size CSV is
-        # hundreds of MB
-        with tempfile.TemporaryFile() as spool:
-            shutil.copyfileobj(raw, spool)
-            spool.seek(0)
-            with io.TextIOWrapper(spool, encoding="utf-8") as fh:
-                yield fh
 
 
 def _sort_keys(first_seen: dict[str, int], key_code: np.ndarray

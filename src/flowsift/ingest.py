@@ -24,6 +24,7 @@ import functools
 import math
 import os
 import pickle
+import re
 from array import array
 from dataclasses import astuple, dataclass
 from typing import BinaryIO, Iterable, Iterator, NamedTuple
@@ -401,6 +402,7 @@ _MIN_RANGE_BYTES = 256 << 10
 # size, so no range is held whole as bytes or text; larger blocks parse no
 # faster and leave more heap behind
 _BLOCK_BYTES = 8 << 10
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 class _Range(NamedTuple):
@@ -482,12 +484,14 @@ def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
     """The lines of the next budget bytes of fh (up to EOF when None), one
     list per block, without their line ends.
 
-    Blocks are cut after a b"\\n" and decoded as text mode decodes a file:
-    UTF-8, with "\\r\\n" and a lone "\\r" ending a line as "\\n" does. A block
+    Blocks are decoded as text mode decodes a file: UTF-8, with "\\r\\n"
+    and a lone "\\r" ending a line as "\\n" does. Each is cut after its
+    last line end of any kind, never between a "\\r" and a "\\n" that may
+    follow it, so only one line is carried into the next block. A block
     that does not decode yields its lines before the first bad one and then
     raises the UnicodeDecodeError of that line's bytes alone, up to and
-    including its b"\\n", so a malformed row above a bad byte is still found
-    first.
+    including its line end, so a malformed row above a bad byte is still
+    found first.
     """
     carry = b""
     while True:
@@ -497,7 +501,8 @@ def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
             budget -= len(block)
         if block:
             data = carry + block
-            end = data.rfind(b"\n") + 1
+            end = max(data.rfind(b"\n"),
+                      data.rfind(b"\r", 0, len(data) - 1)) + 1
         elif carry:                     # the last line has no line end
             data, end = carry, len(carry)
         else:
@@ -506,10 +511,12 @@ def _text_blocks(fh: BinaryIO, budget: int | None) -> Iterator[list[str]]:
         try:
             text = str(memoryview(data)[:end], "utf-8")
         except UnicodeDecodeError as exc:
-            good = data.rfind(b"\n", 0, exc.start) + 1
-            stop = data.find(b"\n", exc.start, end) + 1 or end
+            good = max(data.rfind(b"\n", 0, exc.start),
+                       data.rfind(b"\r", 0, exc.start)) + 1
+            found = _LINE_END.search(data, exc.start, end)
+            stop = found.end() if found else end
             yield _split_lines(str(memoryview(data)[:good], "utf-8"))
-            # no invalid sequence spans a b"\n": the line's own decode
+            # no invalid sequence spans a line end: the line's own decode
             # fails at the same byte, for the same reason
             raise UnicodeDecodeError(exc.encoding, data[good:stop],
                                      exc.start - good, exc.end - good,
@@ -534,17 +541,28 @@ def _cut_targets(size: int) -> list[int]:
 
 
 def _range_starts(fh: BinaryIO) -> list[int]:
-    """Where each range begins: 0, then just after the b"\\n" that ends the
+    """Where each range begins: 0, then the start of the line after the
     line holding each cut target."""
     size = os.fstat(fh.fileno()).st_size     # 0 for a pipe: one range
-    cuts = set()
-    for target in _cut_targets(size):
-        fh.seek(target - 1)
-        fh.readline()
-        cuts.add(fh.tell())
+    cuts = {_line_start_after(fh, target - 1)
+            for target in _cut_targets(size)}
     if cuts:
         fh.seek(0)
     return [0, *sorted(c for c in cuts if c < size)]
+
+
+def _line_start_after(fh: BinaryIO, offset: int) -> int:
+    """Where the line after the first line end ("\\n", "\\r\\n" or a lone
+    "\\r") at or past offset in fh begins; EOF's offset when none."""
+    fh.seek(offset)
+    while block := fh.read(_BLOCK_BYTES):
+        if block.endswith(b"\r"):
+            block += fh.read(1)         # a "\r\n" may straddle the read
+        found = _LINE_END.search(block)
+        if found:
+            return offset + found.end()
+        offset += len(block)
+    return offset
 
 
 def _serve_range(path: str, lo: int, hi: int | None, abort: bool,

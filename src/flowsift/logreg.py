@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import atomic_write_text, naming_undecodable
+from ._util import atomic_write_text, text_input
 from .errors import (CorruptModel, NonFiniteLoss, SchemaMismatch,
                      SchemaVersionMismatch, ShapeMismatch, SingleClassInput)
 from .features import (FeatureMatrix, StandardizationParams, standardize_fit,
@@ -353,7 +353,7 @@ def _json_number(value) -> float:
 
 def load_model(path: str) -> LogRegModel:
     """Read a model file; rejects unknown schema versions and mangled files."""
-    with naming_undecodable(path), open(path, "r", encoding="utf-8") as fh:
+    with text_input(path) as fh:
         text = fh.read()
     try:
         payload = json.loads(text)

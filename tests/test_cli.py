@@ -572,6 +572,35 @@ def test_input_not_utf8_is_data_error(ws, tmp_path, capsys, argv, bad):
     assert not paths["out"].exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"),
+                    reason="needs /dev/stdin")
+@pytest.mark.parametrize("argv,bad", [
+    (["stats", "{src}"], "flows"),
+    (["train", "{src}", "-o", "out"], "features"),
+    (["eval", "{features}", "--model", "{src}", "-o", "out"], "model"),
+    (["report", "{src}", "--histogram", "f1", "-o", "out"], "sweep"),
+], ids=["capture", "feature-csv", "model", "sweep-csv"])
+def test_input_not_utf8_on_a_pipe_names_its_line(ws, tmp_path, argv, bad):
+    """Each text input read from /dev/stdin gives the data error it gives
+    read from the file, naming its line, not an offset within a decode
+    chunk."""
+    path = tmp_path / bad
+    path.write_bytes(_not_utf8(ws[bad]))
+    errors = []
+    for src, stdin in ((str(path), None), ("/dev/stdin", path.read_bytes())):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowsift",
+             *(arg.format(src=src, features=ws["features"]) for arg in argv)],
+            cwd=tmp_path, input=stdin,
+            stdin=None if stdin is not None else subprocess.DEVNULL,
+            capture_output=True, env=_child_env(), timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        errors.append(proc.stderr.decode())
+    assert f"({path}, line 3)" in errors[0]
+    assert errors[1] == errors[0].replace(str(path), "/dev/stdin")
+    assert not (tmp_path / "out").exists()
+
+
 def test_featurize_selection_stages(ws, tmp_path):
     pca_out = str(tmp_path / "pca.csv")
     report = str(tmp_path / "selection.json")

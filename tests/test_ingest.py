@@ -38,7 +38,7 @@ from flowsift import (
     write_synth,
 )
 from flowsift import _util, ingest, logreg
-from flowsift._util import naming_undecodable
+from flowsift._util import text_input
 from flowsift.cli import main
 from flowsift.ingest import HEADER_LINE, TIMESTAMP_FORMAT
 
@@ -569,12 +569,12 @@ def test_undecodable_line_in_any_range_names_file_and_line(
 
 
 @pytest.mark.parametrize("ranges", [1, 3])
-@pytest.mark.parametrize("line_end", [b"\n", b"\r\n"])
+@pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"])
 def test_undecodable_line_reads_as_a_text_reader_names_it(
         tmp_path, monkeypatch, ranges, line_end):
     """read_flows numbers the line that does not decode as it reads, in
-    any range; its error is the one _util.naming_undecodable gives for the
-    file read whole as text."""
+    any range; its error is the one _util.text_input gives for the file
+    read whole as text."""
     path = tmp_path / "latin1.csv"
     _rows_file(path, 200, undecodable=150)
     path.write_bytes(path.read_bytes().replace(b"\n", line_end))
@@ -582,13 +582,39 @@ def test_undecodable_line_reads_as_a_text_reader_names_it(
     with pytest.raises(UnicodeDecodeError) as err:
         read_flows(path)
     with pytest.raises(UnicodeDecodeError) as text:
-        with naming_undecodable(str(path)), \
-                open(path, "r", encoding="utf-8") as fh:
+        with text_input(str(path)) as fh:
             fh.read()
     assert str(err.value) == str(text.value)
     assert str(err.value).endswith(f"({path}, line 150)")
     assert ((err.value.object, err.value.start, err.value.end)
             == (text.value.object, text.value.start, text.value.end))
+
+
+@pytest.mark.parametrize("ranges", [1, 3])
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"])
+def test_any_line_end_reads_like_the_original(tmp_path, monkeypatch,
+                                              ranges, line_end):
+    """A copy of a capture whose lines end in "\\r\\n" or a lone "\\r" is
+    cut into as many ranges as the original and gives its table, stats and
+    malformed-row line; its blocks carry one line, not the whole capture,
+    into the next."""
+    original = tmp_path / "lf.csv"
+    _rows_file(original, 600, malformed=450)
+    copy = tmp_path / "copy.csv"
+    copy.write_bytes(original.read_bytes().replace(b"\n", line_end))
+    reads = []
+    for path in (original, copy):
+        _force_ranges(monkeypatch, path, ranges)
+        table, stats = read_flows(path)
+        with pytest.raises(MalformedRow) as err:
+            read_flows(path, on_error="abort")
+        reads.append((table, stats, err.value.line_no))
+    _assert_same_table(reads[0][0], reads[1][0])
+    assert reads[0][1:] == reads[1][1:]
+    with open(copy, "rb") as fh:
+        blocks = list(ingest._text_blocks(fh, None))
+    assert max(map(len, blocks)) < reads[1][1].total_rows // 4
+    _assert_no_child_left()
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")

@@ -136,3 +136,40 @@ def test_bench_pairs_resolves_a_gain_as_the_simplicity_review_does():
     pairs = [{"seed": i, "parent": _result(1.0, 0.5 + i / 100),
               "change": _result(1.0, 0.8)} for i in range(10)]
     assert summarize(pairs, END_TO_END)["f1"]["gain_resolved"]
+
+
+def test_bench_pairs_regression_verdict_per_metric():
+    """worse beyond the bound; unresolved where the parent's quartile
+    distance exceeds the bound, as a fraction of its median, unless every
+    change run beats every parent run; none otherwise."""
+    summarize = _load_tool("bench_pairs").summarize
+    # parent 1.0..1.9 s: quartile distance 0.45, 31% of the 1.45 median
+    wide = [1.0 + i / 10 for i in range(10)]
+    narrow = [1.0 + i / 100 for i in range(10)]
+
+    def verdict(parent, change):
+        return summarize(_pairs(parent, change), END_TO_END)["job_s"]["verdict"]
+
+    assert verdict(narrow, [1.3 * p for p in narrow]) == "worse"
+    assert verdict(wide, [1.3 * p for p in wide]) == "worse"
+    assert verdict(wide, wide) == "unresolved"
+    # better in every pair, yet the change's slowest run is slower than
+    # the parent's fastest
+    assert verdict(wide, [p - 0.05 for p in wide]) == "unresolved"
+    # every change run faster than every parent run
+    assert verdict(wide, [p - 1.0 for p in wide]) == "none"
+    assert verdict(narrow, narrow) == "none"
+    assert verdict(narrow, [1.2 * p for p in narrow]) == "none"
+    # higher is better: a wide f1 spread is unresolved until every change
+    # run is above every parent run; equal zero medians are none
+    pairs = [{"seed": i, "parent": _result(1.0, 0.5 + i / 20),
+              "change": _result(1.0, 0.5 + i / 20)} for i in range(10)]
+    summary = summarize(pairs, END_TO_END)
+    assert summary["f1"]["verdict"] == "unresolved"
+    assert summary["job_s"]["verdict"] == "none"
+    for pair in pairs:
+        pair["change"] = _result(1.0, 1.0)
+    assert summarize(pairs, END_TO_END)["f1"]["verdict"] == "none"
+    zero = [{"seed": 1, "parent": _result(1.0, 0.0),
+             "change": _result(1.0, 0.0)}]
+    assert summarize(zero, END_TO_END)["f1"]["verdict"] == "none"

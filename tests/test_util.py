@@ -13,7 +13,7 @@ import pytest
 import flowsift._util
 from flowsift import FeatureMatrix, FlowTable, run_grid, write_matrix_csv
 from flowsift._util import (atomic_open, atomic_write_text, forked,
-                            in_shares, naming_undecodable, shares)
+                            in_shares, shares, text_input)
 
 
 def leftovers(directory):
@@ -78,8 +78,7 @@ def test_undecodable_error_names_the_line_past_the_first_chunk(tmp_path):
     lines[4999] = b"01234\xe9"
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(UnicodeDecodeError) as info:
-        with naming_undecodable(str(path)), \
-                open(path, "r", encoding="utf-8") as fh:
+        with text_input(str(path)) as fh:
             fh.read()
     assert info.value.start == 5
     assert str(info.value).endswith(

@@ -17,13 +17,18 @@ Prints one JSON object: for each end-to-end metric of the change's
 BENCHMARK.json, both sides' median and quartiles, the number of pairs in
 which the change is better, how much worse the change's median is than the
 parent's as a fraction of the parent's (negative when better), whether
-that exceeds the metric's bound, and whether a gain is resolved; then every
-run's raw result. A gain is resolved when the change is better in at least
-nine tenths of all pairs run (ties and pairs with a failed run count for
-neither side), its median is better than the parent's by more than the
-distance between the parent's quartiles, and no more of its operations
-fail than the parent's. A run that fails keeps its exit code and stderr
-tail in the raw results, and its pair is left out of the medians.
+that exceeds the metric's bound, whether a gain is resolved and a
+regression verdict; then every run's raw result. A gain is resolved when
+the change is better in at least nine tenths of all pairs run (ties and
+pairs with a failed run count for neither side), its median is better
+than the parent's by more than the distance between the parent's
+quartiles, and no more of its operations fail than the parent's. The verdict is "worse" when the change's median is
+worse than the bound allows; else "unresolved" when the distance between
+the parent's quartiles exceeds the bound (as a fraction of the parent's
+median) and not every run of the change beats every run of the parent,
+since such a spread can hide a regression the size of the bound; else
+"none". A run that fails keeps its exit code and stderr tail in the raw
+results, and its pair is left out of the medians.
 """
 from __future__ import annotations
 
@@ -92,11 +97,18 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
             worse_by = 0.0 if change == parent else sign * float("inf")
         entry["worse_by"] = worse_by
         entry["beyond_bound"] = worse_by > metric["bound"]
+        spread = entry["parent"]["q3"] - entry["parent"]["q1"]
         entry["gain_resolved"] = (
             10 * entry["change_better_pairs"] >= 9 * len(pairs)
-            and sign * (parent - change)
-            > entry["parent"]["q3"] - entry["parent"]["q1"]
+            and sign * (parent - change) > spread
             and fewer_failures)
+        every_run_better = (max(sign * v for v in values["change"])
+                            < min(sign * v for v in values["parent"]))
+        entry["verdict"] = (
+            "worse" if entry["beyond_bound"]
+            else "unresolved" if (spread > metric["bound"] * abs(parent)
+                                  and not every_run_better)
+            else "none")
         summary[name] = entry
     return summary
 
